@@ -19,7 +19,6 @@ from .core import (
     StalenessFn,
     aoi_step,
     cap_threshold,
-    staleness_cost,
 )
 from .arrivals import (
     ArrivalSequence,
@@ -31,23 +30,17 @@ from .arrivals import (
     load_trace,
 )
 from .policies import (
-    DecisionContext,
     NotReactive,
     Policy,
-    ReactiveWithoutRequest,
     cap,
-    decide,
     reactify,
 )
 from .engine import (
-    SIM_CSV_HEADER,
     NoCompletedInterval,
-    RenewalInterval,
     RenewalStats,
     SimResult,
     SweepResult,
     renewal_stats,
-    sim_csv_row,
     simulate,
     simulate_many,
 )
@@ -65,7 +58,6 @@ from .mdp import (
     MdpConfig,
     MdpSolution,
     NoConvergence,
-    extract_threshold,
     solve_average,
     solve_discounted,
     write_policy_csv,
@@ -92,7 +84,6 @@ __all__ = [
     "NoCapExists",
     "InvalidRate",
     "aoi_step",
-    "staleness_cost",
     "cap_threshold",
     "ArrivalSequence",
     "BernoulliSource",
@@ -102,22 +93,16 @@ __all__ = [
     "load_trace",
     "empirical_rate",
     "Policy",
-    "DecisionContext",
-    "ReactiveWithoutRequest",
     "NotReactive",
-    "decide",
     "reactify",
     "cap",
     "SimResult",
     "SweepResult",
-    "RenewalInterval",
     "RenewalStats",
     "NoCompletedInterval",
     "simulate",
     "simulate_many",
     "renewal_stats",
-    "sim_csv_row",
-    "SIM_CSV_HEADER",
     "ThresholdSolution",
     "PeriodSolution",
     "RenewalExpectations",
@@ -131,7 +116,6 @@ __all__ = [
     "NoConvergence",
     "solve_discounted",
     "solve_average",
-    "extract_threshold",
     "write_policy_csv",
     "OfflineSolution",
     "TooLarge",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,8 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
 
     Each line is ``timestamp[,ignored...]``; timestamps are shifted so the
     earliest lands in slot 1, then floor-divided by ``slot_duration``.
-    Multiple requests may share a slot. ``on_malformed`` is "error" (raise
+    Multiple requests may share a slot. A line whose timestamp is not a
+    finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
     """
     if slot_duration <= 0:
@@ -160,12 +162,17 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
                 continue
             field = text.split(",", 1)[0].strip()
             try:
-                stamps.append(float(field))
+                stamp = float(field)
             except ValueError:
-                if on_malformed == "error":
-                    raise ParseError(line_no, text) from None
-                skipped += 1
-                log.warning("skipping malformed trace line %d: %r", line_no, text)
+                stamp = math.nan
+            # nan and +-inf parse as floats but cannot be placed in a slot.
+            if math.isfinite(stamp):
+                stamps.append(stamp)
+                continue
+            if on_malformed == "error":
+                raise ParseError(line_no, text)
+            skipped += 1
+            log.warning("skipping malformed trace line %d: %r", line_no, text)
     if not stamps:
         raise EmptyTrace(f"no usable timestamps in {path}")
     if skipped:

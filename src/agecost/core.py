@@ -151,7 +151,8 @@ class CostModel:
 
     @classmethod
     def from_config(cls, config: dict) -> "CostModel":
-        """Build from a plain record: {"staleness": {"kind", "values"?}, "update_cost"}."""
+        """Build from a plain record as written by ``to_config``:
+        {"staleness": {"kind", "values"? | "breakpoints"?}, "update_cost"}."""
         st = config["staleness"]
         kind = st["kind"]
         if kind == "linear":
@@ -160,6 +161,8 @@ class CostModel:
             fn = StalenessFn.quadratic()
         elif kind == "table":
             fn = StalenessFn.from_table(st["values"])
+        elif kind == "piecewise":
+            fn = StalenessFn.piecewise(st["breakpoints"])
         else:
             raise ValueError(f"unknown staleness kind {kind!r}")
         return cls(staleness=fn, update_cost=float(config["update_cost"]))
@@ -190,11 +193,6 @@ class CostBreakdown:
 def aoi_step(prev: Aoi, updated: bool) -> Aoi:
     """Advance the AoI by one slot: reset to 0 on update, otherwise age by 1."""
     return 0 if updated else prev + 1
-
-
-def staleness_cost(model: CostModel, aoi: Aoi) -> float:
-    """Penalty charged to one request served at the given age."""
-    return model.staleness(aoi)
 
 
 def cap_threshold(model: CostModel) -> int:

@@ -9,6 +9,7 @@ starts with age 1 at slot 1, as if an update had completed at slot 0.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,31 +23,23 @@ class NoCompletedInterval(ValueError):
     """Renewal statistics need at least one closed update interval."""
 
 
-@dataclass(frozen=True)
-class RenewalInterval:
-    """Requests and cost between consecutive updates, closing update included."""
-
-    n_requests: int
-    total_cost: float
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
     """Full cost accounting of one replay.
 
-    ``request_charges`` (present when recorded) holds the staleness charged
-    to each request of an occupied slot, aligned with the arrival sequence's
-    ``slots``; update slots charge 0. ``update_slots`` is the realized
-    update schedule.
+    ``request_charges`` holds the staleness charged to each request of an
+    occupied slot, aligned with ``arrivals.slots``; update slots charge 0.
+    ``update_slots`` is the realized update schedule. ``arrivals`` is the
+    replayed sequence itself, not a copy.
     """
 
     breakdown: CostBreakdown
     avg_total: float
     avg_staleness: float
     avg_update: float
-    renewal_intervals: tuple[RenewalInterval, ...]
     update_slots: np.ndarray
-    request_charges: np.ndarray | None = None
+    request_charges: np.ndarray
+    arrivals: ArrivalSequence
 
 
 @dataclass(frozen=True)
@@ -72,136 +65,61 @@ class SweepResult:
         return float(np.mean([r.avg_update for r in self.per_run]))
 
 
-def simulate(
-    policy: Policy,
-    arrivals: ArrivalSequence,
-    model: CostModel,
-    record_requests: bool = False,
-) -> SimResult:
+def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> SimResult:
     """Replay one policy over one arrival sequence and account every cost.
 
-    Reactive policies are driven at request slots only; periodic and
-    scheduled policies also fire on request-free slots (and still pay the
-    update cost there). Costs are charged for the whole horizon of the
-    arrival sequence.
+    Reactive policies update only at request slots; periodic and scheduled
+    policies also fire on request-free slots (and still pay the update cost
+    there). Costs are charged for the whole horizon of the arrival sequence.
     """
-    if arrivals.n_requests < 1:
-        raise ValueError("arrival sequence has no requests")
-    if policy.is_reactive:
-        thr = policy.tau if policy.kind == "threshold" else cap_threshold(model)
-        return _replay_reactive(thr, arrivals, model, record_requests)
-    return _replay_with_slot_updates(policy, arrivals, model, record_requests)
-
-
-def _replay_reactive(thr, arrivals, model, record_requests):
-    f = model.staleness
-    p = model.update_cost
-    slots = arrivals.slots.tolist()
-    counts = arrivals.counts.tolist()
-    charges = [] if record_requests else None
-    ups = []
-    intervals = []
-    total_staleness = 0.0
-    last_up = 0
-    iv_requests = 0
-    iv_staleness = 0.0
-    for i in range(len(slots)):
-        r = slots[i]
-        k = counts[i]
-        age = r - last_up
-        if age >= thr:
-            ups.append(r)
-            last_up = r
-            intervals.append(RenewalInterval(iv_requests + k, p + iv_staleness))
-            iv_requests = 0
-            iv_staleness = 0.0
-            if charges is not None:
-                charges.append(0.0)
-        else:
-            c = f(age)
-            total_staleness += k * c
-            iv_requests += k
-            iv_staleness += k * c
-            if charges is not None:
-                charges.append(c)
-    return _package(arrivals, model, total_staleness, ups, intervals, charges)
-
-
-def _replay_with_slot_updates(policy, arrivals, model, record_requests):
-    # Merge request slots with the policy's own update slots in slot order.
-    f = model.staleness
-    p = model.update_cost
-    slots = arrivals.slots.tolist()
-    counts = arrivals.counts.tolist()
-    horizon = arrivals.horizon
-    if policy.kind == "periodic":
-        d = policy.period
-        up_iter = range(d, horizon + 1, d)
-    else:
-        up_iter = [s for s in policy.update_slots if s <= horizon]
-    charges = [] if record_requests else None
-    ups = []
-    intervals = []
-    total_staleness = 0.0
-    last_up = 0
-    iv_requests = 0
-    iv_staleness = 0.0
-    n = len(slots)
-    i = 0
-    for u in up_iter:
-        while i < n and slots[i] < u:
-            r = slots[i]
-            k = counts[i]
-            c = f(r - last_up)
-            total_staleness += k * c
-            iv_requests += k
-            iv_staleness += k * c
-            if charges is not None:
-                charges.append(c)
-            i += 1
-        k_here = 0
-        if i < n and slots[i] == u:
-            k_here = counts[i]
-            if charges is not None:
-                charges.append(0.0)
-            i += 1
-        ups.append(u)
-        intervals.append(RenewalInterval(iv_requests + k_here, p + iv_staleness))
-        iv_requests = 0
-        iv_staleness = 0.0
-        last_up = u
-    while i < n:
-        r = slots[i]
-        k = counts[i]
-        c = f(r - last_up)
-        total_staleness += k * c
-        iv_requests += k
-        iv_staleness += k * c
-        if charges is not None:
-            charges.append(c)
-        i += 1
-    return _package(arrivals, model, total_staleness, ups, intervals, charges)
-
-
-def _package(arrivals, model, total_staleness, ups, intervals, charges):
     n_req = arrivals.n_requests
-    n_up = len(ups)
-    total_update = model.update_cost * n_up
+    if n_req < 1:
+        raise ValueError("arrival sequence has no requests")
+    ups = _update_schedule(policy, arrivals, model)
+    slots = arrivals.slots
+    # Each request is charged at its age since the last update at or before
+    # its slot; f(0) = 0 serves requests in an update slot fresh.
+    last_up = np.concatenate(([0], ups))[np.searchsorted(ups, slots, side="right")]
+    charges = model.staleness.eval_array(slots - last_up)
+    # cumsum adds strictly in request order (np.sum would add pairwise), so
+    # the total matches a sequential per-request sum bit for bit.
+    total_staleness = float(np.cumsum(arrivals.counts * charges)[-1])
+    total_update = model.update_cost * ups.size
     breakdown = CostBreakdown(
         total_staleness=total_staleness,
         total_update=total_update,
         n_requests=n_req,
-        n_updates=n_up,
+        n_updates=ups.size,
     )
     return SimResult(
         breakdown=breakdown,
         avg_total=breakdown.total / n_req,
         avg_staleness=total_staleness / n_req,
         avg_update=total_update / n_req,
-        renewal_intervals=tuple(intervals),
-        update_slots=np.asarray(ups, dtype=np.int64),
-        request_charges=None if charges is None else np.asarray(charges, dtype=np.float64),
+        update_slots=ups,
+        request_charges=charges,
+        arrivals=arrivals,
     )
+
+
+def _update_schedule(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> np.ndarray:
+    """Sorted int64 array of the slots at which the policy updates."""
+    horizon = arrivals.horizon
+    if policy.kind == "periodic":
+        return np.arange(policy.period, horizon + 1, policy.period, dtype=np.int64)
+    if policy.kind == "scheduled":
+        sched = policy.update_slots
+        return np.array(sched[: bisect.bisect_right(sched, horizon)], dtype=np.int64)
+    # Threshold and naive: the next update is the first request seen at age
+    # >= tau, i.e. the first request slot >= last update + tau.
+    tau = policy.tau if policy.kind == "threshold" else cap_threshold(model)
+    slots = arrivals.slots.tolist()
+    ups = []
+    i = bisect.bisect_left(slots, tau)
+    while i < len(slots):
+        ups.append(slots[i])
+        i = bisect.bisect_left(slots, slots[i] + tau, i + 1)
+    return np.array(ups, dtype=np.int64)
 
 
 def simulate_many(
@@ -228,34 +146,6 @@ def simulate_many(
     return SweepResult(per_run=tuple(results), mean_avg_total=float(np.mean(means)), stderr=stderr)
 
 
-SIM_CSV_HEADER = "policy,params,lambda,p,avg_total,avg_staleness,avg_update,n_requests,n_updates,seed"
-
-
-def sim_csv_row(result: SimResult, policy: Policy, rate: float, model: CostModel, seed) -> str:
-    """One flat CSV row describing a run, matching SIM_CSV_HEADER."""
-    if policy.kind == "threshold":
-        params = f"tau={policy.tau}"
-    elif policy.kind == "periodic":
-        params = f"d={policy.period}"
-    elif policy.kind == "scheduled":
-        params = f"n={len(policy.update_slots)}"
-    else:
-        params = ""
-    b = result.breakdown
-    return ",".join([
-        policy.kind,
-        params,
-        format(rate, ".10g"),
-        format(model.update_cost, ".10g"),
-        format(result.avg_total, ".10g"),
-        format(result.avg_staleness, ".10g"),
-        format(result.avg_update, ".10g"),
-        str(b.n_requests),
-        str(b.n_updates),
-        str(seed),
-    ])
-
-
 def renewal_stats(result: SimResult) -> RenewalStats:
     """Sample means over the completed update intervals of one replay.
 
@@ -264,10 +154,14 @@ def renewal_stats(result: SimResult) -> RenewalStats:
     The ratio of the two means estimates the long-run average cost per
     request.
     """
-    ivs = result.renewal_intervals
-    if not ivs:
+    ups = result.update_slots
+    if not ups.size:
         raise NoCompletedInterval("replay contains no completed update interval")
+    arr = result.arrivals
+    closed = int(np.searchsorted(arr.slots, ups[-1], side="right"))
+    counts = arr.counts[:closed]
+    stale = float(np.dot(counts, result.request_charges[:closed]))
     return RenewalStats(
-        mean_requests_per_interval=float(np.mean([iv.n_requests for iv in ivs])),
-        mean_cost_per_interval=float(np.mean([iv.total_cost for iv in ivs])),
+        mean_requests_per_interval=float(counts.sum()) / ups.size,
+        mean_cost_per_interval=(result.breakdown.total_update + stale) / ups.size,
     )

@@ -340,12 +340,12 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         else _configured_policies(spec, rate_hat, model)
     rows: list[dict] = []
     for label, pol, _ in policies:
-        res = simulate(pol, seq, model, record_requests=True)
+        res = simulate(pol, seq, model)
         _cumulative_rows(label, res, seq, model, rows)
     offline_meta = {}
     if spec.include_offline and seq.n_requests <= spec.offline_request_cap:
         sol = offline_optimal(seq, model)
-        replay = simulate(Policy.scheduled(sol.update_slots), seq, model, record_requests=True)
+        replay = simulate(Policy.scheduled(sol.update_slots), seq, model)
         _cumulative_rows("offline", replay, seq, model, rows)
         offline_meta = {"offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
     tau_c = info.get("tau_continuous")

@@ -9,8 +9,7 @@ distribution.
 
 ``solve_average`` runs damped relative value iteration on the average-cost
 optimality equation; ``solve_discounted`` runs plain value iteration on the
-discounted one. ``extract_threshold`` reads the update threshold off the
-converged relative values.
+discounted one.
 """
 
 from __future__ import annotations
@@ -174,23 +173,6 @@ def solve_average(config: MdpConfig) -> MdpSolution:
         values = values + _DAMPING * diff
         values = values - values[1]
     raise NoConvergence(config.max_iterations, residual)
-
-
-def extract_threshold(solution: MdpSolution, config: MdpConfig) -> int:
-    """Smallest age where updating is at least as good as skipping.
-
-    Evaluated on the converged relative values: update at age s once
-    f(s) + E[h | skip from s] >= p + E[h | update], never above the cap
-    threshold (updates are forced there anyway).
-    """
-    h = solution.values
-    f = config.model.staleness.eval_array(np.arange(h.size))
-    K = _skip_continuation(h, config.rate)
-    rhs = config.model.update_cost + K[0]
-    for s in range(1, config.delta_star):
-        if f[s] + K[s] >= rhs:
-            return s
-    return config.delta_star
 
 
 def write_policy_csv(solution: MdpSolution, path) -> None:

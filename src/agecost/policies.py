@@ -12,17 +12,12 @@ Together they justify searching only over reactive, capped policies.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import Aoi, CostModel, Slot, cap_threshold
-
-
-class ReactiveWithoutRequest(ValueError):
-    """A reactive policy was asked for a decision on a request-free slot."""
+from .core import CostModel, cap_threshold
 
 
 class NotReactive(ValueError):
@@ -111,39 +106,6 @@ class Policy:
         if self.kind == "scheduled":
             return f"scheduled[{len(self.update_slots)}]"
         return "naive"
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    """What a policy sees when deciding at one slot."""
-
-    current_aoi: Aoi
-    slot: Slot
-    has_request: bool
-
-    def __post_init__(self) -> None:
-        if self.slot < 1:
-            raise ValueError("slots are indexed from 1")
-
-
-def decide(policy: Policy, model: CostModel, ctx: DecisionContext) -> bool:
-    """True when the policy refreshes at this slot."""
-    if policy.kind == "threshold":
-        if not ctx.has_request:
-            raise ReactiveWithoutRequest("threshold policy decides only at request slots")
-        return ctx.current_aoi >= policy.tau
-    if policy.kind == "naive":
-        if not ctx.has_request:
-            raise ReactiveWithoutRequest("naive policy decides only at request slots")
-        return model.staleness(ctx.current_aoi) >= model.update_cost
-    if policy.kind == "periodic":
-        return ctx.slot % policy.period == 0
-    return _in_sorted(policy.update_slots, ctx.slot)
-
-
-def _in_sorted(slots: tuple[int, ...], slot: int) -> bool:
-    i = bisect.bisect_left(slots, slot)
-    return i < len(slots) and slots[i] == slot
 
 
 def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:

@@ -1,17 +1,59 @@
 """Independent slow-path oracles shared by the test modules.
 
 These deliberately avoid the package's optimized code paths: the reference
-replay walks every slot and queries the policy through decide(), and the
-renewal enumeration sums over all request patterns of an update interval.
+replay walks every slot and queries the policy through decide(), which
+evaluates each policy's rule at one slot; the renewal enumeration sums over
+all request patterns of an update interval; extract_threshold reads the MDP
+threshold off the converged relative values instead of the argmin actions.
 """
 
 from __future__ import annotations
 
+import bisect
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from agecost import ArrivalSequence, DecisionContext, aoi_step, decide
+from agecost import ArrivalSequence, aoi_step
+from agecost.mdp import _skip_continuation
+
+
+class ReactiveWithoutRequest(ValueError):
+    """A reactive policy was asked for a decision on a request-free slot."""
+
+
+@dataclass(frozen=True)
+class DecisionContext:
+    """What a policy sees when deciding at one slot."""
+
+    current_aoi: int
+    slot: int
+    has_request: bool
+
+    def __post_init__(self) -> None:
+        if self.slot < 1:
+            raise ValueError("slots are indexed from 1")
+
+
+def decide(policy, model, ctx):
+    """True when the policy refreshes at this slot."""
+    if policy.kind == "threshold":
+        if not ctx.has_request:
+            raise ReactiveWithoutRequest("threshold policy decides only at request slots")
+        return ctx.current_aoi >= policy.tau
+    if policy.kind == "naive":
+        if not ctx.has_request:
+            raise ReactiveWithoutRequest("naive policy decides only at request slots")
+        return model.staleness(ctx.current_aoi) >= model.update_cost
+    if policy.kind == "periodic":
+        return ctx.slot % policy.period == 0
+    return _in_sorted(policy.update_slots, ctx.slot)
+
+
+def _in_sorted(slots, slot):
+    i = bisect.bisect_left(slots, slot)
+    return i < len(slots) and slots[i] == slot
 
 
 def reference_replay(policy, arrivals, model):
@@ -92,3 +134,20 @@ def random_instance(rng, max_requests=15, horizon=48):
     n = int(rng.integers(1, max_requests + 1))
     slots = np.sort(rng.choice(np.arange(1, horizon + 1), size=n, replace=False))
     return ArrivalSequence.from_slots(slots)
+
+
+def extract_threshold(solution, config):
+    """Smallest age where updating is at least as good as skipping.
+
+    Evaluated on the converged relative values: update at age s once
+    f(s) + E[h | skip from s] >= p + E[h | update], never above the cap
+    threshold (updates are forced there anyway).
+    """
+    h = solution.values
+    f = config.model.staleness.eval_array(np.arange(h.size))
+    K = _skip_continuation(h, config.rate)
+    rhs = config.model.update_cost + K[0]
+    for s in range(1, config.delta_star):
+        if f[s] + K[s] >= rhs:
+            return s
+    return config.delta_star

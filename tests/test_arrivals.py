@@ -88,15 +88,20 @@ def test_load_trace_shifts_origin(tmp_path):
 
 
 def test_load_trace_malformed(tmp_path, caplog):
+    # nan and +-inf parse as floats but name no slot, so they are malformed too.
     path = tmp_path / "t.csv"
-    path.write_text("1.0\nnot-a-number,foo\n2.0\n")
-    with pytest.raises(ParseError) as err:
-        load_trace(path, 1.0)
-    assert err.value.line_no == 2
-    with caplog.at_level(logging.WARNING):
-        seq = load_trace(path, 1.0, on_malformed="skip")
-    assert seq.n_requests == 2
-    assert "line 2" in caplog.text
+    for bad in ("not-a-number", "nan", "inf", "-inf"):
+        path.write_text(f"1.0\n{bad},foo\n2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_trace(path, 1.0)
+        assert err.value.line_no == 2
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            seq = load_trace(path, 1.0, on_malformed="skip")
+        assert seq.slots.tolist() == [1, 2]
+        assert seq.n_requests == 2
+        assert "line 2" in caplog.text
+        assert "skipped 1 malformed lines" in caplog.text
 
 
 def test_load_trace_empty(tmp_path):

@@ -10,7 +10,6 @@ from agecost import (
     StalenessFn,
     aoi_step,
     cap_threshold,
-    staleness_cost,
 )
 
 LINEAR = StalenessFn.linear()
@@ -30,8 +29,8 @@ def test_aoi_step_properties(a):
 
 
 def test_staleness_examples():
-    assert staleness_cost(CostModel(LINEAR, 1.0), 7) == 7.0
-    assert staleness_cost(CostModel(QUADRATIC, 1.0), 4) == 16.0
+    assert CostModel(LINEAR, 1.0).staleness(7) == 7.0
+    assert CostModel(QUADRATIC, 1.0).staleness(4) == 16.0
     for fn in (LINEAR, QUADRATIC, StalenessFn.from_table([0, 2, 5]), StalenessFn.piecewise([(2, 1.0)])):
         assert fn(0) == 0.0
 
@@ -113,6 +112,7 @@ def test_cost_model_config_roundtrip():
         {"staleness": {"kind": "linear"}, "update_cost": 100.0},
         {"staleness": {"kind": "quadratic"}, "update_cost": 9.0},
         {"staleness": {"kind": "table", "values": [0, 1, 5]}, "update_cost": 4.0},
+        {"staleness": {"kind": "piecewise", "breakpoints": [[2, 1.5], [5, 6.0]]}, "update_cost": 4.0},
     ):
         m = CostModel.from_config(cfg)
         again = CostModel.from_config(m.to_config())

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +46,7 @@ def test_no_updates_charges_age_equals_slot():
 def test_update_slot_requests_served_fresh():
     # Update fires in the same slot as a request: the request costs nothing.
     arr = ArrivalSequence.from_slots([4, 9])
-    res = simulate(Policy.scheduled([4]), arr, CostModel(LINEAR, 2.5), record_requests=True)
+    res = simulate(Policy.scheduled([4]), arr, CostModel(LINEAR, 2.5))
     assert res.request_charges.tolist() == [0.0, 5.0]
     assert res.breakdown.total == 2.5 + 5.0
 
@@ -130,9 +132,19 @@ def test_trailing_interval_excluded_but_charged():
     # Update at 4 closes one interval; requests at 6 and 7 trail it.
     arr = ArrivalSequence.from_slots([4, 6, 7])
     res = simulate(Policy.scheduled([4]), arr, CostModel(LINEAR, 2.0))
-    assert len(res.renewal_intervals) == 1
-    assert res.renewal_intervals[0].n_requests == 1
+    stats = renewal_stats(res)
+    assert stats.mean_requests_per_interval == 1.0
+    assert stats.mean_cost_per_interval == 2.0
     assert res.breakdown.total == pytest.approx(2.0 + 2.0 + 3.0)
+
+
+def test_renewal_stats_update_before_first_request():
+    # The only completed interval is (0, 3]: no request, just the update.
+    arr = ArrivalSequence.from_slots([5])
+    res = simulate(Policy.periodic(3), arr, CostModel(LINEAR, 4.5))
+    stats = renewal_stats(res)
+    assert stats.mean_requests_per_interval == 0.0
+    assert stats.mean_cost_per_interval == 4.5
 
 
 def test_renewal_interval_independence():
@@ -164,8 +176,17 @@ def any_policy_case(draw):
     else:
         pol = Policy.scheduled(sorted(draw(st.sets(st.integers(min_value=1, max_value=horizon), max_size=8))))
     p = draw(st.floats(min_value=0.5, max_value=25.0))
-    fn = draw(st.sampled_from([LINEAR, StalenessFn.quadratic()]))
-    return pol, arr, CostModel(fn, p)
+    fn = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
+    if fn in ("linear", "quadratic"):
+        return pol, arr, CostModel(getattr(StalenessFn, fn)(), p)
+    # Non-integer, non-decreasing values whose last one reaches p.
+    steps = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
+    values = list(accumulate(steps))
+    values[-1] += p
+    if fn == "table":
+        return pol, arr, CostModel(StalenessFn.from_table([0.0, *values]), p)
+    starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values), max_size=len(values))))
+    return pol, arr, CostModel(StalenessFn.piecewise(zip(starts, values)), p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,8 +197,9 @@ def test_engine_matches_slotwise_reference_replay(case):
         return
     res = simulate(pol, arr, model)
     ref_total, ref_stale, ref_update, ref_ups = reference_replay(pol, arr, model)
-    assert res.breakdown.total == pytest.approx(ref_total, abs=1e-9)
-    assert res.breakdown.total_staleness == pytest.approx(ref_stale, abs=1e-9)
+    # Both sum the staleness in request order, so they agree exactly.
+    assert res.breakdown.total_staleness == ref_stale
+    assert res.breakdown.total == ref_total
     assert res.update_slots.tolist() == ref_ups
 
 
@@ -187,7 +209,7 @@ def test_cost_conservation_from_event_log(case):
     pol, arr, model = case
     if arr.n_requests == 0:
         return
-    res = simulate(pol, arr, model, record_requests=True)
+    res = simulate(pol, arr, model)
     recomputed = float(np.dot(res.request_charges, arr.counts)) + model.update_cost * len(res.update_slots)
     assert res.breakdown.total == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
     assert res.avg_total == pytest.approx(res.avg_staleness + res.avg_update, rel=1e-12)
@@ -198,25 +220,10 @@ def test_charges_capped_below_threshold_penalty():
     tau = 13
     assert tau <= cap_threshold(m)
     arr = generate_bernoulli(BernoulliSource(0.5, 8), n_requests=5000)
-    res = simulate(Policy.threshold(tau), arr, m, record_requests=True)
+    res = simulate(Policy.threshold(tau), arr, m)
     nonzero = res.request_charges[res.request_charges > 0]
     assert np.all(nonzero < m.staleness(tau))
     assert m.staleness(tau) <= m.update_cost
-
-
-def test_sim_csv_row():
-    from agecost.engine import SIM_CSV_HEADER, sim_csv_row
-
-    m = CostModel(LINEAR, 20.0)
-    arr = generate_bernoulli(BernoulliSource(0.5, 4), n_requests=50)
-    res = simulate(Policy.threshold(3), arr, m)
-    row = sim_csv_row(res, Policy.threshold(3), 0.5, m, seed=4)
-    fields = row.split(",")
-    assert len(fields) == len(SIM_CSV_HEADER.split(","))
-    assert fields[0] == "threshold"
-    assert fields[1] == "tau=3"
-    assert float(fields[4]) == pytest.approx(res.avg_total)
-    assert int(fields[7]) == 50
 
 
 def test_reactive_replay_with_multi_request_slots():
@@ -224,13 +231,15 @@ def test_reactive_replay_with_multi_request_slots():
     # update there serves them both.
     arr = ArrivalSequence.from_counts({2: 1, 6: 2, 9: 1})
     m = CostModel(LINEAR, 5.0)
-    res = simulate(Policy.threshold(4), arr, m, record_requests=True)
+    res = simulate(Policy.threshold(4), arr, m)
     # ages seen: 2 (skip), 6 (update), 3 (skip)
     assert res.update_slots.tolist() == [6]
     assert res.request_charges.tolist() == [2.0, 0.0, 3.0]
     assert res.breakdown.total == pytest.approx(2.0 + 5.0 + 3.0)
     assert res.breakdown.n_requests == 4
-    assert res.renewal_intervals[0].n_requests == 3
+    stats = renewal_stats(res)
+    assert stats.mean_requests_per_interval == 3.0
+    assert stats.mean_cost_per_interval == 5.0 + 2.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,8 +253,8 @@ def test_engine_matches_reference_with_request_collisions(case, mult, pick):
     heavy = ArrivalSequence(horizon=arr.horizon, slots=arr.slots, counts=counts)
     res = simulate(pol, heavy, model)
     ref_total, ref_stale, _, ref_ups = reference_replay(pol, heavy, model)
-    assert res.breakdown.total == pytest.approx(ref_total, abs=1e-9)
-    assert res.breakdown.total_staleness == pytest.approx(ref_stale, abs=1e-9)
+    assert res.breakdown.total_staleness == ref_stale
+    assert res.breakdown.total == ref_total
     assert res.update_slots.tolist() == ref_ups
 
 

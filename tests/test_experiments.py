@@ -4,7 +4,9 @@ import pytest
 
 from agecost import (
     ConfigError,
+    CostModel,
     ExperimentSpec,
+    StalenessFn,
     emit,
     run_policy_comparison,
     run_threshold_sweep,
@@ -102,6 +104,34 @@ def test_cost_sweep_overrides_update_cost():
     table = run_policy_comparison(comparison_spec("cost_sweep", [10, 40]))
     naive_rows = {r["x_value"]: r for r in table.rows if r["policy_label"] == "naive"}
     assert naive_rows[10]["analytic_cost"] < naive_rows[40]["analytic_cost"]
+
+
+def test_spec_roundtrip_every_staleness_kind():
+    fns = (
+        StalenessFn.linear(),
+        StalenessFn.quadratic(),
+        StalenessFn.from_table([0, 0.5, 2.25, 60.0]),
+        StalenessFn.piecewise([(1, 0.5), (3, 2.5), (8, 100.0)]),
+    )
+    for fn in fns:
+        model = CostModel(fn, 40.0)
+        spec = comparison_spec("cost_sweep", [10, 40], model=model.to_config())
+        again = ExperimentSpec.from_dict(spec.to_dict())
+        assert again.to_dict() == spec.to_dict()
+        assert CostModel.from_config(again.model) == model
+
+
+def test_cost_sweep_piecewise_penalty():
+    model = {"staleness": {"kind": "piecewise", "breakpoints": [[1, 0.5], [3, 2.5], [8, 100.0]]},
+             "update_cost": 50.0}
+    table = run_policy_comparison(comparison_spec("cost_sweep", [10, 40], model=model, n_runs=2))
+    by_x = {}
+    for row in table.rows:
+        by_x.setdefault(row["x_value"], {})[row["policy_label"]] = row["mean_cost"]
+    assert sorted(by_x) == [10, 40]
+    for costs in by_x.values():
+        off = costs.pop("offline")
+        assert off <= min(costs.values()) + 1e-9
 
 
 def test_truncate_requests():

@@ -8,13 +8,14 @@ from agecost import (
     NoConvergence,
     StalenessFn,
     cap_threshold,
-    extract_threshold,
     optimal_threshold,
     solve_average,
     solve_discounted,
     threshold_avg_cost,
     write_policy_csv,
 )
+
+from oracles import extract_threshold
 
 LINEAR = StalenessFn.linear()
 

@@ -6,18 +6,17 @@ from agecost import (
     ArrivalSequence,
     BernoulliSource,
     CostModel,
-    DecisionContext,
     NotReactive,
     Policy,
-    ReactiveWithoutRequest,
     StalenessFn,
     cap,
     cap_threshold,
-    decide,
     generate_bernoulli,
     reactify,
     simulate,
 )
+
+from oracles import DecisionContext, ReactiveWithoutRequest, decide
 
 LINEAR = StalenessFn.linear()
 
@@ -155,7 +154,7 @@ def test_capped_schedule_charges_at_most_p(case):
     if arr.n_requests == 0:
         return
     capped = cap(reactify(sched, arr), arr, model)
-    res = simulate(Policy.scheduled(capped), arr, model, record_requests=True)
+    res = simulate(Policy.scheduled(capped), arr, model)
     ups = set(res.update_slots.tolist())
     for slot, charge in zip(arr.slots.tolist(), res.request_charges.tolist()):
         if slot in ups:
