@@ -27,7 +27,7 @@ from .core import CostModel, cap_threshold, check_rate
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Best integer threshold plus the continuous minimizer it came from."""
+    """Best integer threshold plus the continuous minimizer of the closed form."""
 
     tau_star: int
     tau_continuous: float
@@ -106,16 +106,17 @@ def _quadratic_tau_continuous(rate: float, p: float, hi: float) -> float:
 def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     """Cost-minimizing integer threshold, never above the cap threshold.
 
-    The continuous minimizer is computed in closed form (linear penalty) or
-    by root-finding (quadratic); its floor/ceil candidates are cross-checked
-    against an exhaustive integer scan of the closed form over [1, cap],
-    which wins any disagreement. Ties break toward the smaller threshold.
+    ``tau_star`` is the smallest minimizer of the closed form over the
+    integers in [1, cap], found by an exhaustive scan. The continuous
+    minimizer is reported beside it, computed in closed form (linear
+    penalty) or by root-finding (quadratic); other penalties report
+    ``tau_star`` itself.
     """
     check_rate(rate)
     p = model.update_cost
     delta_star = cap_threshold(model)
     costs = _threshold_costs_upto(rate, model, delta_star)
-    scan_best = int(np.argmin(costs)) + 1
+    tau_star = int(np.argmin(costs)) + 1
 
     kind = model.staleness.kind
     if kind == "linear":
@@ -123,18 +124,13 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     elif kind == "quadratic":
         tau_c = _quadratic_tau_continuous(rate, p, delta_star + 1.0)
     else:
-        tau_c = float(scan_best)
+        tau_c = float(tau_star)
 
-    clamped = math.ceil(tau_c) > delta_star
-    candidates = {min(max(int(math.floor(tau_c)), 1), delta_star),
-                  min(max(int(math.ceil(tau_c)), 1), delta_star)}
-    candidates.add(scan_best)
-    tau_star = min(candidates, key=lambda t: (costs[t - 1], t))
     return ThresholdSolution(
         tau_star=tau_star,
         tau_continuous=tau_c,
         cost_at_tau_star=float(costs[tau_star - 1]),
-        clamped_to_cap=clamped,
+        clamped_to_cap=math.ceil(tau_c) > delta_star,
     )
 
 

@@ -84,12 +84,6 @@ class ArrivalSequence:
             horizon = int(arr[-1]) if arr.size else 0
         return cls(horizon=horizon, slots=arr, counts=np.ones(arr.size, dtype=np.int64))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("slot,count\n")
-            for s, c in zip(self.slots.tolist(), self.counts.tolist()):
-                fh.write(f"{s},{c}\n")
-
 
 @dataclass(frozen=True)
 class BernoulliSource:
@@ -148,6 +142,8 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     Multiple requests may share a slot. A line whose timestamp is not a
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
+    A span too long for int64 slot ids at this ``slot_duration`` raises
+    ValueError.
     """
     if slot_duration <= 0:
         raise ValueError("slot_duration must be positive")
@@ -177,8 +173,14 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
         raise EmptyTrace(f"no usable timestamps in {path}")
     if skipped:
         log.warning("skipped %d malformed lines in %s", skipped, path)
+    lo, hi = min(stamps), max(stamps)
+    # Python floats overflow to inf without a warning, so this check runs
+    # before numpy could overflow the subtraction or wrap the int64 cast.
+    if not (hi - lo) / slot_duration < 2**63:
+        raise ValueError(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
+                         "needs more slots than int64 holds")
     ts = np.asarray(stamps, dtype=np.float64)
-    rel = (ts - ts.min()) / slot_duration
+    rel = (ts - lo) / slot_duration
     slot_ids = np.floor(rel).astype(np.int64) + 1
     slots, counts = np.unique(slot_ids, return_counts=True)
     return ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=counts.astype(np.int64))

@@ -10,6 +10,7 @@ starts with age 1 at slot 1, as if an update had completed at slot 0.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +51,36 @@ class RenewalStats:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Aggregate of independent simulation runs."""
+    """Per-run average costs of independent replays, in run order; the replays are not kept."""
 
-    per_run: tuple[SimResult, ...]
-    mean_avg_total: float
-    stderr: float
+    avg_total: np.ndarray
+    avg_staleness: np.ndarray
+    avg_update: np.ndarray
+
+    @classmethod
+    def of(cls, results: Iterable[SimResult]) -> "SweepResult":
+        """Summarize replays one at a time, keeping only their three averages."""
+        avgs = np.array([(r.avg_total, r.avg_staleness, r.avg_update) for r in results], dtype=np.float64)
+        if not avgs.size:
+            raise ValueError("a sweep needs at least one run")
+        return cls(*avgs.T)
+
+    @property
+    def mean_avg_total(self) -> float:
+        return float(np.mean(self.avg_total))
+
+    @property
+    def stderr(self) -> float:
+        n = self.avg_total.size
+        return float(np.std(self.avg_total, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
     @property
     def mean_avg_staleness(self) -> float:
-        return float(np.mean([r.avg_staleness for r in self.per_run]))
+        return float(np.mean(self.avg_staleness))
 
     @property
     def mean_avg_update(self) -> float:
-        return float(np.mean([r.avg_update for r in self.per_run]))
+        return float(np.mean(self.avg_update))
 
 
 def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> SimResult:
@@ -133,17 +151,13 @@ def simulate_many(
 
     Run i draws its arrivals from a child seed derived from
     (source.seed, i), so the sweep is reproducible and runs are independent.
+    Each replay is dropped once its three averages are taken.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    results = []
-    for i in range(n_runs):
-        child = BernoulliSource(source.rate, derive_seed(source.seed, i))
-        arrivals = generate_bernoulli(child, n_requests=n_requests_per_run)
-        results.append(simulate(policy, arrivals, model))
-    means = np.array([r.avg_total for r in results])
-    stderr = float(np.std(means, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
-    return SweepResult(per_run=tuple(results), mean_avg_total=float(np.mean(means)), stderr=stderr)
+    paths = (
+        generate_bernoulli(BernoulliSource(source.rate, derive_seed(source.seed, i)), n_requests=n_requests_per_run)
+        for i in range(n_runs)
+    )
+    return SweepResult.of(simulate(policy, arrivals, model) for arrivals in paths)
 
 
 def renewal_stats(result: SimResult) -> RenewalStats:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .arrivals import (
     load_trace,
 )
 from .core import CostModel, cap_threshold
-from .engine import simulate, simulate_many
-from .offline import offline_optimal
+from .engine import SimResult, SweepResult, simulate, simulate_many
+from .offline import OfflineSolution, offline_optimal
 from .policies import Policy
 
 COLUMNS = (
@@ -119,37 +119,14 @@ class ExperimentSpec:
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        return cls.from_dict(data)
-
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "model": self.model,
-            "arrival": self.arrival,
-            "policies": self.policies,
-            "grid": list(self.grid),
-            "n_runs": self.n_runs,
-            "n_requests": self.n_requests,
-            "base_seed": self.base_seed,
-            "output_path": self.output_path,
-            "include_offline": self.include_offline,
-            "offline_request_cap": self.offline_request_cap,
-        }
+        return asdict(self)
 
 
 @dataclass
 class ResultTable:
     """Rows of one experiment plus the metadata that reproduces them."""
 
-    columns: tuple[str, ...]
     rows: list[dict]
     meta: dict
 
@@ -171,25 +148,30 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
         analytic = threshold_avg_cost(rate, model, tau)
         if abs(sweep.mean_avg_total - analytic) > 3.0 * sweep.stderr:
             outside.append(tau)
-        rows.append({
-            "x_value": tau,
-            "policy_label": f"threshold({tau})",
-            "mean_cost": sweep.mean_avg_total,
-            "stderr": sweep.stderr,
-            "mean_staleness": sweep.mean_avg_staleness,
-            "mean_update": sweep.mean_avg_update,
-            "analytic_cost": analytic,
-            "n_runs": spec.n_runs,
-            "n_requests": spec.n_requests,
-            "seed": seed,
-        })
+        rows.append(_summary_row(spec, tau, f"threshold({tau})", sweep, analytic, seed))
     meta = {
         "spec": spec.to_dict(),
         "rate": rate,
         "mc_within_3_stderr": not outside,
         "mc_outside_taus": outside,
     }
-    return ResultTable(columns=COLUMNS, rows=rows, meta=meta)
+    return ResultTable(rows=rows, meta=meta)
+
+
+def _summary_row(spec: ExperimentSpec, x, label: str, sweep: SweepResult, analytic, seed: int) -> dict:
+    """One CSV row summarizing the runs of one policy at one grid point."""
+    return {
+        "x_value": x,
+        "policy_label": label,
+        "mean_cost": sweep.mean_avg_total,
+        "stderr": sweep.stderr,
+        "mean_staleness": sweep.mean_avg_staleness,
+        "mean_update": sweep.mean_avg_update,
+        "analytic_cost": analytic,
+        "n_runs": spec.n_runs,
+        "n_requests": spec.n_requests,
+        "seed": seed,
+    }
 
 
 def _auto_policies(rate: float, model: CostModel) -> tuple[list[tuple[str, Policy, float | None]], dict]:
@@ -249,41 +231,38 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
         policies, info = _configured_policies(spec, rate, model)
         if info:
             resolutions[str(x)] = info
-        samples: dict[str, list[tuple[float, float, float]]] = {label: [] for label, _, _ in policies}
-        if offline_on:
-            samples["offline"] = []
-        point_seed = derive_seed(spec.base_seed, point)
+        analytic = {label: value for label, _, value in policies} | {"offline": None}
+        # Per-run averages only: each run's replays are dropped once summarized.
+        averages: dict[str, list[tuple[float, float, float]]] = {}
         for run in range(spec.n_runs):
             arrivals = generate_bernoulli(
                 BernoulliSource(rate, derive_seed(spec.base_seed, point, run)),
                 n_requests=spec.n_requests,
             )
-            for label, pol, _ in policies:
-                res = simulate(pol, arrivals, model)
-                samples[label].append((res.avg_total, res.avg_staleness, res.avg_update))
-            if offline_on:
-                sol = offline_optimal(arrivals, model)
-                replay = simulate(Policy.scheduled(sol.update_slots), arrivals, model)
-                samples["offline"].append((replay.avg_total, replay.avg_staleness, replay.avg_update))
-        analytic_by_label = {label: analytic for label, _, analytic in policies}
-        analytic_by_label["offline"] = None
-        for label, triples in samples.items():
-            arr = np.asarray(triples)
-            stderr = float(np.std(arr[:, 0], ddof=1) / np.sqrt(len(triples))) if len(triples) > 1 else 0.0
-            rows.append({
-                "x_value": x,
-                "policy_label": label,
-                "mean_cost": float(arr[:, 0].mean()),
-                "stderr": stderr,
-                "mean_staleness": float(arr[:, 1].mean()),
-                "mean_update": float(arr[:, 2].mean()),
-                "analytic_cost": analytic_by_label[label],
-                "n_runs": spec.n_runs,
-                "n_requests": spec.n_requests,
-                "seed": point_seed,
-            })
+            for label, res in _replay(policies, arrivals, model, offline_on)[0]:
+                averages.setdefault(label, []).append((res.avg_total, res.avg_staleness, res.avg_update))
+        point_seed = derive_seed(spec.base_seed, point)
+        for label, runs in averages.items():
+            sweep = SweepResult(*np.array(runs).T)
+            rows.append(_summary_row(spec, x, label, sweep, analytic[label], point_seed))
     meta = {"spec": spec.to_dict(), "auto_policies": resolutions, "offline_included": offline_on}
-    return ResultTable(columns=COLUMNS, rows=rows, meta=meta)
+    return ResultTable(rows=rows, meta=meta)
+
+
+def _replay(
+    policies: list[tuple[str, Policy, float | None]], arrivals: ArrivalSequence, model: CostModel, offline: bool
+) -> tuple[list[tuple[str, SimResult]], OfflineSolution | None]:
+    """Replay every resolved policy on one arrival sequence, in order.
+
+    With ``offline`` the offline-optimal schedule is solved and replayed too,
+    labelled "offline", and its DP solution is returned beside the replays.
+    """
+    replays = [(label, simulate(pol, arrivals, model)) for label, pol, _ in policies]
+    sol = None
+    if offline:
+        sol = offline_optimal(arrivals, model)
+        replays.append(("offline", simulate(Policy.scheduled(sol.update_slots), arrivals, model)))
+    return replays, sol
 
 
 def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
@@ -336,18 +315,14 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
                      on_malformed=spec.arrival.get("on_malformed", "error"))
     seq = truncate_requests(seq, spec.n_requests)
     rate_hat = empirical_rate(seq)
-    policies, info = _auto_policies(rate_hat, model) if spec.policies == "auto" \
-        else _configured_policies(spec, rate_hat, model)
+    policies, info = _configured_policies(spec, rate_hat, model)
+    offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
+    replays, sol = _replay(policies, seq, model, offline_on)
     rows: list[dict] = []
-    for label, pol, _ in policies:
-        res = simulate(pol, seq, model)
+    for label, res in replays:
         _cumulative_rows(label, res, seq, model, rows)
-    offline_meta = {}
-    if spec.include_offline and seq.n_requests <= spec.offline_request_cap:
-        sol = offline_optimal(seq, model)
-        replay = simulate(Policy.scheduled(sol.update_slots), seq, model)
-        _cumulative_rows("offline", replay, seq, model, rows)
-        offline_meta = {"offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
+    offline_meta = {} if sol is None else {
+        "offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
     tau_c = info.get("tau_continuous")
     meta = {
         "spec": spec.to_dict(),
@@ -360,7 +335,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         "cumulative_convention": "rows hold cumulative average cost after each request",
         **offline_meta,
     }
-    return ResultTable(columns=COLUMNS, rows=rows, meta=meta)
+    return ResultTable(rows=rows, meta=meta)
 
 
 def _format_cell(value) -> str:
@@ -381,9 +356,9 @@ def emit(table: ResultTable, path) -> None:
         raise ValueError("refusing to emit an empty table")
     path = str(path)
     with open(path, "w") as fh:
-        fh.write(",".join(table.columns) + "\n")
+        fh.write(",".join(COLUMNS) + "\n")
         for row in table.rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in table.columns) + "\n")
+            fh.write(",".join(_format_cell(row.get(c)) for c in COLUMNS) + "\n")
     sidecar = {
         "artifact_version": __version__,
         "rng": RNG_ALGORITHM,

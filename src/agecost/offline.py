@@ -31,16 +31,6 @@ class OfflineSolution:
     total_cost: float
     per_request_cost: float
 
-    def to_csv(self, path) -> None:
-        """Update slots one per line plus a trailing summary comment."""
-        with open(path, "w") as fh:
-            fh.write("slot\n")
-            for s in self.update_slots:
-                fh.write(f"{s}\n")
-            fh.write(f"# total_cost={self.total_cost:.10g} "
-                     f"per_request_cost={self.per_request_cost:.10g} "
-                     f"n_updates={len(self.update_slots)}\n")
-
 
 def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:
     """Minimum-cost update schedule given full knowledge of the arrivals.

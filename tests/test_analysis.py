@@ -79,7 +79,8 @@ def test_optimal_threshold_exhaustive_over_cap_range():
                 costs = [threshold_avg_cost(rate, m, t) for t in range(1, cap_threshold(m) + 1)]
                 assert sol.tau_star <= cap_threshold(m)
                 assert sol.cost_at_tau_star == min(costs)
-                assert costs[sol.tau_star - 1] == min(costs)
+                # The smallest minimizer: ties break toward the smaller threshold.
+                assert sol.tau_star == costs.index(min(costs)) + 1
 
 
 def test_optimal_threshold_clamps_to_cap():

@@ -104,6 +104,18 @@ def test_load_trace_malformed(tmp_path, caplog):
         assert "skipped 1 malformed lines" in caplog.text
 
 
+def test_load_trace_span_beyond_int64(tmp_path):
+    # The first span overflows float64 itself; the second fits in float64
+    # but needs ~9e21 slots at this slot duration.
+    path = tmp_path / "t.csv"
+    for lines, slot_duration in ((("1e308", "-1e308"), 1.0), (("0", "9e18"), 1e-3)):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="span .*slot_duration") as err:
+            load_trace(path, slot_duration)
+        assert not isinstance(err.value, ParseError)
+        assert repr(slot_duration) in str(err.value)
+
+
 def test_load_trace_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("\n\n")
@@ -118,13 +130,6 @@ def test_synthetic_trace_density(tmp_path):
     assert seq.n_requests == 1000
     assert seq.horizon == 2500
     assert empirical_rate(seq) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_sequence_csv_export(tmp_path):
-    seq = ArrivalSequence.from_counts({3: 2, 7: 1}, horizon=9)
-    out = tmp_path / "seq.csv"
-    seq.to_csv(out)
-    assert out.read_text() == "slot,count\n3,2\n7,1\n"
 
 
 def test_sequence_validation():

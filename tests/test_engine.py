@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -11,6 +12,7 @@ from agecost import (
     NoCompletedInterval,
     Policy,
     StalenessFn,
+    SweepResult,
     cap_threshold,
     generate_bernoulli,
     periodic_avg_cost,
@@ -19,6 +21,7 @@ from agecost import (
     simulate_many,
     threshold_avg_cost,
 )
+from agecost.arrivals import derive_seed
 
 from oracles import reference_replay
 
@@ -30,9 +33,8 @@ def test_threshold_one_pays_update_cost_exactly():
     sweep = simulate_many(Policy.threshold(1), BernoulliSource(0.4, 3), 10, 500, m)
     assert sweep.mean_avg_total == 7.0
     assert sweep.stderr == 0.0
-    for run in sweep.per_run:
-        assert run.avg_total == 7.0
-        assert run.avg_staleness == 0.0
+    assert sweep.avg_total.tolist() == [7.0] * 10
+    assert sweep.avg_staleness.tolist() == [0.0] * 10
 
 
 def test_no_updates_charges_age_equals_slot():
@@ -261,5 +263,46 @@ def test_engine_matches_reference_with_request_collisions(case, mult, pick):
 def test_sweep_result_mean_matches_per_run():
     m = CostModel(LINEAR, 15.0)
     sweep = simulate_many(Policy.threshold(4), BernoulliSource(0.6, 2), 8, 400, m)
-    per_run = np.array([r.avg_total for r in sweep.per_run])
-    assert sweep.mean_avg_total == pytest.approx(float(per_run.mean()), rel=1e-15)
+    assert sweep.avg_total.shape == sweep.avg_staleness.shape == sweep.avg_update.shape == (8,)
+    assert sweep.mean_avg_total == pytest.approx(float(sweep.avg_total.mean()), rel=1e-15)
+    assert sweep.mean_avg_staleness == pytest.approx(float(sweep.avg_staleness.mean()), rel=1e-15)
+    assert sweep.mean_avg_update == pytest.approx(float(sweep.avg_update.mean()), rel=1e-15)
+    np.testing.assert_allclose(sweep.avg_total, sweep.avg_staleness + sweep.avg_update, rtol=1e-12)
+
+
+def test_simulate_many_seed_scheme():
+    # Run i replays its own arrivals drawn from derive_seed(seed, i); callers
+    # that need more than the averages (the acceptance suite's renewal
+    # ratios) rebuild the same runs this way.
+    m = CostModel(LINEAR, 15.0)
+    pol, rate, seed, n_runs, n_requests = Policy.threshold(4), 0.6, 2, 8, 400
+    sweep = simulate_many(pol, BernoulliSource(rate, seed), n_runs, n_requests, m)
+    rebuilt = SweepResult.of(
+        simulate(pol, generate_bernoulli(BernoulliSource(rate, derive_seed(seed, i)), n_requests=n_requests), m)
+        for i in range(n_runs)
+    )
+    for field in ("avg_total", "avg_staleness", "avg_update"):
+        assert getattr(sweep, field).tobytes() == getattr(rebuilt, field).tobytes()
+    assert (sweep.mean_avg_total, sweep.stderr) == (rebuilt.mean_avg_total, rebuilt.stderr)
+
+
+def test_simulate_many_keeps_only_averages():
+    # 20 runs of 1e4 requests: each replay holds ~240 kB of arrivals and
+    # charges, which must be gone once simulate_many returns.
+    m = CostModel(LINEAR, 100.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = simulate_many(Policy.threshold(37), BernoulliSource(0.1, 42), 20, 10_000, m)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert sweep.mean_avg_total > 0
+
+
+def test_sweep_needs_a_run():
+    with pytest.raises(ValueError):
+        SweepResult.of([])
+    with pytest.raises(ValueError):
+        simulate_many(Policy.threshold(2), BernoulliSource(0.5, 1), 0, 100, CostModel(LINEAR, 5.0))

@@ -190,7 +190,7 @@ def test_emit_roundtrip(tmp_path):
 def test_emit_refuses_empty(tmp_path):
     from agecost import ResultTable
     with pytest.raises(ValueError):
-        emit(ResultTable(columns=("x",), rows=[], meta={}), tmp_path / "never.csv")
+        emit(ResultTable(rows=[], meta={}), tmp_path / "never.csv")
 
 
 def test_cli_optimal_threshold(capsys):

@@ -162,9 +162,8 @@ def test_policy_csv_dump(tmp_path):
 
 
 def test_gain_matches_closed_form_nonlinear_models():
-    # Quadratic and bounded-table staleness exercise the Bellman sweep off
-    # the linear fast lane; the optimal gain must still match the best
-    # closed-form threshold cost.
+    # Quadratic and bounded-table staleness: the optimal gain must still
+    # match the best closed-form threshold cost.
     cases = [
         (0.3, CostModel(StalenessFn.quadratic(), 60.0)),
         (0.7, CostModel(StalenessFn.quadratic(), 9.0)),

@@ -116,14 +116,3 @@ def test_offline_schedule_is_capped():
         model = CostModel(LINEAR, float(rng.uniform(2.0, 9.0)) + 0.137)
         sol = offline_optimal(arr, model)
         assert cap(sol.update_slots, arr, model) == sol.update_slots
-
-
-def test_offline_solution_csv(tmp_path):
-    arr = ArrivalSequence.from_slots([2, 4, 9])
-    sol = offline_optimal(arr, CostModel(LINEAR, 4.0))
-    out = tmp_path / "sched.csv"
-    sol.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "slot"
-    assert lines[-1].startswith("# total_cost=10")
-    assert [int(x) for x in lines[1:-1]] == list(sol.update_slots)
