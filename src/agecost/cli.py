@@ -12,7 +12,7 @@ import json
 import sys
 
 from .analysis import optimal_period, optimal_threshold, threshold_avg_cost
-from .core import CostModel, cap_threshold
+from .core import CostModel, cap_threshold, check_rate
 from .experiments import (
     ConfigError,
     ExperimentSpec,
@@ -122,9 +122,16 @@ def _run_experiment(args) -> int:
     return 0
 
 
+def _cli_model(args) -> CostModel:
+    return CostModel.from_config({"staleness": {"kind": args.staleness}, "update_cost": args.update_cost})
+
+
 def _run_solve_mdp(args) -> int:
-    model = CostModel.from_config({"staleness": {"kind": args.staleness}, "update_cost": args.update_cost})
-    config = MdpConfig(rate=args.rate, model=model, state_cap=args.state_cap, tolerance=args.tolerance)
+    try:
+        config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap,
+                           tolerance=args.tolerance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     sol = solve_average(config)
     print(f"gain={sol.gain:.10g} threshold={sol.threshold} "
           f"iterations={sol.iterations_used} residual={sol.residual:.3e}")
@@ -135,7 +142,11 @@ def _run_solve_mdp(args) -> int:
 
 
 def _run_optimal_threshold(args) -> int:
-    model = CostModel.from_config({"staleness": {"kind": args.staleness}, "update_cost": args.update_cost})
+    try:
+        model = _cli_model(args)
+        check_rate(args.rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ts = optimal_threshold(args.rate, model)
     ps = optimal_period(args.rate, model)
     print(json.dumps({

@@ -25,7 +25,7 @@ from .arrivals import (
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, cap_threshold
+from .core import CostModel, cap_threshold, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
 from .offline import OfflineSolution, offline_optimal
 from .policies import Policy
@@ -81,9 +81,19 @@ class ExperimentSpec:
         if self.kind != "trace_compare" and not self.grid:
             raise ConfigError("grid: must be non-empty")
         try:
-            CostModel.from_config(self.model)
+            model = CostModel.from_config(self.model)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from None
+        for i, x in enumerate(self.grid):
+            try:
+                if self.kind == "threshold_sweep":
+                    Policy.threshold(x)
+                elif self.kind == "lambda_sweep":
+                    check_rate(float(x))
+                elif self.kind == "cost_sweep":
+                    CostModel(model.staleness, float(x))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"grid[{i}]: {exc}") from None
         akind = self.arrival.get("kind", "bernoulli")
         if self.kind == "trace_compare":
             if akind != "trace" or "path" not in self.arrival:
@@ -95,6 +105,11 @@ class ExperimentSpec:
                 raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
             if self.kind != "lambda_sweep" and "rate" not in self.arrival:
                 raise ConfigError("arrival.rate: required")
+            if "rate" in self.arrival:
+                try:
+                    check_rate(float(self.arrival["rate"]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"arrival.rate: {exc}") from None
         if self.policies != "auto":
             if not isinstance(self.policies, list):
                 raise ConfigError("policies: must be 'auto' or a list of policy records")
@@ -198,8 +213,15 @@ def _configured_policies(spec: ExperimentSpec, rate: float, model: CostModel):
     if spec.policies == "auto":
         return _auto_policies(rate, model)
     resolved = []
+    repeats: dict[str, int] = {}
     for cfg in spec.policies:
         pol = Policy.from_config(cfg)
+        # Two schedules of equal length share a label; number the repeats so
+        # each policy keeps its own row.
+        label = pol.label()
+        repeats[label] = repeats.get(label, 0) + 1
+        if repeats[label] > 1:
+            label = f"{label}#{repeats[label]}"
         if pol.kind == "threshold":
             analytic = threshold_avg_cost(rate, model, pol.tau)
         elif pol.kind == "naive":
@@ -208,7 +230,7 @@ def _configured_policies(spec: ExperimentSpec, rate: float, model: CostModel):
             analytic = periodic_avg_cost(rate, model, pol.period)
         else:
             analytic = None
-        resolved.append((pol.label(), pol, analytic))
+        resolved.append((label, pol, analytic))
     return resolved, {}
 
 

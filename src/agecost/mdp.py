@@ -3,9 +3,10 @@
 Decision epochs are request arrivals, the state is the age seen by the
 request, actions are update (cost p, next age geometric from 1) or skip
 (cost f(s), next age geometric from s+1), and skipping is forbidden once
-f(s) >= p. The chain is truncated at ``state_cap`` with the geometric tail
-mass folded into the last state, which keeps every transition row a proper
-distribution.
+f(s) >= p, i.e. at every age >= the cap threshold Delta*. All those ages
+update, pay p and restart at age 1, so they lump into one state and the
+chain on ages 0..Delta* is exact, not truncated. ``state_cap`` only sets how
+many ages a solution reports.
 
 ``solve_average`` runs damped relative value iteration on the average-cost
 optimality equation; ``solve_discounted`` runs plain value iteration on the
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import CostModel, cap_threshold, check_rate
 
@@ -37,8 +37,8 @@ class NoConvergence(RuntimeError):
 class MdpConfig:
     """Problem instance plus solver knobs.
 
-    ``state_cap`` must leave room above the cap threshold so the forced
-    update region exists inside the truncated chain.
+    ``state_cap`` is the largest age a solution reports; it must reach the
+    lumped state Delta*, and it changes no solved number.
     """
 
     rate: float
@@ -68,8 +68,9 @@ class MdpSolution:
     """Converged values, per-state argmin actions, and the implied threshold.
 
     ``values[s]`` is the discounted value or the relative value (h, with
-    h(1) = 0) of starting at age s, for s = 0..state_cap. ``gain`` is the
-    optimal average cost per request (None for the discounted solver).
+    h(1) = 0) of starting at age s, for s = 0..state_cap; every age from
+    Delta* up holds the lumped state's value. ``gain`` is the optimal
+    average cost per request (None for the discounted solver).
     ``actions[s]`` is 1 where updating is the argmin (skipping preferred on
     exact ties below the cap).
     """
@@ -83,64 +84,66 @@ class MdpSolution:
 
 
 def _skip_continuation(values: np.ndarray, rate: float) -> np.ndarray:
-    """K[s] = E[values(next age) | skip at age s] on the truncated chain.
+    """K[s] = E[values(next age) | skip at age s] on the lumped chain.
 
     K[s] = sum_{z=s+1}^{S-1} (1-rate)^(z-s-1) * rate * values[z]
            + (1-rate)^(S-s-1) * values[S]
-    computed through the backward recurrence K[s] = rate*values[s+1]
-    + (1-rate)*K[s+1], seeded with K[S] = values[S]. K[0] doubles as the
+    is the backward recurrence K[s] = a[s] + (1-rate)*K[s+1] with
+    a[s] = rate*values[s+1] and a[S] = values[S], solved by a doubling scan
+    (Hillis & Steele 1986): after the step with stride d, K[s] sums the
+    terms of a[s..s+2d-1], in log2(S+1) vector steps. K[0] doubles as the
     post-update continuation since an update restarts the age at 1.
     """
-    S = values.size - 1
-    q = 1.0 - rate
-    x = values[:0:-1]  # values[S], values[S-1], ..., values[1]
-    y, _ = lfilter([rate], [1.0, -q], x, zi=np.array([q * values[S]]))
-    out = np.empty(values.size)
-    out[S] = values[S]
-    out[:S] = y[::-1]
-    return out
+    K = np.append(rate * values[1:], values[-1])
+    scratch = np.empty(K.size)
+    w, d = 1.0 - rate, 1
+    while d < K.size:
+        K[:-d] += np.multiply(K[d:], w, out=scratch[d:])
+        w *= w
+        d *= 2
+    return K
 
 
-def _sweep(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray, forced: np.ndarray):
-    """One Bellman backup; returns (new values, argmin actions)."""
+def _backup(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray):
+    """One Bellman backup; returns (update value, per-state skip values)."""
     K = _skip_continuation(values, config.rate)
-    update_val = config.model.update_cost + disc * K[0]
-    skip_val = f + disc * K
-    new = np.where(forced, update_val, np.minimum(update_val, skip_val))
-    actions = (forced | (update_val < skip_val)).astype(np.int8)
-    return new, actions
+    return config.model.update_cost + disc * K[0], f + disc * K
 
 
-def _tables(config: MdpConfig):
-    ages = np.arange(config.state_cap + 1)
-    return config.model.staleness.eval_array(ages), ages >= config.delta_star
+def _skip_costs(config: MdpConfig) -> np.ndarray:
+    """f(s) for s = 0..Delta*; infinite in the lumped state, which must update."""
+    f = config.model.staleness.eval_array(np.arange(config.delta_star + 1))
+    f[-1] = np.inf
+    return f
 
 
-def _threshold_from_actions(actions: np.ndarray, delta_star: int) -> int:
-    upd = np.nonzero(actions[1:])[0]
-    first = int(upd[0]) + 1 if upd.size else delta_star
-    return min(first, delta_star)
+def _solution(config: MdpConfig, values, gain, updates, iterations, residual) -> MdpSolution:
+    """Report the lumped chain's solution on ages 0..state_cap."""
+    pad = config.state_cap - config.delta_star
+    actions = np.pad(updates.astype(np.int8), (0, pad), constant_values=1)
+    return MdpSolution(
+        values=np.pad(values, (0, pad), mode="edge"),
+        gain=gain,
+        # The lumped state always updates, so some action is 1.
+        threshold=int(np.argmax(actions[1:])) + 1,
+        actions=actions,
+        iterations_used=iterations,
+        residual=residual,
+    )
 
 
 def solve_discounted(config: MdpConfig) -> MdpSolution:
     """Value iteration for the discounted total cost, to sup-norm tolerance."""
-    alpha = config.discount
-    f, forced = _tables(config)
-    values = np.zeros(config.state_cap + 1)
+    f = _skip_costs(config)
+    values = np.zeros(f.size)
     residual = np.inf
     for it in range(1, config.max_iterations + 1):
-        new, actions = _sweep(values, config, alpha, f, forced)
+        update_val, skip_val = _backup(values, config, config.discount, f)
+        new = np.minimum(update_val, skip_val)
         residual = float(np.max(np.abs(new - values)))
         values = new
         if residual <= config.tolerance:
-            return MdpSolution(
-                values=values,
-                gain=None,
-                threshold=_threshold_from_actions(actions, config.delta_star),
-                actions=actions,
-                iterations_used=it,
-                residual=residual,
-            )
+            return _solution(config, values, None, update_val < skip_val, it, residual)
     raise NoConvergence(config.max_iterations, residual)
 
 
@@ -151,25 +154,17 @@ def solve_average(config: MdpConfig) -> MdpSolution:
     tolerance; the gain is then pinned between their min and max. Values are
     normalized so the relative value of age 1 is zero.
     """
-    f, forced = _tables(config)
-    values = np.zeros(config.state_cap + 1)
+    f = _skip_costs(config)
+    values = np.zeros(f.size)
     residual = np.inf
     for it in range(1, config.max_iterations + 1):
-        new, actions = _sweep(values, config, 1.0, f, forced)
-        diff = new - values
+        update_val, skip_val = _backup(values, config, 1.0, f)
+        diff = np.minimum(update_val, skip_val) - values
         lo = float(diff.min())
         hi = float(diff.max())
         residual = hi - lo
         if residual <= config.tolerance:
-            values = values - values[1]
-            return MdpSolution(
-                values=values,
-                gain=0.5 * (lo + hi),
-                threshold=_threshold_from_actions(actions, config.delta_star),
-                actions=actions,
-                iterations_used=it,
-                residual=residual,
-            )
+            return _solution(config, values, 0.5 * (lo + hi), update_val < skip_val, it, residual)
         values = values + _DAMPING * diff
         values = values - values[1]
     raise NoConvergence(config.max_iterations, residual)

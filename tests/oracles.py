@@ -3,8 +3,11 @@
 These deliberately avoid the package's optimized code paths: the reference
 replay walks every slot and queries the policy through decide(), which
 evaluates each policy's rule at one slot; the renewal enumeration sums over
-all request patterns of an update interval; extract_threshold reads the MDP
-threshold off the converged relative values instead of the argmin actions.
+all request patterns of an update interval; the MDP oracles build the full
+age chain up to ``state_cap`` as a dense transition matrix, with no lumping
+and no scan: extract_threshold reads the threshold off the converged
+relative values instead of the argmin actions, and dense_value_iteration
+solves the chain from scratch.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from itertools import product
 import numpy as np
 
 from agecost import ArrivalSequence, aoi_step
-from agecost.mdp import _skip_continuation
 
 
 class ReactiveWithoutRequest(ValueError):
@@ -136,6 +138,65 @@ def random_instance(rng, max_requests=15, horizon=48):
     return ArrivalSequence.from_slots(slots)
 
 
+def folded_transitions(size, rate):
+    """Dense transition matrix of the age seen by the next request after a skip.
+
+    From age s < S = size-1 the next request sees age z = s+1..S-1 with
+    probability (1-rate)^(z-s-1) * rate; the tail mass beyond S is folded
+    into state S, which keeps every row a proper distribution. State S maps
+    to itself.
+    """
+    S = size - 1
+    q = 1.0 - rate
+    s = np.arange(size)[:, None]
+    z = np.arange(size)[None, :]
+    P = np.where((s < z) & (z < S), rate * q ** np.maximum(z - s - 1, 0), 0.0)
+    P[:S, S] = q ** (S - 1 - np.arange(S))
+    P[S, S] = 1.0
+    assert np.allclose(P.sum(axis=1), 1.0)
+    return P
+
+
+def dense_continuation(values, rate):
+    """E[values(next age) | skip at age s] for every s, as a matrix product."""
+    return folded_transitions(values.size, rate) @ values
+
+
+def dense_value_iteration(config, average):
+    """Solve the MDP on every age 0..state_cap with a dense transition matrix.
+
+    Ages >= the cap threshold are forced to update. With ``average`` this is
+    damped relative value iteration (damping 1/2, h(1) = 0) and the gain is
+    returned; otherwise plain value iteration at ``config.discount``.
+    Returns (values, gain, actions, margins), where margins[s] is the skip
+    value minus the update value in the last sweep (inf where forced).
+    """
+    P = folded_transitions(config.state_cap + 1, config.rate)
+    ages = range(config.state_cap + 1)
+    f = np.array([config.model.staleness(a) for a in ages])
+    forced = np.array([a >= config.delta_star for a in ages])
+    disc = 1.0 if average else config.discount
+    values = np.zeros(config.state_cap + 1)
+    for _ in range(config.max_iterations):
+        K = P @ values
+        update = config.model.update_cost + disc * K[0]
+        skip = f + disc * K
+        new = np.where(forced, update, np.minimum(update, skip))
+        actions = (forced | (update < skip)).astype(np.int8)
+        margins = np.where(forced, np.inf, skip - update)
+        diff = new - values
+        if average:
+            if diff.max() - diff.min() <= config.tolerance:
+                return values - values[1], 0.5 * (diff.max() + diff.min()), actions, margins
+            values = values + 0.5 * diff
+            values = values - values[1]
+        else:
+            values = new
+            if np.abs(diff).max() <= config.tolerance:
+                return values, None, actions, margins
+    raise AssertionError("dense value iteration did not converge")
+
+
 def extract_threshold(solution, config):
     """Smallest age where updating is at least as good as skipping.
 
@@ -145,7 +206,7 @@ def extract_threshold(solution, config):
     """
     h = solution.values
     f = config.model.staleness.eval_array(np.arange(h.size))
-    K = _skip_continuation(h, config.rate)
+    K = dense_continuation(h, config.rate)
     rhs = config.model.update_cost + K[0]
     for s in range(1, config.delta_star):
         if f[s] + K[s] >= rhs:

@@ -64,6 +64,17 @@ def test_spec_validation_messages():
             "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0},
             "arrival": {"kind": "bernoulli"},
         })
+    with pytest.raises(ConfigError, match=r"arrival\.rate: arrival rate"):
+        sweep_spec(arrival={"kind": "bernoulli", "rate": 1.5})
+    with pytest.raises(ConfigError, match=r"grid\[1\]: threshold policy needs tau >= 1"):
+        sweep_spec(grid=[3, 0])
+    with pytest.raises(ConfigError, match=r"grid\[2\]: arrival rate"):
+        comparison_spec("lambda_sweep", [0.3, 0.7, 0.0])
+    with pytest.raises(ConfigError, match=r"grid\[0\]: update_cost must be positive"):
+        comparison_spec("cost_sweep", [-3, 10])
+    with pytest.raises(ConfigError, match=r"grid\[1\]: staleness tops out"):
+        comparison_spec("cost_sweep", [10, 90], model={
+            "staleness": {"kind": "table", "values": [0, 5, 60]}, "update_cost": 10.0})
     with pytest.raises(ConfigError, match="policies"):
         sweep_spec(policies=[{"kind": "threshold"}])
     with pytest.raises(ConfigError, match="n_runs"):
@@ -132,6 +143,30 @@ def test_cost_sweep_piecewise_penalty():
     for costs in by_x.values():
         off = costs.pop("offline")
         assert off <= min(costs.values()) + 1e-9
+
+
+def test_repeated_policy_labels_keep_their_own_rows(tmp_path):
+    early, late = {"kind": "scheduled", "slots": [5, 9]}, {"kind": "scheduled", "slots": [50, 400]}
+    table = run_policy_comparison(comparison_spec("cost_sweep", [20], policies=[early, late]))
+    rows = {r["policy_label"]: r for r in table.rows}
+    assert sorted(rows) == ["offline", "scheduled[2]", "scheduled[2]#2"]
+    assert {r["n_runs"] for r in table.rows} == {4}
+    # Each row summarizes only its own policy's runs.
+    alone = run_policy_comparison(comparison_spec("cost_sweep", [20], policies=[late]))
+    assert rows["scheduled[2]#2"]["mean_cost"] == alone.rows[0]["mean_cost"]
+    assert rows["scheduled[2]#2"]["stderr"] == alone.rows[0]["stderr"]
+
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=100, horizon=300, seed=3)
+    spec = ExperimentSpec.from_dict({
+        "name": "trace", "kind": "trace_compare",
+        "model": {"staleness": {"kind": "linear"}, "update_cost": 25.0},
+        "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+        "policies": [early, late, early], "include_offline": False, "n_requests": 100,
+    })
+    labels = [r["policy_label"] for r in run_trace_compare(spec).rows]
+    assert sorted(set(labels)) == ["scheduled[2]", "scheduled[2]#2", "scheduled[2]#3"]
+    assert len(labels) == 3 * 100
 
 
 def test_truncate_requests():
@@ -238,6 +273,18 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     assert main(["trace-compare", "--trace", str(tmp_path / "missing.csv"),
                  "--slot-duration", "1.0", "--p", "25"]) == 2
     capsys.readouterr()
+
+
+def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
+    for argv in (
+        ["solve-mdp", "--lambda", "0.5", "--p", "2000"],  # cap threshold above --state-cap
+        ["solve-mdp", "--lambda", "1.5", "--p", "10"],
+        ["optimal-threshold", "--lambda", "0", "--p", "10"],
+        ["optimal-threshold", "--lambda", "0.5", "--p", "-3"],
+        ["sweep-threshold", "--lambda", "1.5", "--p", "10", "--out", str(tmp_path / "never.csv")],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("configuration error: "), argv
 
 
 def test_cli_compare_smoke(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from agecost import (
     CostModel,
@@ -15,7 +20,9 @@ from agecost import (
     write_policy_csv,
 )
 
-from oracles import extract_threshold
+from agecost.mdp import _skip_continuation
+
+from oracles import dense_continuation, dense_value_iteration, extract_threshold
 
 LINEAR = StalenessFn.linear()
 
@@ -131,14 +138,23 @@ def test_vanishing_discount_approaches_gain():
 
 
 def test_truncation_stability():
-    # Doubling the state cap leaves the gain unchanged once the cap clears
-    # 4 * delta_star / min(rate, 0.1).
+    # Ages >= delta_star form one lumped state, so the chain is exact and
+    # state_cap only sets how many ages are reported.
     model = CostModel(LINEAR, 10.0)
+    ds = cap_threshold(model)
     for rate in (0.3, 0.1):
-        base = int(4 * cap_threshold(model) / min(rate, 0.1))
-        g1 = solve_average(MdpConfig(rate=rate, model=model, state_cap=base)).gain
-        g2 = solve_average(MdpConfig(rate=rate, model=model, state_cap=2 * base)).gain
-        assert abs(g1 - g2) < 1e-6
+        base = int(4 * ds / min(rate, 0.1))
+        for solve in (solve_average, solve_discounted):
+            first = None
+            for cap in (ds + 1, base, 2 * base):
+                sol = solve(MdpConfig(rate=rate, model=model, state_cap=cap))
+                assert sol.values.size == sol.actions.size == cap + 1
+                assert np.all(sol.values[ds:] == sol.values[ds])
+                assert np.all(sol.actions[ds:] == 1)
+                first = first or sol
+                assert (sol.gain, sol.iterations_used, sol.threshold) == (
+                    first.gain, first.iterations_used, first.threshold)
+                assert np.array_equal(sol.values[: ds + 1], first.values[: ds + 1])
 
 
 def test_no_convergence_raises():
@@ -179,24 +195,59 @@ def test_gain_matches_closed_form_nonlinear_models():
 
 
 def test_skip_continuation_matches_dense_transition_matrix():
-    # The Bellman sweep computes E[v(next age)] through a linear recurrence;
-    # check it against an explicit truncated transition matrix with the tail
-    # mass folded into the last state, whose rows must be proper
-    # distributions.
-    from agecost.mdp import _skip_continuation
-
+    # The Bellman sweep computes E[v(next age)] through a doubling scan of a
+    # linear recurrence; check it against the folded dense transition matrix
+    # at every size, not only powers of two.
     rng = np.random.default_rng(8)
     for rate in (0.05, 0.5, 0.97):
-        S = 40
-        q = 1.0 - rate
-        P = np.zeros((S + 1, S + 1))
-        for s in range(S):
-            for z in range(s + 1, S):
-                P[s, z] = q ** (z - s - 1) * rate
-            P[s, S] = q ** (S - s - 1)
-        P[S, S] = 1.0
-        assert np.allclose(P.sum(axis=1), 1.0)
-        values = rng.normal(size=S + 1) * 50.0
-        dense = P @ values
-        fast = _skip_continuation(values, rate)
-        assert np.allclose(fast, dense, rtol=1e-12, atol=1e-9)
+        for size in range(2, 71):
+            values = rng.normal(size=size) * 50.0
+            fast = _skip_continuation(values, rate)
+            assert np.allclose(fast, dense_continuation(values, rate), rtol=1e-12, atol=1e-9)
+
+
+@st.composite
+def mdp_case(draw):
+    rate = draw(st.floats(min_value=0.05, max_value=0.97))
+    kind = draw(st.sampled_from(["linear", "quadratic", "table"]))
+    if kind == "linear":
+        model = CostModel(LINEAR, draw(st.floats(min_value=0.2, max_value=60.0)))
+    elif kind == "quadratic":
+        model = CostModel(StalenessFn.quadratic(), draw(st.floats(min_value=0.2, max_value=3000.0)))
+    else:
+        steps = draw(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=40))
+        table = np.concatenate(([0.0], np.cumsum(steps)))
+        p = draw(st.floats(min_value=0.1, max_value=1.0)) * max(table[-1], 0.1)
+        assume(table[-1] >= p)
+        model = CostModel(StalenessFn.from_table(table), p)
+    cap = draw(st.integers(min_value=cap_threshold(model) + 1, max_value=96))
+    return MdpConfig(rate=rate, model=model, state_cap=cap, discount=draw(st.floats(0.5, 0.99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mdp_case())
+def test_solvers_match_dense_value_iteration(cfg):
+    # Dense value iteration on every age up to state_cap, with no lumping and
+    # no scan. Exact ties between skip and update are settled by rounding,
+    # so cases with a near-tie below the cap are skipped.
+    ds = cfg.delta_star
+    for solve, average in ((solve_average, True), (solve_discounted, False)):
+        values, gain, actions, margins = dense_value_iteration(cfg, average)
+        assume(np.all(np.abs(margins) > 1e-7))
+        sol = solve(cfg)
+        assert np.array_equal(sol.actions, actions)
+        assert sol.threshold == int(np.argmax(actions[1:])) + 1
+        # Values near p / (1 - discount) carry rounding relative to their size.
+        assert np.allclose(sol.values[: ds + 1], values[: ds + 1], rtol=1e-12, atol=1e-9)
+        if average:
+            assert abs(sol.gain - gain) <= 1e-9
+        else:
+            assert sol.gain is None
+
+
+def test_import_needs_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import agecost, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
