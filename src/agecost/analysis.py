@@ -52,11 +52,22 @@ class RenewalExpectations:
     e_cost: float
 
 
-def _penalty_prefix(model: CostModel, upto: int) -> float:
-    """sum_{t=1}^{upto} f(t); zero for upto < 1."""
-    if upto < 1:
-        return 0.0
-    return float(model.staleness.eval_array(np.arange(1, upto + 1)).sum())
+def _penalty_prefix(model: CostModel, n: int) -> np.ndarray:
+    """F(k) = sum_{t=1}^{k} f(t) for k = 0..n-1, summed in age order; the one
+    prefix every closed form reads, so each policy has a single cost."""
+    return np.cumsum(model.staleness.eval_array(np.arange(n)))
+
+
+def _threshold_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
+    """threshold_avg_cost for tau = 1..hi."""
+    k = np.arange(hi, dtype=np.float64)  # tau - 1
+    return (rate * _penalty_prefix(model, hi) + model.update_cost) / (rate * k + 1.0)
+
+
+def _periodic_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
+    """periodic_avg_cost for d = 1..hi."""
+    d = np.arange(1, hi + 1, dtype=np.float64)
+    return (model.update_cost + rate * _penalty_prefix(model, hi)) / (rate * d)
 
 
 def threshold_avg_cost(rate: float, model: CostModel, tau: int) -> float:
@@ -64,16 +75,7 @@ def threshold_avg_cost(rate: float, model: CostModel, tau: int) -> float:
     check_rate(rate)
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    p = model.update_cost
-    return (rate * _penalty_prefix(model, tau - 1) + p) / (rate * (tau - 1) + 1.0)
-
-
-def _threshold_costs_upto(rate: float, model: CostModel, hi: int) -> np.ndarray:
-    """Vector of threshold_avg_cost for tau = 1..hi."""
-    f = model.staleness.eval_array(np.arange(1, hi, dtype=np.int64)) if hi > 1 else np.array([])
-    prefix = np.concatenate(([0.0], np.cumsum(f)))
-    taus = np.arange(1, hi + 1, dtype=np.float64)
-    return (rate * prefix + model.update_cost) / (rate * (taus - 1.0) + 1.0)
+    return float(_threshold_costs(rate, model, tau)[-1])
 
 
 def _linear_tau_continuous(rate: float, p: float) -> float:
@@ -115,7 +117,7 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     check_rate(rate)
     p = model.update_cost
     delta_star = cap_threshold(model)
-    costs = _threshold_costs_upto(rate, model, delta_star)
+    costs = _threshold_costs(rate, model, delta_star)
     tau_star = int(np.argmin(costs)) + 1
 
     kind = model.staleness.kind
@@ -139,8 +141,7 @@ def periodic_avg_cost(rate: float, model: CostModel, d: int) -> float:
     check_rate(rate)
     if d < 1:
         raise ValueError("period must be >= 1")
-    p = model.update_cost
-    return (p + rate * _penalty_prefix(model, d - 1)) / (rate * d)
+    return float(_periodic_costs(rate, model, d)[-1])
 
 
 def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
@@ -152,15 +153,14 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
     bounded range, smallest minimizer.
     """
     check_rate(rate)
-    p = model.update_cost
+    d_c = math.sqrt(2.0 * model.update_cost / rate)
     if model.staleness.kind == "linear":
-        d_c = math.sqrt(2.0 * p / rate)
-        cands = sorted({max(int(math.floor(d_c)), 1), max(int(math.ceil(d_c)), 1)})
-        best = min(cands, key=lambda d: (periodic_avg_cost(rate, model, d), -d))
-        return PeriodSolution(d_star=best, d_continuous=d_c,
-                              cost_at_d_star=periodic_avg_cost(rate, model, best))
-    hi = max(4 * cap_threshold(model), int(math.ceil(2.0 * math.sqrt(2.0 * p / rate))), 16)
-    costs = np.array([periodic_avg_cost(rate, model, d) for d in range(1, hi + 1)])
+        lo, hi = max(math.floor(d_c), 1), max(math.ceil(d_c), 1)
+        costs = _periodic_costs(rate, model, hi)
+        best = hi if costs[hi - 1] <= costs[lo - 1] else lo
+        return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=float(costs[best - 1]))
+    hi = max(4 * cap_threshold(model), math.ceil(2.0 * d_c), 16)
+    costs = _periodic_costs(rate, model, hi)
     best = int(np.argmin(costs)) + 1
     return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
 
@@ -175,5 +175,5 @@ def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpe
         raise ValueError("tau must be >= 1")
     return RenewalExpectations(
         e_requests=rate * (tau - 1) + 1.0,
-        e_cost=model.update_cost + rate * _penalty_prefix(model, tau - 1),
+        e_cost=model.update_cost + rate * float(_penalty_prefix(model, tau)[-1]),
     )

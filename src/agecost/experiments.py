@@ -76,10 +76,18 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
+        # type(), not isinstance(): JSON true must not pass as an integer.
+        for name in ("n_runs", "n_requests", "offline_request_cap"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
+        if type(self.base_seed) is not int:
+            raise ConfigError(f"base_seed: must be an integer, got {self.base_seed!r}")
+        if not isinstance(self.include_offline, bool):
+            raise ConfigError(f"include_offline: must be true or false, got {self.include_offline!r}")
         if not self.grid and self.kind in _DEFAULT_GRIDS:
             self.grid = _DEFAULT_GRIDS[self.kind]()
-        if self.kind != "trace_compare" and not self.grid:
-            raise ConfigError("grid: must be non-empty")
+        if not isinstance(self.grid, list):
+            raise ConfigError(f"grid: must be a list, got {self.grid!r}")
         try:
             model = CostModel.from_config(self.model)
         except (KeyError, TypeError, ValueError) as exc:
@@ -87,6 +95,8 @@ class ExperimentSpec:
         for i, x in enumerate(self.grid):
             try:
                 if self.kind == "threshold_sweep":
+                    if type(x) is not int:
+                        raise TypeError(f"threshold must be an integer, got {x!r}")
                     Policy.threshold(x)
                 elif self.kind == "lambda_sweep":
                     check_rate(float(x))
@@ -100,6 +110,9 @@ class ExperimentSpec:
                 raise ConfigError("arrival: trace_compare needs {kind: 'trace', path, slot_duration}")
             if float(self.arrival.get("slot_duration", 0)) <= 0:
                 raise ConfigError("arrival.slot_duration: must be positive")
+            if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
+                raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
+                                  f"got {self.arrival['on_malformed']!r}")
         else:
             if akind != "bernoulli":
                 raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
@@ -118,15 +131,10 @@ class ExperimentSpec:
                     Policy.from_config(cfg)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"policies[{i}]: {exc}") from None
-        if self.n_runs < 1:
-            raise ConfigError("n_runs: must be >= 1")
-        if self.n_requests < 1:
-            raise ConfigError("n_requests: must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__ if f != "__dataclass_fields__"}
-        extra = set(data) - known
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown fields: {sorted(extra)}")
         try:
@@ -152,10 +160,8 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
         raise ConfigError(f"kind: expected threshold_sweep, got {spec.kind}")
     model = CostModel.from_config(spec.model)
     rate = float(spec.arrival["rate"])
-    rows = []
-    outside = []
+    rows, outside = [], []
     for point, tau in enumerate(spec.grid):
-        tau = int(tau)
         seed = derive_seed(spec.base_seed, point)
         sweep = simulate_many(
             Policy.threshold(tau), BernoulliSource(rate, seed), spec.n_runs, spec.n_requests, model
@@ -189,33 +195,23 @@ def _summary_row(spec: ExperimentSpec, x, label: str, sweep: SweepResult, analyt
     }
 
 
-def _auto_policies(rate: float, model: CostModel) -> tuple[list[tuple[str, Policy, float | None]], dict]:
-    """Resolve the auto policy set: optimal threshold, naive, optimal period."""
-    ts = optimal_threshold(rate, model)
-    ps = optimal_period(rate, model)
+def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
+    """Label and price the policies of one grid point. "auto" picks the optimal
+    threshold, naive and the optimal period and fills ``info``; every policy is
+    then priced by the same call, so one policy gets one number on every path."""
     delta_star = cap_threshold(model)
-    resolved = [
-        (f"threshold({ts.tau_star})", Policy.threshold(ts.tau_star), ts.cost_at_tau_star),
-        ("naive", Policy.naive(), threshold_avg_cost(rate, model, delta_star)),
-        (f"periodic({ps.d_star})", Policy.periodic(ps.d_star), ps.cost_at_d_star),
-    ]
-    info = {
-        "tau_star": ts.tau_star,
-        "tau_continuous": ts.tau_continuous,
-        "d_star": ps.d_star,
-        "d_continuous": ps.d_continuous,
-        "delta_star": delta_star,
-    }
-    return resolved, info
-
-
-def _configured_policies(spec: ExperimentSpec, rate: float, model: CostModel):
+    info = {}
     if spec.policies == "auto":
-        return _auto_policies(rate, model)
+        ts = optimal_threshold(rate, model)
+        ps = optimal_period(rate, model)
+        policies = [Policy.threshold(ts.tau_star), Policy.naive(), Policy.periodic(ps.d_star)]
+        info = {"tau_star": ts.tau_star, "tau_continuous": ts.tau_continuous,
+                "d_star": ps.d_star, "d_continuous": ps.d_continuous, "delta_star": delta_star}
+    else:
+        policies = [Policy.from_config(cfg) for cfg in spec.policies]
     resolved = []
     repeats: dict[str, int] = {}
-    for cfg in spec.policies:
-        pol = Policy.from_config(cfg)
+    for pol in policies:
         # Two schedules of equal length share a label; number the repeats so
         # each policy keeps its own row.
         label = pol.label()
@@ -225,13 +221,13 @@ def _configured_policies(spec: ExperimentSpec, rate: float, model: CostModel):
         if pol.kind == "threshold":
             analytic = threshold_avg_cost(rate, model, pol.tau)
         elif pol.kind == "naive":
-            analytic = threshold_avg_cost(rate, model, cap_threshold(model))
+            analytic = threshold_avg_cost(rate, model, delta_star)
         elif pol.kind == "periodic":
             analytic = periodic_avg_cost(rate, model, pol.period)
         else:
             analytic = None
         resolved.append((label, pol, analytic))
-    return resolved, {}
+    return resolved, info
 
 
 def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
@@ -250,7 +246,7 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
         else:
             rate = float(spec.arrival["rate"])
             model = CostModel(staleness=base_model.staleness, update_cost=float(x))
-        policies, info = _configured_policies(spec, rate, model)
+        policies, info = _resolve_policies(spec, rate, model)
         if info:
             resolutions[str(x)] = info
         analytic = {label: value for label, _, value in policies} | {"offline": None}
@@ -337,7 +333,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
                      on_malformed=spec.arrival.get("on_malformed", "error"))
     seq = truncate_requests(seq, spec.n_requests)
     rate_hat = empirical_rate(seq)
-    policies, info = _configured_policies(spec, rate_hat, model)
+    policies, info = _resolve_policies(spec, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
     replays, sol = _replay(policies, seq, model, offline_on)
     rows: list[dict] = []
@@ -369,10 +365,11 @@ def _format_cell(value) -> str:
 
 
 def emit(table: ResultTable, path) -> None:
-    """Write the table as CSV plus a JSON sidecar with spec, seeds and timing.
+    """Write the table as CSV plus a JSON sidecar holding the artifact version,
+    the RNG algorithm, ``created_unix`` and the table's meta (spec and seeds).
 
-    Rerunning the same spec reproduces the CSV byte for byte; the sidecar's
-    wall-clock field is the only non-deterministic output.
+    Rerunning the same spec reproduces the CSV byte for byte; ``created_unix``
+    is the only non-deterministic field of the sidecar.
     """
     if not table.rows:
         raise ValueError("refusing to emit an empty table")

@@ -2,17 +2,19 @@
 
 These deliberately avoid the package's optimized code paths: the reference
 replay walks every slot and queries the policy through decide(), which
-evaluates each policy's rule at one slot; the renewal enumeration sums over
-all request patterns of an update interval; the MDP oracles build the full
-age chain up to ``state_cap`` as a dense transition matrix, with no lumping
-and no scan: extract_threshold reads the threshold off the converged
-relative values instead of the argmin actions, and dense_value_iteration
-solves the chain from scratch.
+evaluates each policy's rule at one slot; the renewal enumeration sums
+over all request patterns of an update interval; scan_periods prices one
+update period at a time from a running sum of the scalar penalty; the MDP
+oracles build the full age chain up to ``state_cap`` as a dense transition
+matrix, with no lumping and no scan: extract_threshold reads the threshold
+off the converged relative values instead of the argmin actions, and
+dense_value_iteration solves the chain from scratch.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -108,6 +110,23 @@ def enumerate_renewal(rate, model, tau):
         e_requests += prob * (hits + 1)
         e_cost += prob * (p + stale)
     return e_requests, e_cost
+
+
+def scan_periods(rate, model, hi):
+    """Smallest minimizer of the periodic closed form over d = 1..hi.
+
+    Prices one period at a time from a running sum of f in age order, with
+    the scalar staleness function, and returns (d, cost).
+    """
+    p = model.update_cost
+    f = model.staleness
+    best, best_cost, prefix = 0, math.inf, 0.0
+    for d in range(1, hi + 1):
+        cost = (p + rate * prefix) / (rate * d)
+        if cost < best_cost:
+            best, best_cost = d, cost
+        prefix += f(d)
+    return best, best_cost
 
 
 def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):

@@ -1,5 +1,9 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecost import (
     CostModel,
@@ -13,7 +17,7 @@ from agecost import (
     threshold_avg_cost,
 )
 
-from oracles import enumerate_renewal
+from oracles import enumerate_renewal, scan_periods
 
 LINEAR = StalenessFn.linear()
 QUADRATIC = StalenessFn.quadratic()
@@ -153,15 +157,67 @@ def test_renewal_expectations_examples():
 
 
 def test_ratio_identity():
+    table = StalenessFn.from_table([a / 10 for a in range(1001)])
     for rate in RATES:
         for p in COSTS:
-            for fn in (LINEAR, QUADRATIC):
+            for fn in (LINEAR, QUADRATIC, table):
                 m = CostModel(fn, p)
                 for tau in (1, 2, 5, 11, 23):
                     exp = renewal_expectations(rate, m, tau)
-                    ratio = exp.e_cost / exp.e_requests
-                    direct = threshold_avg_cost(rate, m, tau)
-                    assert abs(ratio - direct) <= 1e-12 * max(1.0, abs(direct))
+                    assert exp.e_cost / exp.e_requests == threshold_avg_cost(rate, m, tau)
+
+
+@st.composite
+def penalty_case(draw):
+    rate = draw(st.floats(min_value=0.01, max_value=1.0))
+    p = draw(st.floats(min_value=0.5, max_value=60.0))
+    fn = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
+    if fn in ("linear", "quadratic"):
+        return rate, CostModel(getattr(StalenessFn, fn)(), p)
+    # Non-integer, non-decreasing values whose last one reaches p; long
+    # enough that a pairwise sum and an age-order sum can round apart.
+    steps = draw(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=60))
+    values = list(accumulate(steps))
+    values[-1] += p
+    if fn == "table":
+        return rate, CostModel(StalenessFn.from_table([0.0, *values]), p)
+    starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=300),
+                                 min_size=len(values), max_size=len(values))))
+    return rate, CostModel(StalenessFn.piecewise(zip(starts, values)), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(penalty_case())
+def test_every_path_prices_a_policy_identically(case):
+    rate, m = case
+    ts = optimal_threshold(rate, m)
+    assert threshold_avg_cost(rate, m, ts.tau_star) == ts.cost_at_tau_star
+    ps = optimal_period(rate, m)
+    assert periodic_avg_cost(rate, m, ps.d_star) == ps.cost_at_d_star
+    for tau in {1, ts.tau_star, cap_threshold(m)}:
+        exp = renewal_expectations(rate, m, tau)
+        assert exp.e_cost / exp.e_requests == threshold_avg_cost(rate, m, tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(penalty_case())
+def test_optimal_period_matches_scan_oracle(case):
+    rate, m = case
+    if m.staleness.kind == "linear":
+        return  # the linear branch compares floor and ceil of sqrt(2p/rate)
+    p = m.update_cost
+    hi = max(4 * cap_threshold(m), math.ceil(2.0 * math.sqrt(2.0 * p / rate)), 16)
+    sol = optimal_period(rate, m)
+    assert (sol.d_star, sol.cost_at_d_star) == scan_periods(rate, m, hi)
+    assert sol.d_continuous == sol.d_star
+
+
+def test_optimal_period_long_piecewise_penalty():
+    # 24,000 candidate periods; one pass over the prefix curve, not one sum each.
+    m = CostModel(StalenessFn.piecewise([(1, 0.01), (6000, 100.0)]), 50.0)
+    sol = optimal_period(0.3, m)
+    assert sol.d_star == 6000
+    assert (sol.d_star, sol.cost_at_d_star) == scan_periods(0.3, m, 4 * 6000)
 
 
 def test_enumeration_oracle_matches_formulas():

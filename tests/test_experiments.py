@@ -79,10 +79,67 @@ def test_spec_validation_messages():
         sweep_spec(policies=[{"kind": "threshold"}])
     with pytest.raises(ConfigError, match="n_runs"):
         sweep_spec(n_runs=0)
+    with pytest.raises(ConfigError, match=r"n_runs: must be an integer >= 1, got '3'"):
+        sweep_spec(n_runs="3")
+    with pytest.raises(ConfigError, match=r"n_runs: must be an integer >= 1, got True"):
+        sweep_spec(n_runs=True)
+    with pytest.raises(ConfigError, match=r"n_requests: must be an integer >= 1, got 2\.5"):
+        sweep_spec(n_requests=2.5)
+    with pytest.raises(ConfigError, match=r"offline_request_cap: must be an integer >= 1, got '5'"):
+        comparison_spec("cost_sweep", [10], offline_request_cap="5")
+    with pytest.raises(ConfigError, match=r"include_offline: must be true or false, got 'false'"):
+        comparison_spec("cost_sweep", [10], include_offline="false")
+    with pytest.raises(ConfigError, match=r"base_seed: must be an integer, got '1'"):
+        sweep_spec(base_seed="1")
+    with pytest.raises(ConfigError, match=r"grid: must be a list"):
+        sweep_spec(grid=5)
     with pytest.raises(ConfigError, match="unknown"):
         ExperimentSpec.from_dict({"name": "x", "kind": "threshold_sweep", "bogus": 1,
                                   "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0},
                                   "arrival": {"kind": "bernoulli", "rate": 0.5}})
+
+
+def test_threshold_grid_values_must_be_integers():
+    for grid, bad in (([2.5], 0), (["3"], 0), ([True], 0), ([3, 4.0], 1)):
+        with pytest.raises(ConfigError, match=rf"grid\[{bad}\]: threshold must be an integer"):
+            sweep_spec(grid=grid)
+
+
+def test_wrong_field_types_exit_1(tmp_path, capsys):
+    base = {"model": {"staleness": {"kind": "linear"}, "update_cost": 10.0},
+            "arrival": {"kind": "bernoulli", "rate": 0.5}, "grid": [2], "n_runs": 2, "n_requests": 50}
+    for command, field, value in (
+        ("sweep-threshold", "n_runs", "3"),
+        ("sweep-threshold", "n_runs", True),
+        ("sweep-threshold", "n_requests", 2.5),
+        ("sweep-threshold", "grid", [2.5]),
+        ("compare", "offline_request_cap", "5"),
+        ("compare", "include_offline", "false"),
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, field: value}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
+        if command == "compare":
+            argv += ["--sweep", "cost"]
+        assert main(argv) == 1, (field, value)
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}"), (field, value)
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_trace_on_malformed_is_checked(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("1.0\nnot-a-time\n3.0\n")
+    arrival = {"kind": "trace", "path": str(trace), "slot_duration": 1.0}
+    data = {"name": "t", "kind": "trace_compare", "include_offline": False,
+            "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0}}
+    with pytest.raises(ConfigError, match=r"arrival\.on_malformed: must be 'error' or 'skip', got 'bogus'"):
+        ExperimentSpec.from_dict({**data, "arrival": {**arrival, "on_malformed": "bogus"}})
+    spec = ExperimentSpec.from_dict({**data, "arrival": {**arrival, "on_malformed": "skip"}})
+    assert {r["x_value"] for r in run_trace_compare(spec).rows} == {1, 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**data, "arrival": {**arrival, "on_malformed": "bogus"}}))
+    assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: arrival.on_malformed")
 
 
 def comparison_spec(kind, grid, **kw):
@@ -143,6 +200,22 @@ def test_cost_sweep_piecewise_penalty():
     for costs in by_x.values():
         off = costs.pop("offline")
         assert off <= min(costs.values()) + 1e-9
+
+
+def test_auto_and_configured_policies_share_analytic_costs():
+    # Summed pairwise, F(18) of a/10 prices threshold(19) at 1.855; summed in
+    # age order, at 1.8549999999999998. Both paths must write the same float.
+    model = {"staleness": {"kind": "table", "values": [a / 10 for a in range(101)]}, "update_cost": 10.0}
+    auto = run_policy_comparison(comparison_spec("cost_sweep", [10], model=model, include_offline=False))
+    info = auto.meta["auto_policies"]["10"]
+    assert info["tau_star"] == 19
+    configured = [{"kind": "threshold", "tau": 19}, {"kind": "naive"}, {"kind": "periodic", "d": info["d_star"]}]
+    again = run_policy_comparison(comparison_spec("cost_sweep", [10], model=model, include_offline=False,
+                                                  policies=configured))
+    assert [r["policy_label"] for r in auto.rows] == [r["policy_label"] for r in again.rows]
+    assert auto.rows[0]["policy_label"] == "threshold(19)"
+    for a, b in zip(auto.rows, again.rows):
+        assert a["analytic_cost"] == b["analytic_cost"], a["policy_label"]
 
 
 def test_repeated_policy_labels_keep_their_own_rows(tmp_path):

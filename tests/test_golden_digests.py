@@ -1,0 +1,90 @@
+"""Byte identity of emitted CSVs under every non-linear staleness penalty.
+
+Small sweep, compare and trace-compare specs run through the CLI under
+quadratic, table and piecewise penalties (non-integer values), and the
+sha256 of each CSV is pinned. A change that moves any emitted number, even
+in the tenth significant digit, changes a digest here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from agecost.cli import main
+
+from oracles import make_trace
+
+PENALTIES = {
+    "quadratic": {"kind": "quadratic"},
+    "table": {"kind": "table", "values": [0, 0.35, 1.1, 2.7, 5.3, 9.9, 17.45, 30.2, 55.55, 100.0]},
+    "piecewise": {"kind": "piecewise", "breakpoints": [[1, 0.3], [3, 2.75], [6, 11.5], [12, 100.0]]},
+}
+
+CONFIGURED = [
+    {"kind": "threshold", "tau": 3},
+    {"kind": "naive"},
+    {"kind": "periodic", "d": 4},
+    {"kind": "scheduled", "slots": [3, 9, 20, 41]},
+]
+
+DIGESTS = {
+    "quadratic/sweep":
+        "b5323044ba0cc542e310f633c11da5c18f7a8d0f50470ba9c6c7d5483e86d2fd",
+    "quadratic/compare":
+        "a5b96341ab99d5b20375e0bdc09ca65e3f906a18c0cb811fd49410dbdd5e6a63",
+    "quadratic/compare-configured":
+        "d7cf5373f4a54977926f6e3a9dec0083dec5338e8ec1f9477a6ea7337a424d8b",
+    "quadratic/trace":
+        "2781f46e3cb33b54ddd2b00636d4dc9612eaab37a390d5ccb645b208a095859b",
+    "table/sweep":
+        "9a356d776c9525220a8891e2f3e3a10c55de071fb81451449efe0a086b15e503",
+    "table/compare":
+        "e4adf267b8d70506b36524f3b490ed21d2233f926d761341a51dbc4daebb5fd4",
+    "table/compare-configured":
+        "c1b8f8912b4144aebff7fa4b5ce034b1da76be3174a533c56a6616c9dc51676f",
+    "table/trace":
+        "67382af4de84de7e2f3739e3dff19af42e34f444c88cb2dd2044f5c274a6617a",
+    "piecewise/sweep":
+        "6250fd29dbf0ddf1c4e3da919c99139d21f9a36b2573617a8776910d586efe6b",
+    "piecewise/compare":
+        "d76c29f57d6e4e0298a648e343a5f173927fe8b0ab8d466963f6b165af2d5b62",
+    "piecewise/compare-configured":
+        "07c2467f9b54863e62336e4f9f49830188f161328317888a755b55cff1ce4bec",
+    "piecewise/trace":
+        "16046da9bca40ae14e29aa129f9feb8d056771e7f9b317c9c0f7c3542aa82794",
+}
+
+
+def _commands(staleness, tmp_path):
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=150, horizon=400, seed=19)
+    model = {"staleness": staleness, "update_cost": 40.0}
+    return {
+        "sweep": ("sweep-threshold", {
+            "model": model, "arrival": {"kind": "bernoulli", "rate": 0.3},
+            "grid": [1, 2, 3, 5, 8], "n_runs": 3, "n_requests": 200, "base_seed": 7}),
+        "compare": ("compare", {
+            "model": model, "arrival": {"kind": "bernoulli", "rate": 0.45},
+            "grid": [7.5, 33.3], "n_runs": 3, "n_requests": 150, "base_seed": 8}),
+        "compare-configured": ("compare", {
+            "model": model, "arrival": {"kind": "bernoulli", "rate": 0.45}, "policies": CONFIGURED,
+            "grid": [7.5, 33.3], "n_runs": 3, "n_requests": 150, "base_seed": 8}),
+        "trace": ("trace-compare", {
+            "model": model, "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+            "n_requests": 150}),
+    }
+
+
+@pytest.mark.parametrize("penalty", sorted(PENALTIES))
+def test_csv_digests_are_pinned(penalty, tmp_path, capsys):
+    digests = {}
+    for name, (command, spec) in _commands(PENALTIES[penalty], tmp_path).items():
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps(spec))
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "compare":
+            argv += ["--sweep", "cost"]
+        assert main(argv) == 0, capsys.readouterr().err
+        digests[f"{penalty}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {k: v for k, v in DIGESTS.items() if k.startswith(f"{penalty}/")}
