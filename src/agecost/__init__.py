@@ -10,14 +10,11 @@ experiment CLI.
 __version__ = "0.1.0"
 
 from .core import (
-    Aoi,
     CostBreakdown,
     CostModel,
     InvalidRate,
     NoCapExists,
-    Slot,
     StalenessFn,
-    aoi_step,
     cap_threshold,
 )
 from .arrivals import (
@@ -57,7 +54,6 @@ from .analysis import (
 from .mdp import (
     MdpConfig,
     MdpSolution,
-    NoConvergence,
     solve_average,
     solve_discounted,
     write_policy_csv,
@@ -76,14 +72,11 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "Aoi",
-    "Slot",
     "StalenessFn",
     "CostModel",
     "CostBreakdown",
     "NoCapExists",
     "InvalidRate",
-    "aoi_step",
     "cap_threshold",
     "ArrivalSequence",
     "BernoulliSource",
@@ -113,7 +106,6 @@ __all__ = [
     "renewal_expectations",
     "MdpConfig",
     "MdpSolution",
-    "NoConvergence",
     "solve_discounted",
     "solve_average",
     "write_policy_csv",

@@ -6,13 +6,11 @@ update, which gives the average cost per request in closed form:
     cost(tau) = (rate * sum_{t=1}^{tau-1} f(t) + p) / (rate * (tau - 1) + 1)
 
 with the numerator and denominator being the expected cost and expected
-number of requests in one update interval. The periodic-policy analogue
-divides the per-period cost by the expected requests per period:
+number of requests in one update interval. A periodic policy renews every
+d slots whatever the arrivals do, so renewal-reward makes its analogue
+exact for every penalty too:
 
     cost(d) = (p + rate * sum_{t=1}^{d-1} f(t)) / (rate * d)
-
-which is exact for the linear penalty; for other penalties it is a
-plausible extension validated against simulation, not a derived result.
 """
 
 from __future__ import annotations
@@ -37,10 +35,11 @@ class ThresholdSolution:
 
 @dataclass(frozen=True)
 class PeriodSolution:
-    """Best integer update period plus the continuous minimizer."""
+    """Best integer update period plus the continuous minimizer; both None
+    when the cost falls toward ``cost_at_d_star``, the held penalty, forever."""
 
-    d_star: int
-    d_continuous: float
+    d_star: int | None
+    d_continuous: float | None
     cost_at_d_star: float
 
 
@@ -149,8 +148,12 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
 
     Linear penalty: the continuous minimizer sqrt(2p/rate) is refined by
     comparing the closed form at its floor and ceil (ties go to the longer
-    period, i.e. fewer updates). Other penalties: integer scan over a
-    bounded range, smallest minimizer.
+    period, i.e. fewer updates). Other penalties: cost(d+1) < cost(d) iff
+    h(d) = d*f(d) - F(d-1) < p/rate, and h(d+1) - h(d) = (d+1)(f(d+1) - f(d))
+    >= 0, so the cost falls strictly up to the first d with h(d) >= p/rate
+    (found by doubling) and never after; the smallest minimizer up to there
+    is returned. A held penalty keeps h constant from where it is held; if h
+    is still below p/rate there, no finite period is optimal.
     """
     check_rate(rate)
     d_c = math.sqrt(2.0 * model.update_cost / rate)
@@ -159,10 +162,18 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
         costs = _periodic_costs(rate, model, hi)
         best = hi if costs[hi - 1] <= costs[lo - 1] else lo
         return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=float(costs[best - 1]))
-    hi = max(4 * cap_threshold(model), math.ceil(2.0 * d_c), 16)
-    costs = _periodic_costs(rate, model, hi)
-    best = int(np.argmin(costs)) + 1
-    return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
+    n, held = 16, model.staleness.held_from
+    while True:
+        d = np.arange(1, n + 1)
+        h = d * model.staleness.eval_array(d) - _penalty_prefix(model, n)
+        reached = np.flatnonzero(h >= model.update_cost / rate)
+        if reached.size:
+            costs = _periodic_costs(rate, model, int(reached[0]) + 1)
+            best = int(np.argmin(costs)) + 1
+            return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
+        if held is not None and n > held:
+            return PeriodSolution(d_star=None, d_continuous=None, cost_at_d_star=model.staleness(held))
+        n *= 2
 
 
 def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpectations:

@@ -55,12 +55,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", help="trace file, one 'timestamp[,...]' line per request")
     p.add_argument("--slot-duration", dest="slot_duration", type=float, help="slot length in trace time units")
 
-    p = sub.add_parser("solve-mdp", help="relative value iteration for the optimal average cost")
+    p = sub.add_parser("solve-mdp", help="exact policy iteration for the optimal average cost")
     p.add_argument("--lambda", dest="rate", type=float, required=True)
     p.add_argument("--p", dest="update_cost", type=float, required=True)
     p.add_argument("--staleness", choices=("linear", "quadratic"), default="linear")
     p.add_argument("--state-cap", dest="state_cap", type=int, default=1024)
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--out", help="write the s,h,action diagnostic CSV here")
 
     p = sub.add_parser("optimal-threshold", help="closed-form optimal threshold and period")
@@ -79,6 +78,9 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
     data.setdefault("name", name)
+    for key in ("model", "arrival"):  # flags below write into these records
+        if not isinstance(data.get(key, {}), dict):
+            raise ConfigError(f"{key}: must be an object, got {data[key]!r}")
     data["kind"] = data.get("kind", kind)
     model = data.setdefault("model", {"staleness": {"kind": "linear"}, "update_cost": 50.0})
     if args.update_cost is not None:
@@ -128,8 +130,7 @@ def _cli_model(args) -> CostModel:
 
 def _run_solve_mdp(args) -> int:
     try:
-        config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap,
-                           tolerance=args.tolerance)
+        config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     sol = solve_average(config)

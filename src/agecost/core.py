@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Slots and ages are plain ints; costs are float64. Horizons up to 1e7 slots
-# stay exact in both representations.
-Slot = int
-Aoi = int
-
 _SCAN_CHUNK = 4096
 
 
@@ -102,11 +97,13 @@ class StalenessFn:
         return cls("piecewise", breakpoints=tuple((int(s), float(v)) for s, v in breakpoints))
 
     @property
-    def bounded(self) -> bool:
-        """True when the function holds a final constant value forever."""
-        return self.kind in ("table", "piecewise")
+    def held_from(self) -> int | None:
+        """Age from which the final value is held forever; None if unbounded."""
+        if self.kind == "table":
+            return len(self.table) - 1
+        return self.breakpoints[-1][0] if self.kind == "piecewise" else None
 
-    def __call__(self, aoi: Aoi) -> float:
+    def __call__(self, aoi: int) -> float:
         if aoi < 0:
             raise ValueError(f"AoI must be non-negative, got {aoi}")
         if self.kind == "linear":
@@ -190,11 +187,6 @@ class CostBreakdown:
         return self.total_staleness + self.total_update
 
 
-def aoi_step(prev: Aoi, updated: bool) -> Aoi:
-    """Advance the AoI by one slot: reset to 0 on update, otherwise age by 1."""
-    return 0 if updated else prev + 1
-
-
 def cap_threshold(model: CostModel) -> int:
     """Smallest age whose staleness penalty reaches the update cost.
 
@@ -208,9 +200,8 @@ def _scan_cap(fn: StalenessFn, update_cost: float) -> int:
     # Linear scan from age 1 upward, chunked for array speed. Bounded
     # variants are checked against their final held value first so the scan
     # terminates with a clear error instead of looping forever.
-    if fn.bounded:
-        last = len(fn.table) - 1 if fn.kind == "table" else fn.breakpoints[-1][0]
-        limit = max(last, 1)
+    if fn.held_from is not None:
+        limit = max(fn.held_from, 1)
         if fn(limit) < update_cost:
             raise NoCapExists(
                 f"staleness tops out at {fn(limit)} below update cost {update_cost}"

@@ -104,12 +104,15 @@ class ExperimentSpec:
                     CostModel(model.staleness, float(x))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"grid[{i}]: {exc}") from None
+        if not isinstance(self.arrival, dict):
+            raise ConfigError(f"arrival: must be an object, got {self.arrival!r}")
         akind = self.arrival.get("kind", "bernoulli")
         if self.kind == "trace_compare":
             if akind != "trace" or "path" not in self.arrival:
                 raise ConfigError("arrival: trace_compare needs {kind: 'trace', path, slot_duration}")
-            if float(self.arrival.get("slot_duration", 0)) <= 0:
-                raise ConfigError("arrival.slot_duration: must be positive")
+            slot = self.arrival.get("slot_duration", 0)
+            if type(slot) not in (int, float) or not slot > 0:
+                raise ConfigError(f"arrival.slot_duration: must be a positive number, got {slot!r}")
             if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
                 raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
                                   f"got {self.arrival['on_malformed']!r}")
@@ -204,9 +207,14 @@ def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
     if spec.policies == "auto":
         ts = optimal_threshold(rate, model)
         ps = optimal_period(rate, model)
-        policies = [Policy.threshold(ts.tau_star), Policy.naive(), Policy.periodic(ps.d_star)]
+        policies = [Policy.threshold(ts.tau_star), Policy.naive()]
         info = {"tau_star": ts.tau_star, "tau_continuous": ts.tau_continuous,
                 "d_star": ps.d_star, "d_continuous": ps.d_continuous, "delta_star": delta_star}
+        if ps.d_star is None:
+            info["periodic_dropped"] = ("no finite period is optimal: the periodic cost falls "
+                                        f"toward {ps.cost_at_d_star!r} as the period grows")
+        else:
+            policies.append(Policy.periodic(ps.d_star))
     else:
         policies = [Policy.from_config(cfg) for cfg in spec.policies]
     resolved = []

@@ -8,9 +8,9 @@ update, pay p and restart at age 1, so they lump into one state and the
 chain on ages 0..Delta* is exact, not truncated. ``state_cap`` only sets how
 many ages a solution reports.
 
-``solve_average`` runs damped relative value iteration on the average-cost
-optimality equation; ``solve_discounted`` runs plain value iteration on the
-discounted one.
+Both criteria are solved exactly by policy iteration (Howard 1960; Puterman
+1994, sections 6.4 and 8.6): evaluate the policy with one backward scan, then
+switch every action the other one strictly beats, until none switches.
 """
 
 from __future__ import annotations
@@ -21,32 +21,16 @@ import numpy as np
 
 from .core import CostModel, cap_threshold, check_rate
 
-# Damping of the relative-value update; breaks the near-periodic cycling
-# that plain sweeps exhibit when the arrival rate is close to 1.
-_DAMPING = 0.5
-
-
-class NoConvergence(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no convergence after {iterations} sweeps, residual {residual:.3e}")
-        self.iterations = iterations
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class MdpConfig:
-    """Problem instance plus solver knobs.
-
-    ``state_cap`` is the largest age a solution reports; it must reach the
-    lumped state Delta*, and it changes no solved number.
-    """
+    """Problem instance. ``state_cap`` is the largest age a solution reports;
+    it must reach the lumped state Delta*, and it changes no solved number."""
 
     rate: float
     model: CostModel
     state_cap: int = 1024
     discount: float = 0.9
-    tolerance: float = 1e-10
-    max_iterations: int = 10**6
     delta_star: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
@@ -56,23 +40,20 @@ class MdpConfig:
             raise ValueError(f"state_cap must be >= cap threshold + 1 = {ds + 1}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         object.__setattr__(self, "delta_star", ds)
 
 
 @dataclass(frozen=True, eq=False)
 class MdpSolution:
-    """Converged values, per-state argmin actions, and the implied threshold.
+    """Values of the optimal policy, per-state argmin actions, and the threshold.
 
     ``values[s]`` is the discounted value or the relative value (h, with
     h(1) = 0) of starting at age s, for s = 0..state_cap; every age from
     Delta* up holds the lumped state's value. ``gain`` is the optimal
     average cost per request (None for the discounted solver).
     ``actions[s]`` is 1 where updating is the argmin (skipping preferred on
-    exact ties below the cap).
+    exact ties below the cap). ``iterations_used`` counts policy
+    evaluations; ``residual`` is the sup-norm Bellman residual of ``values``.
     """
 
     values: np.ndarray
@@ -83,25 +64,30 @@ class MdpSolution:
     residual: float
 
 
-def _skip_continuation(values: np.ndarray, rate: float) -> np.ndarray:
-    """K[s] = E[values(next age) | skip at age s] on the lumped chain.
+def _scan(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Solve the backward recurrence K[s] = a[s] + m[s]*K[s+1], K[-1] = a[-1].
 
-    K[s] = sum_{z=s+1}^{S-1} (1-rate)^(z-s-1) * rate * values[z]
-           + (1-rate)^(S-s-1) * values[S]
-    is the backward recurrence K[s] = a[s] + (1-rate)*K[s+1] with
-    a[s] = rate*values[s+1] and a[S] = values[S], solved by a doubling scan
-    (Hillis & Steele 1986): after the step with stride d, K[s] sums the
-    terms of a[s..s+2d-1], in log2(S+1) vector steps. K[0] doubles as the
-    post-update continuation since an update restarts the age at 1.
+    A doubling scan (Hillis & Steele 1986): after the step with stride d,
+    K[s] sums the terms of a[s..s+2d-1] and m[s] is the product of
+    m[s..s+2d-1], in log2(size) vector steps. Leading axes of ``a`` are
+    solved alongside, with the same multipliers.
     """
-    K = np.append(rate * values[1:], values[-1])
-    scratch = np.empty(K.size)
-    w, d = 1.0 - rate, 1
-    while d < K.size:
-        K[:-d] += np.multiply(K[d:], w, out=scratch[d:])
-        w *= w
+    K = np.array(a, dtype=np.float64)
+    m = np.array(m, dtype=np.float64)
+    d = 1
+    while d < m.size:
+        K[..., :-d] += m[:-d] * K[..., d:]
+        m[:-d] *= m[d:]
         d *= 2
     return K
+
+
+def _skip_continuation(values: np.ndarray, rate: float) -> np.ndarray:
+    """K[s] = E[values(next age) | skip at age s] = rate*values[s+1] +
+    (1-rate)*K[s+1], K[S] = values[S] in the lumped state S: _scan with a
+    constant multiplier. K[0] is also the post-update continuation, since an
+    update restarts the age at 1."""
+    return _scan(np.append(rate * values[1:], values[-1]), np.full(values.size, 1.0 - rate))
 
 
 def _backup(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray):
@@ -110,64 +96,67 @@ def _backup(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray):
     return config.model.update_cost + disc * K[0], f + disc * K
 
 
-def _skip_costs(config: MdpConfig) -> np.ndarray:
-    """f(s) for s = 0..Delta*; infinite in the lumped state, which must update."""
+def _evaluate(updates: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray, average: bool):
+    """Exact (values, gain) of the policy that updates where ``updates`` is true.
+
+    Its values are v = cost + disc*(c if update else K) - g with K the skip
+    continuation and c = K[0]. Put into K's recurrence, they make one scan,
+    affine in x = c for the discounted criterion (g = 0) or in x = g for the
+    average one (c = 0 fixes the free constant of relative values, which are
+    then shifted to h(1) = 0); K[0] = c then gives x.
+    """
+    rate, p = config.rate, config.model.update_cost
+    cost = np.where(updates, p, f)
+    nxt = np.append(updates[1:], True)  # the lumped state maps to itself
+    x_coef = np.full(f.size, -1.0) if average else disc * nxt
+    K0, K1 = _scan(np.append(np.full(f.size - 1, rate), 1.0) * np.array([np.append(cost[1:], p), x_coef]),
+                   np.where(nxt, 1.0 - rate, 1.0 - rate + rate * disc))
+    x = float(-K0[0] / K1[0] if average else K0[0] / (1.0 - K1[0]))
+    c, g = (0.0, x) if average else (x, 0.0)
+    values = cost + disc * np.where(updates, c, K0 + K1 * x) - g
+    return (values - values[1] if average else values), g
+
+
+def _solve(config: MdpConfig, average: bool) -> MdpSolution:
+    """Policy iteration from the policy that skips at every age below the cap.
+
+    An action switches only where the other one is strictly better, and the
+    loop stops when none does. The optimal policy is a threshold and a few
+    evaluations reach it; more than Delta* + 2 mean rounding made it cycle at
+    a near-tie, an error, not a tuning matter.
+    """
     f = config.model.staleness.eval_array(np.arange(config.delta_star + 1))
-    f[-1] = np.inf
-    return f
-
-
-def _solution(config: MdpConfig, values, gain, updates, iterations, residual) -> MdpSolution:
-    """Report the lumped chain's solution on ages 0..state_cap."""
-    pad = config.state_cap - config.delta_star
-    actions = np.pad(updates.astype(np.int8), (0, pad), constant_values=1)
-    return MdpSolution(
-        values=np.pad(values, (0, pad), mode="edge"),
-        gain=gain,
-        # The lumped state always updates, so some action is 1.
-        threshold=int(np.argmax(actions[1:])) + 1,
-        actions=actions,
-        iterations_used=iterations,
-        residual=residual,
-    )
+    f[-1] = np.inf  # the lumped state must update
+    disc = 1.0 if average else config.discount
+    updates = np.isinf(f)
+    for iterations in range(1, config.delta_star + 3):
+        values, gain = _evaluate(updates, config, disc, f, average)
+        update_val, skip_val = _backup(values, config, disc, f)
+        switch = np.where(updates, skip_val < update_val, update_val < skip_val)
+        if not switch.any():  # report ages 0..state_cap
+            pad = config.state_cap - config.delta_star
+            actions = np.pad((update_val < skip_val).astype(np.int8), (0, pad), constant_values=1)
+            return MdpSolution(
+                values=np.pad(values, (0, pad), mode="edge"),
+                gain=gain if average else None,
+                # The lumped state always updates, so some action is 1.
+                threshold=int(np.argmax(actions[1:])) + 1,
+                actions=actions,
+                iterations_used=iterations,
+                residual=float(np.max(np.abs(np.minimum(update_val, skip_val) - gain - values))),
+            )
+        updates ^= switch
+    raise RuntimeError(f"policy iteration did not settle within {config.delta_star + 2} steps")
 
 
 def solve_discounted(config: MdpConfig) -> MdpSolution:
-    """Value iteration for the discounted total cost, to sup-norm tolerance."""
-    f = _skip_costs(config)
-    values = np.zeros(f.size)
-    residual = np.inf
-    for it in range(1, config.max_iterations + 1):
-        update_val, skip_val = _backup(values, config, config.discount, f)
-        new = np.minimum(update_val, skip_val)
-        residual = float(np.max(np.abs(new - values)))
-        values = new
-        if residual <= config.tolerance:
-            return _solution(config, values, None, update_val < skip_val, it, residual)
-    raise NoConvergence(config.max_iterations, residual)
+    """Optimal discounted total cost at ``config.discount``, by policy iteration."""
+    return _solve(config, average=False)
 
 
 def solve_average(config: MdpConfig) -> MdpSolution:
-    """Damped relative value iteration for the average-cost optimality equation.
-
-    Converges when the span of the one-sweep differences drops below the
-    tolerance; the gain is then pinned between their min and max. Values are
-    normalized so the relative value of age 1 is zero.
-    """
-    f = _skip_costs(config)
-    values = np.zeros(f.size)
-    residual = np.inf
-    for it in range(1, config.max_iterations + 1):
-        update_val, skip_val = _backup(values, config, 1.0, f)
-        diff = np.minimum(update_val, skip_val) - values
-        lo = float(diff.min())
-        hi = float(diff.max())
-        residual = hi - lo
-        if residual <= config.tolerance:
-            return _solution(config, values, 0.5 * (lo + hi), update_val < skip_val, it, residual)
-        values = values + _DAMPING * diff
-        values = values - values[1]
-    raise NoConvergence(config.max_iterations, residual)
+    """Optimal average cost per request and relative values, by policy iteration."""
+    return _solve(config, average=True)
 
 
 def write_policy_csv(solution: MdpSolution, path) -> None:

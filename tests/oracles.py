@@ -1,9 +1,9 @@
 """Independent slow-path oracles shared by the test modules.
 
 These deliberately avoid the package's optimized code paths: the reference
-replay walks every slot and queries the policy through decide(), which
-evaluates each policy's rule at one slot; the renewal enumeration sums
-over all request patterns of an update interval; scan_periods prices one
+replay walks every slot, ages the AoI with aoi_step and queries the policy
+through decide(), which evaluates each policy's rule at one slot; the
+renewal enumeration sums over all request patterns of an update interval; scan_periods prices one
 update period at a time from a running sum of the scalar penalty; the MDP
 oracles build the full age chain up to ``state_cap`` as a dense transition
 matrix, with no lumping and no scan: extract_threshold reads the threshold
@@ -20,7 +20,16 @@ from itertools import product
 
 import numpy as np
 
-from agecost import ArrivalSequence, aoi_step
+from agecost import ArrivalSequence
+
+# Slots and ages are plain ints in the oracles.
+Slot = int
+Aoi = int
+
+
+def aoi_step(prev: Aoi, updated: bool) -> Aoi:
+    """Advance the AoI by one slot: reset to 0 on update, otherwise age by 1."""
+    return 0 if updated else prev + 1
 
 
 class ReactiveWithoutRequest(ValueError):
@@ -31,8 +40,8 @@ class ReactiveWithoutRequest(ValueError):
 class DecisionContext:
     """What a policy sees when deciding at one slot."""
 
-    current_aoi: int
-    slot: int
+    current_aoi: Aoi
+    slot: Slot
     has_request: bool
 
     def __post_init__(self) -> None:
@@ -181,12 +190,14 @@ def dense_continuation(values, rate):
     return folded_transitions(values.size, rate) @ values
 
 
-def dense_value_iteration(config, average):
+def dense_value_iteration(config, average, tolerance, max_iterations):
     """Solve the MDP on every age 0..state_cap with a dense transition matrix.
 
     Ages >= the cap threshold are forced to update. With ``average`` this is
     damped relative value iteration (damping 1/2, h(1) = 0) and the gain is
-    returned; otherwise plain value iteration at ``config.discount``.
+    returned; otherwise plain value iteration at ``config.discount``. Either
+    stops once a sweep moves the values by at most ``tolerance`` (the span
+    of the move when ``average``) and fails after ``max_iterations`` sweeps.
     Returns (values, gain, actions, margins), where margins[s] is the skip
     value minus the update value in the last sweep (inf where forced).
     """
@@ -196,7 +207,7 @@ def dense_value_iteration(config, average):
     forced = np.array([a >= config.delta_star for a in ages])
     disc = 1.0 if average else config.discount
     values = np.zeros(config.state_cap + 1)
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         K = P @ values
         update = config.model.update_cost + disc * K[0]
         skip = f + disc * K
@@ -205,13 +216,13 @@ def dense_value_iteration(config, average):
         margins = np.where(forced, np.inf, skip - update)
         diff = new - values
         if average:
-            if diff.max() - diff.min() <= config.tolerance:
+            if diff.max() - diff.min() <= tolerance:
                 return values - values[1], 0.5 * (diff.max() + diff.min()), actions, margins
             values = values + 0.5 * diff
             values = values - values[1]
         else:
             values = new
-            if np.abs(diff).max() <= config.tolerance:
+            if np.abs(diff).max() <= tolerance:
                 return values, None, actions, margins
     raise AssertionError("dense value iteration did not converge")
 

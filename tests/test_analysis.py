@@ -193,7 +193,8 @@ def test_every_path_prices_a_policy_identically(case):
     ts = optimal_threshold(rate, m)
     assert threshold_avg_cost(rate, m, ts.tau_star) == ts.cost_at_tau_star
     ps = optimal_period(rate, m)
-    assert periodic_avg_cost(rate, m, ps.d_star) == ps.cost_at_d_star
+    if ps.d_star is not None:
+        assert periodic_avg_cost(rate, m, ps.d_star) == ps.cost_at_d_star
     for tau in {1, ts.tau_star, cap_threshold(m)}:
         exp = renewal_expectations(rate, m, tau)
         assert exp.e_cost / exp.e_requests == threshold_avg_cost(rate, m, tau)
@@ -205,11 +206,32 @@ def test_optimal_period_matches_scan_oracle(case):
     rate, m = case
     if m.staleness.kind == "linear":
         return  # the linear branch compares floor and ceil of sqrt(2p/rate)
-    p = m.update_cost
-    hi = max(4 * cap_threshold(m), math.ceil(2.0 * math.sqrt(2.0 * p / rate)), 16)
     sol = optimal_period(rate, m)
-    assert (sol.d_star, sol.cost_at_d_star) == scan_periods(rate, m, hi)
+    # Well past the window the old scan used, max(4 cap, 2 sqrt(2p/rate), 16).
+    p = m.update_cost
+    hi = 4 * max(4 * cap_threshold(m), math.ceil(2.0 * math.sqrt(2.0 * p / rate)), 16, sol.d_star or 0)
+    cost = scan_periods(rate, m, hi)[1]
+    if sol.d_star is None:
+        # The cost falls toward the held penalty value and never gets below it.
+        assert sol.cost_at_d_star == m.staleness(m.staleness.held_from) <= cost * (1 + 1e-12)
+        assert sol.d_continuous is None
+        return
+    # Every shorter period costs more; no longer one costs less, up to the
+    # rounding that settles a flat stretch of exactly equal costs.
+    assert (sol.d_star, sol.cost_at_d_star) == scan_periods(rate, m, sol.d_star)
+    assert sol.cost_at_d_star <= cost * (1 + 1e-12)
     assert sol.d_continuous == sol.d_star
+
+
+def test_optimal_period_without_finite_minimizer():
+    # The cost falls toward f_max = 5 forever; a scan window of
+    # max(4 cap, 2 sqrt(2p/rate), 16) = 64 periods stopped at a cost of 12.03.
+    m = CostModel(StalenessFn.piecewise([(10, 5.0)]), 5.0)
+    sol = optimal_period(0.01, m)
+    assert (sol.d_star, sol.d_continuous, sol.cost_at_d_star) == (None, None, 5.0)
+    assert 5.0 < periodic_avg_cost(0.01, m, 10**6) < periodic_avg_cost(0.01, m, 64)
+    # A higher rate makes waiting dearer, and the minimizer is finite again.
+    assert optimal_period(0.5, m).d_star == scan_periods(0.5, m, 1000)[0] == 10
 
 
 def test_optimal_period_long_piecewise_penalty():

@@ -8,9 +8,10 @@ from agecost import (
     CostModel,
     NoCapExists,
     StalenessFn,
-    aoi_step,
     cap_threshold,
 )
+
+from oracles import aoi_step
 
 LINEAR = StalenessFn.linear()
 QUADRATIC = StalenessFn.quadratic()

@@ -93,6 +93,17 @@ def test_spec_validation_messages():
         sweep_spec(base_seed="1")
     with pytest.raises(ConfigError, match=r"grid: must be a list"):
         sweep_spec(grid=5)
+    trace = {"name": "t", "kind": "trace_compare",
+             "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0}}
+    for arrival, message in (
+        ({"kind": "trace", "path": "t.csv", "slot_duration": "abc"},
+         r"arrival\.slot_duration: must be a positive number, got 'abc'"),
+        ({"kind": "trace", "path": "t.csv", "slot_duration": None},
+         r"arrival\.slot_duration: must be a positive number, got None"),
+        (["trace"], r"arrival: must be an object, got \['trace'\]"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec.from_dict({**trace, "arrival": arrival})
     with pytest.raises(ConfigError, match="unknown"):
         ExperimentSpec.from_dict({"name": "x", "kind": "threshold_sweep", "bogus": 1,
                                   "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0},
@@ -140,6 +151,16 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
     cfg.write_text(json.dumps({**data, "arrival": {**arrival, "on_malformed": "bogus"}}))
     assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
     assert capsys.readouterr().err.startswith("configuration error: arrival.on_malformed")
+    # A bad slot length or a non-object arrival is a configuration error
+    # naming the field, with or without flags that override its fields.
+    for bad, field in (({**arrival, "slot_duration": "abc"}, "arrival.slot_duration"),
+                       ({**arrival, "slot_duration": None}, "arrival.slot_duration"),
+                       (["trace"], "arrival")):
+        cfg.write_text(json.dumps({**data, "arrival": bad}))
+        for extra in ([], ["--trace", str(trace)]):
+            assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
+                        + extra) == 1, (bad, extra)
+            assert capsys.readouterr().err.startswith(f"configuration error: {field}:"), (bad, extra)
 
 
 def comparison_spec(kind, grid, **kw):
@@ -216,6 +237,21 @@ def test_auto_and_configured_policies_share_analytic_costs():
     assert auto.rows[0]["policy_label"] == "threshold(19)"
     for a, b in zip(auto.rows, again.rows):
         assert a["analytic_cost"] == b["analytic_cost"], a["policy_label"]
+
+
+def test_auto_policies_drop_a_period_that_is_never_optimal(tmp_path):
+    # At rate 0.01 the periodic cost of this penalty falls toward 5 forever.
+    model = {"staleness": {"kind": "piecewise", "breakpoints": [[10, 5.0]]}, "update_cost": 5.0}
+    spec = comparison_spec("cost_sweep", [5.0], model=model, include_offline=False,
+                           arrival={"kind": "bernoulli", "rate": 0.01})
+    table = run_policy_comparison(spec)
+    assert [r["policy_label"] for r in table.rows] == ["threshold(10)", "naive"]
+    info = table.meta["auto_policies"]["5.0"]
+    assert (info["d_star"], info["d_continuous"]) == (None, None)
+    assert info["periodic_dropped"] == ("no finite period is optimal: the periodic cost falls "
+                                        "toward 5.0 as the period grows")
+    emit(table, tmp_path / "out.csv")
+    assert json.loads((tmp_path / "out.csv.meta.json").read_text())["auto_policies"] == table.meta["auto_policies"]
 
 
 def test_repeated_policy_labels_keep_their_own_rows(tmp_path):

@@ -10,7 +10,6 @@ from agecost import (
     CostModel,
     InvalidRate,
     MdpConfig,
-    NoConvergence,
     StalenessFn,
     cap_threshold,
     optimal_threshold,
@@ -20,7 +19,7 @@ from agecost import (
     write_policy_csv,
 )
 
-from agecost.mdp import _skip_continuation
+from agecost.mdp import _scan, _skip_continuation
 
 from oracles import dense_continuation, dense_value_iteration, extract_threshold
 
@@ -42,8 +41,6 @@ def test_config_validation():
         small_config(state_cap=2)  # below cap threshold + 1
     with pytest.raises(ValueError):
         small_config(discount=1.0)
-    with pytest.raises(ValueError):
-        small_config(tolerance=0.0)
 
 
 def test_zero_discount_collapses_to_one_step_cost():
@@ -61,7 +58,8 @@ def test_discounted_values_bounded_and_monotone(alpha):
     sol = solve_discounted(cfg)
     assert np.all(sol.values <= cfg.model.update_cost / (1.0 - alpha) + 1e-9)
     assert np.all(np.diff(sol.values) >= -1e-12)
-    assert sol.residual <= cfg.tolerance
+    # Policy iteration is exact: only rounding is left in the Bellman residual.
+    assert sol.residual <= 1e-14 * cfg.model.update_cost / (1.0 - alpha)
 
 
 def test_average_gain_small_instance():
@@ -79,7 +77,7 @@ def test_average_gain_reference_instance():
 
 
 def test_average_gain_dense_rate_limit():
-    cfg = MdpConfig(rate=0.999, model=CostModel(LINEAR, 50.0), state_cap=256, tolerance=1e-6)
+    cfg = MdpConfig(rate=0.999, model=CostModel(LINEAR, 50.0), state_cap=256)
     sol = solve_average(cfg)
     assert sol.gain == pytest.approx(9.5, abs=0.05)
 
@@ -157,14 +155,6 @@ def test_truncation_stability():
                 assert np.array_equal(sol.values[: ds + 1], first.values[: ds + 1])
 
 
-def test_no_convergence_raises():
-    with pytest.raises(NoConvergence) as err:
-        solve_average(small_config(max_iterations=2))
-    assert err.value.iterations == 2
-    with pytest.raises(NoConvergence):
-        solve_discounted(small_config(discount=0.99, max_iterations=3))
-
-
 def test_policy_csv_dump(tmp_path):
     cfg = small_config(state_cap=8)
     sol = solve_average(cfg)
@@ -206,6 +196,23 @@ def test_skip_continuation_matches_dense_transition_matrix():
             assert np.allclose(fast, dense_continuation(values, rate), rtol=1e-12, atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scan_matches_sequential_backward_loop(data):
+    # The policy evaluation solves K[s] = a[s] + m[s]*K[s+1] with per-state
+    # multipliers, for several right-hand sides at once.
+    size = data.draw(st.integers(min_value=1, max_value=80))
+    rows = data.draw(st.integers(min_value=1, max_value=3))
+    a = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows * size, max_size=rows * size)))
+    a = a.reshape(rows, size)
+    m = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    expect = a.copy()
+    for s in range(size - 2, -1, -1):
+        expect[:, s] += m[s] * expect[:, s + 1]
+    assert np.allclose(_scan(a, m), expect, rtol=1e-12, atol=1e-9)
+    assert np.allclose(_scan(a[0], m), expect[0], rtol=1e-12, atol=1e-9)
+
+
 @st.composite
 def mdp_case(draw):
     rate = draw(st.floats(min_value=0.05, max_value=0.97))
@@ -232,7 +239,12 @@ def test_solvers_match_dense_value_iteration(cfg):
     # so cases with a near-tie below the cap are skipped.
     ds = cfg.delta_star
     for solve, average in ((solve_average, True), (solve_discounted, False)):
-        values, gain, actions, margins = dense_value_iteration(cfg, average)
+        # Discounted value iteration stops up to tolerance * discount /
+        # (1 - discount) from its fixed point, so it runs to 1e-12. Relative
+        # values of order p carry rounding above 1e-12, so the average-cost
+        # sweeps stop at a span of 1e-10, which pins the gain to 5e-11.
+        values, gain, actions, margins = dense_value_iteration(
+            cfg, average, tolerance=1e-10 if average else 1e-12, max_iterations=10**6)
         assume(np.all(np.abs(margins) > 1e-7))
         sol = solve(cfg)
         assert np.array_equal(sol.actions, actions)
