@@ -77,6 +77,8 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: must be a JSON object, got {data!r}")
     data.setdefault("name", name)
     for key in ("model", "arrival"):  # flags below write into these records
         if not isinstance(data.get(key, {}), dict):

@@ -8,7 +8,10 @@ update period at a time from a running sum of the scalar penalty; the MDP
 oracles build the full age chain up to ``state_cap`` as a dense transition
 matrix, with no lumping and no scan: extract_threshold reads the threshold
 off the converged relative values instead of the argmin actions, and
-dense_value_iteration solves the chain from scratch.
+dense_value_iteration solves the chain from scratch. replay_every_schedule
+is the exhaustive offline search done the slow way, one engine replay per
+subset of request slots. cost_models draws the cost models the property
+tests share.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
+from hypothesis import strategies as st
 
-from agecost import ArrivalSequence
+from agecost import ArrivalSequence, CostModel, OfflineSolution, Policy, StalenessFn, simulate
 
 # Slots and ages are plain ints in the oracles.
 Slot = int
@@ -136,6 +140,48 @@ def scan_periods(rate, model, hi):
             best, best_cost = d, cost
         prefix += f(d)
     return best, best_cost
+
+
+def replay_every_schedule(arrivals, model):
+    """Cheapest schedule found by replaying every subset of request slots.
+
+    Ties break toward fewer updates, then the lexicographically earliest
+    schedule (tie means bit-identical replayed cost).
+    """
+    slots = arrivals.slots.tolist()
+    n = len(slots)
+    best_cost = math.inf
+    best_sched = ()
+    for mask in range(1 << n):
+        sched = tuple(slots[k] for k in range(n) if mask >> k & 1)
+        cost = simulate(Policy.scheduled(sched), arrivals, model).breakdown.total
+        if cost < best_cost or (cost == best_cost and (len(sched), sched) < (len(best_sched), best_sched)):
+            best_cost = cost
+            best_sched = sched
+    return OfflineSolution(
+        update_slots=best_sched,
+        total_cost=float(best_cost),
+        per_request_cost=float(best_cost) / arrivals.n_requests,
+    )
+
+
+@st.composite
+def cost_models(draw, p):
+    """Any of the four penalty kinds at update cost p.
+
+    Table and piecewise values are non-integer and non-decreasing, and the
+    last one reaches p so that the model has a cap threshold.
+    """
+    fn = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
+    if fn in ("linear", "quadratic"):
+        return CostModel(getattr(StalenessFn, fn)(), p)
+    steps = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
+    values = list(accumulate(steps))
+    values[-1] += p
+    if fn == "table":
+        return CostModel(StalenessFn.from_table([0.0, *values]), p)
+    starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values), max_size=len(values))))
+    return CostModel(StalenessFn.piecewise(zip(starts, values)), p)
 
 
 def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):

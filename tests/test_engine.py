@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from agecost import (
 )
 from agecost.arrivals import derive_seed
 
-from oracles import reference_replay
+from oracles import cost_models, reference_replay
 
 LINEAR = StalenessFn.linear()
 
@@ -177,18 +176,7 @@ def any_policy_case(draw):
         pol = Policy.periodic(draw(st.integers(min_value=1, max_value=horizon)))
     else:
         pol = Policy.scheduled(sorted(draw(st.sets(st.integers(min_value=1, max_value=horizon), max_size=8))))
-    p = draw(st.floats(min_value=0.5, max_value=25.0))
-    fn = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
-    if fn in ("linear", "quadratic"):
-        return pol, arr, CostModel(getattr(StalenessFn, fn)(), p)
-    # Non-integer, non-decreasing values whose last one reaches p.
-    steps = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
-    values = list(accumulate(steps))
-    values[-1] += p
-    if fn == "table":
-        return pol, arr, CostModel(StalenessFn.from_table([0.0, *values]), p)
-    starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values), max_size=len(values))))
-    return pol, arr, CostModel(StalenessFn.piecewise(zip(starts, values)), p)
+    return pol, arr, draw(cost_models(draw(st.floats(min_value=0.5, max_value=25.0))))
 
 
 @settings(max_examples=150, deadline=None)

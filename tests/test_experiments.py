@@ -137,6 +137,16 @@ def test_wrong_field_types_exit_1(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text in ("[1, 2]", '"abc"', "null"):
+        cfg.write_text(text)
+        for argv in (["sweep-threshold"], ["compare", "--sweep", "cost"], ["trace-compare"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1, (text, argv)
+            assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: must be a JSON object"), (text, argv)
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_trace_on_malformed_is_checked(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("1.0\nnot-a-time\n3.0\n")

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import agecost.engine
+import agecost.offline
 
 from agecost import (
     ArrivalSequence,
@@ -17,7 +21,7 @@ from agecost import (
     simulate,
 )
 
-from oracles import random_instance
+from oracles import cost_models, random_instance, replay_every_schedule
 
 LINEAR = StalenessFn.linear()
 
@@ -53,6 +57,33 @@ def test_three_request_enumeration_fixture():
     assert bf.update_slots == (9,)
     dp = offline_optimal(arr, m)
     assert dp.total_cost == 10.0
+
+
+def test_brute_force_needs_no_engine_or_dp(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exhaustive search must not call this")
+
+    monkeypatch.setattr(agecost.engine, "simulate", forbidden)
+    monkeypatch.setattr(agecost.offline, "offline_optimal", forbidden)
+    bf = agecost.offline.brute_force_optimal(ArrivalSequence.from_slots([2, 4, 9]), CostModel(LINEAR, 4.0))
+    assert bf.update_slots == (9,)
+    assert bf.total_cost == 10.0
+
+
+@st.composite
+def small_instance(draw):
+    """Up to 8 occupied slots with 1-3 requests each, and an integer update
+    cost so that exact ties between schedules occur."""
+    slots = draw(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=8))
+    arr = ArrivalSequence.from_counts({s: draw(st.integers(min_value=1, max_value=3)) for s in slots})
+    return arr, draw(cost_models(float(draw(st.integers(min_value=1, max_value=20)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instance())
+def test_brute_force_equals_replaying_every_schedule(case):
+    arr, model = case
+    assert brute_force_optimal(arr, model) == replay_every_schedule(arr, model)
 
 
 def test_brute_force_size_limit():
