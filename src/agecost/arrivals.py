@@ -18,6 +18,8 @@ log = logging.getLogger(__name__)
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
 
 _SEED_MASK = (1 << 64) - 1
+# Slots drawn per array when generating by horizon, so memory stays bounded.
+_DRAW_CHUNK = 1 << 20
 
 
 class ParseError(ValueError):
@@ -117,7 +119,12 @@ def generate_bernoulli(
     if horizon is not None:
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        hits = np.nonzero(rng.random(horizon) < source.rate)[0] + 1
+        # PCG64 draws each double from one 64-bit output, so chunked draws
+        # continue the stream exactly as one draw of the whole horizon would.
+        hits = np.concatenate([
+            np.nonzero(rng.random(min(_DRAW_CHUNK, horizon - start)) < source.rate)[0] + (start + 1)
+            for start in range(0, horizon, _DRAW_CHUNK)
+        ])
         return ArrivalSequence(
             horizon=horizon,
             slots=hits.astype(np.int64),

@@ -4,13 +4,16 @@ These deliberately avoid the package's optimized code paths: the reference
 replay walks every slot, ages the AoI with aoi_step and queries the policy
 through decide(), which evaluates each policy's rule at one slot; the
 renewal enumeration sums over all request patterns of an update interval; scan_periods prices one
-update period at a time from a running sum of the scalar penalty; the MDP
+update period at a time from a running sum of the scalar penalty;
+threshold_margins evaluates the threshold scan's stopping margin in exact
+rational arithmetic; the MDP
 oracles build the full age chain up to ``state_cap`` as a dense transition
 matrix, with no lumping and no scan: extract_threshold reads the threshold
 off the converged relative values instead of the argmin actions, and
 dense_value_iteration solves the chain from scratch. replay_every_schedule
 is the exhaustive offline search done the slow way, one engine replay per
-subset of request slots. cost_models draws the cost models the property
+subset of request slots; quadratic_offline_dp is the offline DP with every
+earlier request as a candidate last update. cost_models draws the cost models the property
 tests share.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
@@ -142,6 +146,19 @@ def scan_periods(rate, model, hi):
     return best, best_cost
 
 
+def threshold_margins(rate, model, hi):
+    """g(k) = (rate·k + 1)·f(k+1) − rate·F(k) for k = 0..hi-1, exactly.
+
+    F(k) = f(1) + ... + f(k). The threshold closed form falls from
+    tau = k + 1 to k + 2 exactly when g(k) < p. Sums in rational arithmetic
+    from the float inputs, so no rounding enters.
+    """
+    lam = Fraction(rate)
+    f = [Fraction(model.staleness(a)) for a in range(hi + 1)]
+    prefix = list(accumulate(f))  # prefix[k] = F(k), as f(0) = 0
+    return [(lam * k + 1) * f[k + 1] - lam * prefix[k] for k in range(hi)]
+
+
 def replay_every_schedule(arrivals, model):
     """Cheapest schedule found by replaying every subset of request slots.
 
@@ -162,6 +179,55 @@ def replay_every_schedule(arrivals, model):
         update_slots=best_sched,
         total_cost=float(best_cost),
         per_request_cost=float(best_cost) / arrivals.n_requests,
+    )
+
+
+def quadratic_offline_dp(arrivals, model):
+    """The offline DP over every earlier request as the last update, O(N^2).
+
+    The recursion offline_optimal restricts to a window, kept unrestricted:
+    pushes each update point's candidates to every later request, with ties
+    kept by the earliest point.
+    """
+    n = arrivals.slots.size
+    if n == 0:
+        raise ValueError("arrival sequence has no requests")
+    r = arrivals.slots.astype(np.int64)
+    w = arrivals.counts.astype(np.float64)
+    f = model.staleness
+    p = model.update_cost
+
+    U = np.full(n + 1, np.inf)
+    U[0] = 0.0
+    parent = np.full(n + 1, -1, dtype=np.int64)
+    best_total = np.inf
+    best_end = 0
+    for i in range(n + 1):
+        if not np.isfinite(U[i]):
+            continue
+        base = 0 if i == 0 else int(r[i - 1])
+        stale = w[i:] * f.eval_array(r[i:] - base)
+        cum = np.cumsum(stale)
+        tail = U[i] + (cum[-1] if cum.size else 0.0)
+        if tail < best_total:
+            best_total = tail
+            best_end = i
+        if i < n:
+            cand = U[i] + p + np.concatenate(([0.0], cum[:-1]))
+            mask = cand < U[i + 1:]
+            U[i + 1:][mask] = cand[mask]
+            parent[i + 1:][mask] = i
+
+    ups = []
+    j = best_end
+    while j > 0:
+        ups.append(int(r[j - 1]))
+        j = int(parent[j])
+    ups.reverse()
+    return OfflineSolution(
+        update_slots=tuple(ups),
+        total_cost=float(best_total),
+        per_request_cost=float(best_total) / arrivals.n_requests,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -17,7 +18,7 @@ from agecost import (
     threshold_avg_cost,
 )
 
-from oracles import enumerate_renewal, scan_periods
+from oracles import cost_models, enumerate_renewal, scan_periods, threshold_margins
 
 LINEAR = StalenessFn.linear()
 QUADRATIC = StalenessFn.quadratic()
@@ -221,6 +222,20 @@ def test_optimal_period_matches_scan_oracle(case):
     assert (sol.d_star, sol.cost_at_d_star) == scan_periods(rate, m, sol.d_star)
     assert sol.cost_at_d_star <= cost * (1 + 1e-12)
     assert sol.d_continuous == sol.d_star
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=0.25, max_value=200.0), st.data())
+def test_threshold_margin_never_decreases(rate, p, data):
+    # g(k+1) - g(k) = (rate·(k+1) + 1)·(f(k+2) - f(k+1)) >= 0, so the
+    # threshold cost falls until g(k) >= p and never falls after.
+    model = data.draw(cost_models(p))
+    g = threshold_margins(rate, model, 64)
+    assert all(a <= b for a, b in zip(g, g[1:]))
+    lam = Fraction(rate)
+    F = list(accumulate(Fraction(model.staleness(a)) for a in range(65)))
+    cost = [(lam * F[k] + Fraction(p)) / (lam * k + 1) for k in range(65)]
+    assert [cost[k + 1] < cost[k] for k in range(64)] == [gk < Fraction(p) for gk in g]
 
 
 def test_optimal_period_without_finite_minimizer():

@@ -14,6 +14,7 @@ from agecost import (
     load_trace,
 )
 
+from agecost.arrivals import _DRAW_CHUNK, make_rng
 from oracles import make_trace
 
 
@@ -36,6 +37,12 @@ def test_determinism():
     assert not np.array_equal(
         a.slots, generate_bernoulli(BernoulliSource(0.5, 8), horizon=100).slots
     )
+
+
+def test_horizon_draw_in_chunks_matches_one_draw():
+    horizon = 2 * _DRAW_CHUNK + 12_345  # three chunks, the last one short
+    seq = generate_bernoulli(BernoulliSource(0.3, 8), horizon=horizon)
+    assert np.array_equal(seq.slots, np.nonzero(make_rng(8).random(horizon) < 0.3)[0] + 1)
 
 
 def test_stop_by_count():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from agecost import (
     simulate,
 )
 
-from oracles import cost_models, random_instance, replay_every_schedule
+from oracles import cost_models, quadratic_offline_dp, random_instance, replay_every_schedule
 
 LINEAR = StalenessFn.linear()
 
@@ -147,3 +149,81 @@ def test_offline_schedule_is_capped():
         model = CostModel(LINEAR, float(rng.uniform(2.0, 9.0)) + 0.137)
         sol = offline_optimal(arr, model)
         assert cap(sol.update_slots, arr, model) == sol.update_slots
+
+
+@st.composite
+def dp_instance(draw):
+    """Up to 300 occupied slots, 1-12 slots apart, with 1-3 requests each,
+    drawn from a seeded generator. The update cost is an integer (so
+    f(Δ*) == p and exact ties occur) or any float."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    slots = np.cumsum(rng.integers(1, 13, size=n))
+    arr = ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 4, size=n))
+    p = draw(st.one_of(st.integers(min_value=1, max_value=60).map(float), st.floats(min_value=0.25, max_value=200.0)))
+    return arr, draw(cost_models(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dp_instance())
+def test_windowed_dp_equals_quadratic_dp(case):
+    arr, model = case
+    assert offline_optimal(arr, model) == quadratic_offline_dp(arr, model)
+
+
+@pytest.mark.parametrize("penalty", [
+    StalenessFn.from_table([0.0, 1.0, 2.5, 5.0]),
+    StalenessFn.piecewise([(3, 2.0), (7, 5.0)]),
+])
+def test_dp_held_penalty_at_update_cost(penalty):
+    # f never exceeds p = 5, so no earlier update point is out of reach.
+    model = CostModel(penalty, 5.0)
+    base = generate_bernoulli(BernoulliSource(0.3, 4), n_requests=250)
+    counts = np.random.default_rng(4).integers(1, 4, size=base.slots.size)
+    arr = ArrivalSequence(horizon=base.horizon, slots=base.slots, counts=counts)
+    assert agecost.offline._reach(model, arr.slots.size, arr.horizon) == arr.horizon
+    assert offline_optimal(arr, model) == quadratic_offline_dp(arr, model)
+
+
+def test_dp_keeps_tie_at_cap_age():
+    # Linear penalty, p = 4 = Δ*: serving slot 4 stale at age Δ* costs
+    # exactly one update, and the earlier update point wins each tie. A reach
+    # of Δ* - 1 would update at slot 4 in both cases.
+    model = CostModel(LINEAR, 4.0)
+    for slots, expected in (([4], ()), ([4, 12], (12,))):
+        arr = ArrivalSequence.from_slots(slots)
+        sol = offline_optimal(arr, model)
+        assert sol == quadratic_offline_dp(arr, model)
+        assert sol.update_slots == expected
+
+
+def test_dp_reach_covers_ties_in_rounding():
+    # f(1) = p + 1 ulp: in exact arithmetic serving a request stale never
+    # pays, but 1 + (1 + ulp) rounds to 2, a tie the earliest update point
+    # wins. A reach of "f(a) <= p" would drop that point and pick (1, 2).
+    model = CostModel(StalenessFn.from_table([0.0, 1.0 + 2.0**-52]), 1.0)
+    arr = ArrivalSequence.from_slots([1, 2])
+    sol = offline_optimal(arr, model)
+    assert sol == quadratic_offline_dp(arr, model)
+    assert sol.update_slots == (1,)
+
+
+def test_dp_reach_is_measured_to_the_oldest_stale_request():
+    # Slot 12 is 12 > Δ* = 10 slots after slot 0, but the update at 12
+    # leaves only slot 1 stale, at age 1: the optimum updates once.
+    sol = offline_optimal(ArrivalSequence.from_slots([1, 12]), CostModel(LINEAR, 10.0))
+    assert (sol.update_slots, sol.total_cost) == ((12,), 11.0)
+
+
+def test_dp_memory_is_bounded_by_the_block():
+    # p far above the horizon puts every earlier request in reach (W = N);
+    # a dense N x N array of charges would take ~200 MB.
+    arr = generate_bernoulli(BernoulliSource(0.5, 9), n_requests=5000)
+    model = CostModel(LINEAR, 1e5)
+    tracemalloc.start()
+    try:
+        offline_optimal(arr, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
