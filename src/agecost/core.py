@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,9 @@ class StalenessFn:
             vals = self.table
             if not vals:
                 raise ValueError("table staleness needs at least one value")
+            for age, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise ValueError(f"table staleness value at age {age} must be finite, got {v}")
             if vals[0] != 0.0:
                 raise ValueError("table staleness must have f(0) = 0")
             if any(v < 0 for v in vals):
@@ -69,6 +73,9 @@ class StalenessFn:
             bps = self.breakpoints
             if not bps:
                 raise ValueError("piecewise staleness needs at least one breakpoint")
+            for start, v in bps:
+                if not math.isfinite(v):
+                    raise ValueError(f"piecewise value at age {start} must be finite, got {v}")
             starts = [s for s, _ in bps]
             vals = [v for _, v in bps]
             if starts[0] < 1:
@@ -94,7 +101,11 @@ class StalenessFn:
 
     @classmethod
     def piecewise(cls, breakpoints) -> "StalenessFn":
-        return cls("piecewise", breakpoints=tuple((int(s), float(v)) for s, v in breakpoints))
+        try:
+            bps = tuple((int(s), float(v)) for s, v in breakpoints)
+        except (OverflowError, ValueError) as exc:  # int(inf) overflows, int(nan) is a ValueError
+            raise ValueError(f"piecewise breakpoints {breakpoints!r}: {exc}") from None
+        return cls("piecewise", breakpoints=bps)
 
     @property
     def held_from(self) -> int | None:
@@ -140,8 +151,9 @@ class CostModel:
     _cap: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        if not self.update_cost > 0:
-            raise ValueError(f"update_cost must be positive, got {self.update_cost}")
+        # An infinite cost would never be reached by an unbounded penalty.
+        if not 0 < self.update_cost < math.inf:
+            raise ValueError(f"update_cost must be positive and finite, got {self.update_cost}")
         # Fails construction with NoCapExists when a bounded staleness
         # function never reaches the update cost.
         object.__setattr__(self, "_cap", _scan_cap(self.staleness, self.update_cost))

@@ -9,8 +9,11 @@ comparisons via common random numbers).
 from __future__ import annotations
 
 import json
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +47,9 @@ COLUMNS = (
 )
 
 KINDS = ("threshold_sweep", "lambda_sweep", "cost_sweep", "trace_compare")
+
+# Rows formatted and written per write call by ``emit``.
+_EMIT_CHUNK = 1 << 15
 
 _DEFAULT_GRIDS = {
     "threshold_sweep": lambda: list(range(1, 101)),
@@ -149,12 +155,55 @@ class ExperimentSpec:
         return asdict(self)
 
 
-@dataclass
-class ResultTable:
-    """Rows of one experiment plus the metadata that reproduces them."""
+class _Rows(Sequence):
+    """Read-only row view of a ``ResultTable``: one dict per row, built on demand."""
 
-    rows: list[dict]
+    def __init__(self, columns: dict, n: int):
+        self._columns = columns
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._n))]
+        i = range(self._n)[i]  # negative indices, IndexError past the end
+        row = {}
+        for name, column in self._columns.items():
+            value = column[i]
+            row[name] = value.item() if isinstance(value, np.generic) else value
+        return row
+
+
+@dataclass(eq=False)
+class ResultTable:
+    """One experiment's results, one column per CSV column, plus the metadata
+    that reproduces them.
+
+    ``columns`` maps every name in ``COLUMNS`` to a numpy array or a list,
+    all of one length. ``emit`` writes a float64 array's values as
+    ``format(v, ".10g")`` and an integer array's as ``str(v)``; any other
+    column keeps each value's own type, and its cells read empty for ``None``
+    or ``""``, ``format(v, ".10g")`` for a Python float and ``str(v)``
+    otherwise. ``rows`` is a read-only view with one dict per row, made on
+    demand, in which numpy scalars come back as Python numbers.
+    """
+
+    columns: dict
     meta: dict
+
+    def __post_init__(self) -> None:
+        if set(self.columns) != set(COLUMNS):
+            raise ValueError(f"columns must be exactly {COLUMNS}, got {tuple(self.columns)}")
+        lengths = {len(self.columns[name]) for name in COLUMNS}
+        if len(lengths) != 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+        self.columns = {name: self.columns[name] for name in COLUMNS}
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self.columns, len(self.columns[COLUMNS[0]]))
 
 
 def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -163,7 +212,8 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
         raise ConfigError(f"kind: expected threshold_sweep, got {spec.kind}")
     model = CostModel.from_config(spec.model)
     rate = float(spec.arrival["rate"])
-    rows, outside = [], []
+    columns = {name: [] for name in COLUMNS}
+    outside = []
     for point, tau in enumerate(spec.grid):
         seed = derive_seed(spec.base_seed, point)
         sweep = simulate_many(
@@ -172,30 +222,24 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
         analytic = threshold_avg_cost(rate, model, tau)
         if abs(sweep.mean_avg_total - analytic) > 3.0 * sweep.stderr:
             outside.append(tau)
-        rows.append(_summary_row(spec, tau, f"threshold({tau})", sweep, analytic, seed))
+        _add_summary_row(columns, spec, tau, f"threshold({tau})", sweep, analytic, seed)
     meta = {
         "spec": spec.to_dict(),
         "rate": rate,
         "mc_within_3_stderr": not outside,
         "mc_outside_taus": outside,
     }
-    return ResultTable(rows=rows, meta=meta)
+    return ResultTable(columns, meta)
 
 
-def _summary_row(spec: ExperimentSpec, x, label: str, sweep: SweepResult, analytic, seed: int) -> dict:
-    """One CSV row summarizing the runs of one policy at one grid point."""
-    return {
-        "x_value": x,
-        "policy_label": label,
-        "mean_cost": sweep.mean_avg_total,
-        "stderr": sweep.stderr,
-        "mean_staleness": sweep.mean_avg_staleness,
-        "mean_update": sweep.mean_avg_update,
-        "analytic_cost": analytic,
-        "n_runs": spec.n_runs,
-        "n_requests": spec.n_requests,
-        "seed": seed,
-    }
+def _add_summary_row(columns: dict, spec: ExperimentSpec, x, label: str, sweep: SweepResult,
+                     analytic, seed: int) -> None:
+    """Append one row summarizing the runs of one policy at one grid point;
+    ``x`` keeps the grid value's own type."""
+    row = (x, label, sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness,
+           sweep.mean_avg_update, analytic, spec.n_runs, spec.n_requests, seed)
+    for cells, value in zip(columns.values(), row):
+        cells.append(value)
 
 
 def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
@@ -244,7 +288,7 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     if spec.kind not in ("lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected lambda_sweep or cost_sweep, got {spec.kind}")
     base_model = CostModel.from_config(spec.model)
-    rows = []
+    columns = {name: [] for name in COLUMNS}
     resolutions = {}
     offline_on = spec.include_offline and spec.n_requests <= spec.offline_request_cap
     for point, x in enumerate(spec.grid):
@@ -270,9 +314,9 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
         point_seed = derive_seed(spec.base_seed, point)
         for label, runs in averages.items():
             sweep = SweepResult(*np.array(runs).T)
-            rows.append(_summary_row(spec, x, label, sweep, analytic[label], point_seed))
+            _add_summary_row(columns, spec, x, label, sweep, analytic[label], point_seed)
     meta = {"spec": spec.to_dict(), "auto_policies": resolutions, "offline_included": offline_on}
-    return ResultTable(rows=rows, meta=meta)
+    return ResultTable(columns, meta)
 
 
 def _replay(
@@ -302,29 +346,35 @@ def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
     return ArrivalSequence(horizon=int(seq.slots[idx]), slots=seq.slots[: idx + 1].copy(), counts=counts)
 
 
-def _cumulative_rows(label, result, arrivals, model, rows) -> None:
-    # Cumulative average cost after each request: staleness of requests so
-    # far plus all updates at slots up to and including the request's slot.
+def _cumulative_columns(replays: list[tuple[str, SimResult]], arrivals: ArrivalSequence,
+                        model: CostModel) -> dict:
+    """One block of rows per replay, in order: row j of a block holds the
+    average cost over the first j requests, i.e. the staleness charged so far
+    plus every update at slots up to and including request j's slot."""
     per_req_slot = np.repeat(arrivals.slots, arrivals.counts)
-    per_req_stale = np.repeat(result.request_charges, arrivals.counts)
-    cum_stale = np.cumsum(per_req_stale)
-    n_updates = np.searchsorted(result.update_slots, per_req_slot, side="right")
-    cum_update = model.update_cost * n_updates
-    denom = np.arange(1, per_req_slot.size + 1, dtype=np.float64)
-    avg_total = (cum_stale + cum_update) / denom
-    for j in range(per_req_slot.size):
-        rows.append({
-            "x_value": j + 1,
-            "policy_label": label,
-            "mean_cost": float(avg_total[j]),
-            "stderr": 0.0,
-            "mean_staleness": float(cum_stale[j] / denom[j]),
-            "mean_update": float(cum_update[j] / denom[j]),
-            "analytic_cost": None,
-            "n_runs": 1,
-            "n_requests": j + 1,
-            "seed": "",
-        })
+    n, k = per_req_slot.size, len(replays)
+    index = np.arange(1, n + 1, dtype=np.int64)
+    denom = index.astype(np.float64)
+    total, staleness, update = [], [], []
+    for _, res in replays:
+        cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
+        cum_update = model.update_cost * np.searchsorted(res.update_slots, per_req_slot, side="right")
+        total.append((cum_stale + cum_update) / denom)
+        staleness.append(cum_stale / denom)
+        update.append(cum_update / denom)
+    requests = np.tile(index, k)
+    return {
+        "x_value": requests,
+        "policy_label": np.repeat(np.array([label for label, _ in replays], dtype=object), n),
+        "mean_cost": np.concatenate(total),
+        "stderr": np.zeros(k * n),
+        "mean_staleness": np.concatenate(staleness),
+        "mean_update": np.concatenate(update),
+        "analytic_cost": [None] * (k * n),
+        "n_runs": np.ones(k * n, dtype=np.int64),
+        "n_requests": requests,
+        "seed": [""] * (k * n),
+    }
 
 
 def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
@@ -344,9 +394,6 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     policies, info = _resolve_policies(spec, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
     replays, sol = _replay(policies, seq, model, offline_on)
-    rows: list[dict] = []
-    for label, res in replays:
-        _cumulative_rows(label, res, seq, model, rows)
     offline_meta = {} if sol is None else {
         "offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
     tau_c = info.get("tau_continuous")
@@ -361,7 +408,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         "cumulative_convention": "rows hold cumulative average cost after each request",
         **offline_meta,
     }
-    return ResultTable(rows=rows, meta=meta)
+    return ResultTable(_cumulative_columns(replays, seq, model), meta)
 
 
 def _format_cell(value) -> str:
@@ -372,20 +419,51 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _column_format(chunk) -> tuple[str, list | None]:
+    """A ``%`` conversion for one column's cells in a chunk and the values it
+    takes; a column whose cells are all alike gives its text, escaped, and None."""
+    if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
+        bits = chunk.view(np.int64)  # bitwise, so 0.0 and -0.0 stay apart
+        if (bits == bits[0]).all():
+            return "%.10g" % chunk[0], None
+        return "%.10g", chunk.tolist()
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
+        if (chunk == chunk[0]).all():
+            return str(chunk[0]), None
+        return "%d", chunk.tolist()
+    cells = list(chunk)
+    if all(map(operator.is_, cells, repeat(cells[0]))):
+        return _format_cell(cells[0]).replace("%", "%%"), None
+    return "%s", [_format_cell(v) for v in cells]
+
+
 def emit(table: ResultTable, path) -> None:
     """Write the table as CSV plus a JSON sidecar holding the artifact version,
     the RNG algorithm, ``created_unix`` and the table's meta (spec and seeds).
 
-    Rerunning the same spec reproduces the CSV byte for byte; ``created_unix``
-    is the only non-deterministic field of the sidecar.
+    The CSV is built column by column, ``_EMIT_CHUNK`` rows at a time, and
+    each chunk is written with one call; a float prints as ``format(v,
+    ".10g")``, an integer as ``str(v)`` and ``None`` or ``""`` as an empty
+    cell (see ``ResultTable``). Rerunning the same spec reproduces the CSV
+    byte for byte; ``created_unix`` is the only non-deterministic field of
+    the sidecar.
     """
-    if not table.rows:
+    n = len(table.rows)
+    if not n:
         raise ValueError("refusing to emit an empty table")
     path = str(path)
     with open(path, "w") as fh:
         fh.write(",".join(COLUMNS) + "\n")
-        for row in table.rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in COLUMNS) + "\n")
+        for lo in range(0, n, _EMIT_CHUNK):
+            hi = min(lo + _EMIT_CHUNK, n)
+            formats, values = [], []
+            for column in table.columns.values():
+                fmt, cells = _column_format(column[lo:hi])
+                formats.append(fmt)
+                if cells is not None:
+                    values.append(cells)
+            line = ",".join(formats) + "\n"
+            fh.write("".join(map(line.__mod__, zip(*values))) if values else (line % ()) * (hi - lo))
     sidecar = {
         "artifact_version": __version__,
         "rng": RNG_ALGORITHM,

@@ -13,8 +13,9 @@ off the converged relative values instead of the argmin actions, and
 dense_value_iteration solves the chain from scratch. replay_every_schedule
 is the exhaustive offline search done the slow way, one engine replay per
 subset of request slots; quadratic_offline_dp is the offline DP with every
-earlier request as a candidate last update. cost_models draws the cost models the property
-tests share.
+earlier request as a candidate last update. reference_csv is the CSV writer
+of the dict-per-row result table, one formatted cell at a time. cost_models
+draws the cost models the property tests share.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from agecost import ArrivalSequence, CostModel, OfflineSolution, Policy, StalenessFn, simulate
+from agecost.experiments import COLUMNS
 
 # Slots and ages are plain ints in the oracles.
 Slot = int
@@ -248,6 +250,22 @@ def cost_models(draw, p):
         return CostModel(StalenessFn.from_table([0.0, *values]), p)
     starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values), max_size=len(values))))
     return CostModel(StalenessFn.piecewise(zip(starts, values)), p)
+
+
+def _format_cell(value) -> str:
+    if value is None or value == "":
+        return ""
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def reference_csv(rows) -> str:
+    """CSV text of row dicts: the header, then each row's cells in COLUMNS order."""
+    lines = [",".join(COLUMNS) + "\n"]
+    for row in rows:
+        lines.append(",".join(_format_cell(row.get(c)) for c in COLUMNS) + "\n")
+    return "".join(lines)
 
 
 def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):

@@ -106,6 +106,15 @@ def test_staleness_validation():
         CostModel(LINEAR, 0.0)
     with pytest.raises(ValueError):
         CostModel(LINEAR, -3.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="update_cost must be positive and finite"):
+            CostModel(LINEAR, bad)
+        with pytest.raises(ValueError, match=f"table staleness value at age 1 must be finite, got {bad}"):
+            StalenessFn.from_table([0, bad, 5])
+        with pytest.raises(ValueError, match=f"piecewise value at age 4 must be finite, got {bad}"):
+            StalenessFn.piecewise([(2, 1.0), (4, bad)])
+        with pytest.raises(ValueError, match="piecewise breakpoints"):
+            StalenessFn.piecewise([(2, 1.0), (bad, 5.0)])
 
 
 def test_cost_model_config_roundtrip():

@@ -1,6 +1,11 @@
 import json
+import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecost import (
     ConfigError,
@@ -12,11 +17,11 @@ from agecost import (
     run_threshold_sweep,
     run_trace_compare,
 )
+from agecost import ArrivalSequence, ResultTable, experiments
 from agecost.cli import main
-from agecost.experiments import truncate_requests
-from agecost import ArrivalSequence
+from agecost.experiments import COLUMNS, truncate_requests
 
-from oracles import make_trace
+from oracles import make_trace, reference_csv
 
 
 def sweep_spec(**kw):
@@ -342,9 +347,101 @@ def test_emit_roundtrip(tmp_path):
 
 
 def test_emit_refuses_empty(tmp_path):
-    from agecost import ResultTable
     with pytest.raises(ValueError):
-        emit(ResultTable(rows=[], meta={}), tmp_path / "never.csv")
+        emit(ResultTable({name: [] for name in COLUMNS}, meta={}), tmp_path / "never.csv")
+
+
+def test_result_table_checks_its_columns():
+    columns = {name: [1, 2] for name in COLUMNS}
+    with pytest.raises(ValueError, match="columns must be exactly"):
+        ResultTable({k: v for k, v in columns.items() if k != "seed"}, meta={})
+    with pytest.raises(ValueError, match=r"columns differ in length: \[2, 3\]"):
+        ResultTable({**columns, "seed": np.arange(3)}, meta={})
+    rows = ResultTable({**columns, "mean_cost": np.array([0.5, -0.0])}, meta={}).rows
+    assert len(rows) == 2
+    assert rows[-1] == {**dict.fromkeys(COLUMNS, 2), "mean_cost": -0.0}
+    assert type(rows[1]["mean_cost"]) is float
+    assert rows[:1] == [{**dict.fromkeys(COLUMNS, 1), "mean_cost": 0.5}]
+    with pytest.raises(IndexError):
+        rows[2]
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-7, 1e16, 3.0, 1e10, 123456789012.0]))
+_INTS = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 7, 10**10, 2**62]))
+_CELLS = st.one_of(
+    st.none(), st.just(""), _FLOATS, st.integers(), st.integers(10**10, 10**30),
+    st.sampled_from(["threshold(10)", "naive", "offline#2", "100%", "%s%d%%", "#"]),
+)
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(1, 12))
+    columns = {}
+    for name in COLUMNS:
+        kind = draw(st.sampled_from(("float64", "int64", "cells", "alike")))
+        if kind == "cells":
+            columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
+        elif kind == "alike":  # equal values that print differently
+            group = draw(st.sampled_from([(0, 0.0, -0.0, False), (1, 1.0, True), (10**16, 1e16)]))
+            columns[name] = draw(st.lists(st.sampled_from(group), min_size=n, max_size=n))
+        else:
+            columns[name] = np.array(draw(st.lists(_FLOATS if kind == "float64" else _INTS,
+                                                   min_size=n, max_size=n)), dtype=kind)
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_columns(), chunk=st.sampled_from([1, 2, 3, 5, 64]))
+def test_emit_matches_the_reference_writer(tmp_path_factory, columns, chunk):
+    table = ResultTable(columns, meta={})
+    out = tmp_path_factory.getbasetemp() / "emit.csv"
+    with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
+        emit(table, out)
+    assert out.read_bytes() == reference_csv(table.rows).encode()
+
+
+def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=150, horizon=400, seed=19)
+    tables = (
+        run_threshold_sweep(sweep_spec(grid=[1, 3, 8], n_runs=3, n_requests=200)),
+        run_policy_comparison(comparison_spec("lambda_sweep", [0.3, 0.7])),
+        run_policy_comparison(comparison_spec("cost_sweep", [7.5, 40])),
+        run_trace_compare(ExperimentSpec.from_dict({
+            "name": "trace", "kind": "trace_compare",
+            "model": {"staleness": {"kind": "quadratic"}, "update_cost": 40.0},
+            "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+            "n_requests": 150,
+        })),
+    )
+    assert len(tables[-1].rows) == 4 * 150
+    out = tmp_path / "out.csv"
+    for table in tables:
+        for chunk in (7, experiments._EMIT_CHUNK):
+            with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
+                emit(table, out)
+            assert out.read_bytes() == reference_csv(table.rows).encode()
+
+
+def test_trace_compare_memory_is_columnar(tmp_path):
+    # 150,000 rows: with a dict per row the build and write peaked at ~64 MiB
+    # of Python allocations; with one array per column, at ~22 MiB.
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=50_000, horizon=125_000, seed=5)
+    spec = ExperimentSpec.from_dict({
+        "name": "trace", "kind": "trace_compare",
+        "model": {"staleness": {"kind": "linear"}, "update_cost": 25.0},
+        "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+        "n_requests": 50_000,
+    })
+    tracemalloc.start()
+    try:
+        emit(run_trace_compare(spec), tmp_path / "out.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_cli_optimal_threshold(capsys):
@@ -392,6 +489,31 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     assert main(["trace-compare", "--trace", str(tmp_path / "missing.csv"),
                  "--slot-duration", "1.0", "--p", "25"]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_costs_exit_1(tmp_path, capsys):
+    # An infinite update cost used to send the cap scan into an endless loop.
+    for argv in (
+        ["optimal-threshold", "--lambda", "0.5", "--p", "inf"],
+        ["optimal-threshold", "--lambda", "0.5", "--p", "nan"],
+        ["sweep-threshold", "--lambda", "0.5", "--p", "inf", "--out", str(tmp_path / "never.csv")],
+    ):
+        assert main(argv) == 1, argv
+        assert "update_cost must be positive and finite" in capsys.readouterr().err, argv
+    cfg = tmp_path / "cfg.json"
+    for staleness, message in (
+        ({"kind": "table", "values": [0, math.nan, 5]}, "table staleness value at age 1 must be finite, got nan"),
+        ({"kind": "table", "values": [0, 1, math.inf]}, "table staleness value at age 2 must be finite, got inf"),
+        ({"kind": "piecewise", "breakpoints": [[1, 0.5], [3, math.nan]]},
+         "piecewise value at age 3 must be finite, got nan"),
+        ({"kind": "piecewise", "breakpoints": [[1, 0.5], [math.inf, 5]]},
+         "piecewise breakpoints [[1, 0.5], [inf, 5]]: cannot convert float infinity to integer"),
+    ):
+        cfg.write_text(json.dumps({"model": {"staleness": staleness, "update_cost": 4.0}}))
+        argv = ["sweep-threshold", "--lambda", "0.5", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
+        assert main(argv) == 1, staleness
+        assert capsys.readouterr().err.startswith(f"configuration error: model: {message}"), staleness
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
