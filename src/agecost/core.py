@@ -101,10 +101,14 @@ class StalenessFn:
 
     @classmethod
     def piecewise(cls, breakpoints) -> "StalenessFn":
+        pairs = list(breakpoints)
         try:
-            bps = tuple((int(s), float(v)) for s, v in breakpoints)
+            bps = tuple((int(s), float(v)) for s, v in pairs)
         except (OverflowError, ValueError) as exc:  # int(inf) overflows, int(nan) is a ValueError
-            raise ValueError(f"piecewise breakpoints {breakpoints!r}: {exc}") from None
+            raise ValueError(f"piecewise breakpoints {pairs!r}: {exc}") from None
+        for (s, v), (age, _) in zip(pairs, bps):
+            if isinstance(s, bool) or age != s:  # int() would read 2.5 as 2 and true as 1
+                raise ValueError(f"piecewise breakpoint {[s, v]!r}: age must be an integer, got {s!r}")
         return cls("piecewise", breakpoints=bps)
 
     @property

@@ -121,23 +121,29 @@ def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> Sim
 
 
 def _update_schedule(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> np.ndarray:
-    """Sorted int64 array of the slots at which the policy updates."""
+    """Sorted int64 array of the slots at which the policy updates.
+
+    Threshold and naive: one searchsorted finds each request's successor, the
+    first request slot >= its slot + tau, and a walk follows them from slot 0.
+    """
     horizon = arrivals.horizon
     if policy.kind == "periodic":
         return np.arange(policy.period, horizon + 1, policy.period, dtype=np.int64)
     if policy.kind == "scheduled":
         sched = policy.update_slots
         return np.array(sched[: bisect.bisect_right(sched, horizon)], dtype=np.int64)
-    # Threshold and naive: the next update is the first request seen at age
-    # >= tau, i.e. the first request slot >= last update + tau.
     tau = policy.tau if policy.kind == "threshold" else cap_threshold(model)
-    slots = arrivals.slots.tolist()
-    ups = []
-    i = bisect.bisect_left(slots, tau)
-    while i < len(slots):
-        ups.append(slots[i])
-        i = bisect.bisect_left(slots, slots[i] + tau, i + 1)
-    return np.array(ups, dtype=np.int64)
+    slots = arrivals.slots
+    if tau > int(slots[-1]):  # no request reaches age tau
+        return np.empty(0, dtype=np.int64)
+    # slots - tau cannot wrap in int64 (slots >= 1, tau <= last slot); slots + tau can.
+    shifted = slots - tau
+    succ = memoryview(np.searchsorted(shifted, slots))
+    i, ups = int(np.searchsorted(shifted, 0)), []
+    while i < len(succ):
+        ups.append(i)
+        i = succ[i]
+    return slots[ups]
 
 
 def simulate_many(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's optimized code paths: the reference
 replay walks every slot, ages the AoI with aoi_step and queries the policy
-through decide(), which evaluates each policy's rule at one slot; the
-renewal enumeration sums over all request patterns of an update interval; scan_periods prices one
+through decide(), which evaluates each policy's rule at one slot;
+bisect_threshold_schedule finds each reactive update with its own bisect on
+Python ints, so no int64 sum can wrap; the renewal enumeration sums over
+all request patterns of an update interval; scan_periods prices one
 update period at a time from a running sum of the scalar penalty;
 threshold_margins evaluates the threshold scan's stopping margin in exact
 rational arithmetic; the MDP
@@ -101,6 +103,21 @@ def reference_replay(policy, arrivals, model):
             total_staleness += k * f(age)
         age_prev = aoi_step(age_prev, fire)
     return total_staleness + p * len(updates), total_staleness, p * len(updates), updates
+
+
+def bisect_threshold_schedule(arrivals, tau):
+    """Update slots of a reactive threshold tau, one bisect per update on Python ints.
+
+    The next update is the first request slot >= last update + tau; the run
+    starts as if updated at slot 0.
+    """
+    slots = arrivals.slots.tolist()
+    ups = []
+    i = bisect.bisect_left(slots, tau)
+    while i < len(slots):
+        ups.append(slots[i])
+        i = bisect.bisect_left(slots, slots[i] + tau, i + 1)
+    return np.array(ups, dtype=np.int64)
 
 
 def enumerate_renewal(rate, model, tau):

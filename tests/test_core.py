@@ -117,6 +117,20 @@ def test_staleness_validation():
             StalenessFn.piecewise([(2, 1.0), (bad, 5.0)])
 
 
+def test_piecewise_ages_must_be_integers():
+    # int() used to truncate these: 2.5 read as age 2 and True as age 1.
+    for bps, named in (
+        ([(2.5, 1.0), (4, 9.0)], r"breakpoint \[2.5, 1.0\]: age must be an integer, got 2.5"),
+        ([(1, 0.5), (3.9, 9.0)], r"breakpoint \[3.9, 9.0\]: age must be an integer, got 3.9"),
+        ([(True, 1.0), (4, 9.0)], r"breakpoint \[True, 1.0\]: age must be an integer, got True"),
+        ([(1, 0.5), ("3", 9.0)], r"breakpoint \['3', 9.0\]: age must be an integer, got '3'"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            StalenessFn.piecewise(bps)
+    # Integral floats and numpy integers name the same age.
+    assert StalenessFn.piecewise([(2.0, 1.0), (np.int64(5), 6.0)]) == StalenessFn.piecewise([(2, 1.0), (5, 6.0)])
+
+
 def test_cost_model_config_roundtrip():
     for cfg in (
         {"staleness": {"kind": "linear"}, "update_cost": 100.0},

@@ -1,8 +1,10 @@
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agecost import (
     ArrivalSequence,
@@ -21,8 +23,9 @@ from agecost import (
     threshold_avg_cost,
 )
 from agecost.arrivals import derive_seed
+from agecost.engine import _update_schedule
 
-from oracles import cost_models, reference_replay
+from oracles import bisect_threshold_schedule, cost_models, reference_replay
 
 LINEAR = StalenessFn.linear()
 
@@ -246,6 +249,81 @@ def test_engine_matches_reference_with_request_collisions(case, mult, pick):
     assert res.breakdown.total_staleness == ref_stale
     assert res.breakdown.total == ref_total
     assert res.update_slots.tolist() == ref_ups
+
+
+@st.composite
+def reactive_case(draw):
+    """Occupied slots in runs and gaps, 1-3 requests each, and a threshold up to past the horizon."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40))
+    slots = np.cumsum(gaps, dtype=np.int64)
+    counts = np.array(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(gaps), max_size=len(gaps))))
+    horizon = int(slots[-1]) + draw(st.integers(min_value=0, max_value=4))
+    tau = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=horizon + 3),
+            st.sampled_from([horizon, horizon + 1, 2**63 - 1, 2**64]),
+        )
+    )
+    return ArrivalSequence(horizon=horizon, slots=slots, counts=counts), tau
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(reactive_case())
+@example((ArrivalSequence.from_counts({3: 2}), 3))
+@example((ArrivalSequence.from_counts({3: 2}), 4))
+@example((ArrivalSequence.from_counts({1: 1, 2: 3}, horizon=5), 1))
+@example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 5))
+@example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 7))
+@example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 8))
+def test_threshold_schedule_matches_bisect_oracle(case):
+    arr, tau = case
+    got = _update_schedule(Policy.threshold(tau), arr, CostModel(LINEAR, 5.0))
+    _same_array(got, bisect_threshold_schedule(arr, tau))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reactive_case(), st.floats(min_value=0.5, max_value=40.0), st.data())
+def test_naive_schedule_matches_bisect_oracle(case, p, data):
+    arr, _ = case
+    model = data.draw(cost_models(p))
+    want = bisect_threshold_schedule(arr, cap_threshold(model))
+    _same_array(_update_schedule(Policy.naive(), arr, model), want)
+
+
+@contextmanager
+def _alarm(seconds):
+    """Raise in place of hanging: a successor that wrapped points backwards, and the walk never ends."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"schedule walk still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.integers(min_value=2**62 - 8, max_value=2**63 - 1), min_size=1, max_size=12),
+    st.sets(st.integers(min_value=1, max_value=50), max_size=4),
+    st.integers(min_value=2**62, max_value=2**63 - 1),
+)
+@example({2**62, 2**62 + 1, 2**63 - 1}, set(), 2**62)
+def test_threshold_schedule_near_int64_limit(high, low, tau):
+    # A slot plus tau can pass 2^63 - 1 here; the oracle adds Python ints.
+    arr = ArrivalSequence.from_slots(sorted(low | high))
+    with _alarm(5.0):
+        got = _update_schedule(Policy.threshold(tau), arr, CostModel(LINEAR, 5.0))
+    _same_array(got, bisect_threshold_schedule(arr, tau))
 
 
 def test_sweep_result_mean_matches_per_run():

@@ -516,6 +516,20 @@ def test_non_finite_costs_exit_1(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_non_integral_piecewise_age_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for breakpoints, message in (
+        ([[2.5, 1.0], [4, 9.0]], "piecewise breakpoint [2.5, 1.0]: age must be an integer, got 2.5"),
+        ([[True, 1.0], [4, 9.0]], "piecewise breakpoint [True, 1.0]: age must be an integer, got True"),
+    ):
+        cfg.write_text(json.dumps({"model": {"staleness": {"kind": "piecewise", "breakpoints": breakpoints},
+                                             "update_cost": 4.0}}))
+        argv = ["sweep-threshold", "--lambda", "0.5", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
+        assert main(argv) == 1, breakpoints
+        assert capsys.readouterr().err.startswith(f"configuration error: model: {message}"), breakpoints
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
     for argv in (
         ["solve-mdp", "--lambda", "0.5", "--p", "2000"],  # cap threshold above --state-cap
