@@ -54,13 +54,13 @@ class RenewalExpectations:
 def _penalty_prefix(model: CostModel, n: int) -> np.ndarray:
     """F(k) = sum_{t=1}^{k} f(t) for k = 0..n-1, summed in age order; the one
     prefix every closed form reads, so each policy has a single cost."""
-    return np.cumsum(model.staleness.eval_array(np.arange(n)))
+    f = model.staleness.eval_array(np.arange(n))
+    return np.cumsum(f, out=f)
 
 
 def _threshold_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
     """threshold_avg_cost for tau = 1..hi."""
-    k = np.arange(hi, dtype=np.float64)  # tau - 1
-    return (rate * _penalty_prefix(model, hi) + model.update_cost) / (rate * k + 1.0)
+    return (rate * _penalty_prefix(model, hi) + model.update_cost) / (rate * np.arange(hi, dtype=np.float64) + 1.0)
 
 
 def _periodic_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
@@ -97,26 +97,52 @@ def _quadratic_tau_continuous(rate: float, p: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-9:
             break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
+
+
+def _first_reach(margins, level: float, stop: int | None) -> int | None:
+    """Index of the first entry >= level in margins(n), for n = 16, 32, ...:
+    the first window that holds one; None once n passes ``stop``."""
+    n = 16
+    while True:
+        hits = np.flatnonzero(margins(n) >= level)
+        if hits.size:
+            return int(hits[0])
+        if stop is not None and n > stop:
+            return None
+        n *= 2
 
 
 def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     """Cost-minimizing integer threshold, never above the cap threshold.
 
-    ``tau_star`` is the smallest minimizer of the closed form over the
-    integers in [1, cap], found by an exhaustive scan. The continuous
-    minimizer is reported beside it, computed in closed form (linear
-    penalty) or by root-finding (quadratic); other penalties report
-    ``tau_star`` itself.
+    ``tau_star`` is the first minimizer of the closed form c over [1, cap],
+    bit for bit as if every tau were priced. With D(k) = rate·k + 1,
+    c(k + 2) - c(k + 1) = rate·(f(k + 1) - c(k + 1)) / D(k + 1), and
+    f(k + 1) - c(k + 1) = (g(k) - p) / D(k) with g(k) = D(k)·f(k + 1) -
+    rate·F(k) non-decreasing: c falls up to the first k where g(k) >= p and
+    never after. Prices stop, found by doubling and never past the cap, at
+    the first k where f(k + 1) >= c(k + 1)·(1 + 2R) in a window of n ages,
+    R = ((2n + 11)(n + 1/rate) + cap)·2^-52. A computed c(j + 1) is off by a
+    relative (j + 6)·2^-53 at most (cap <= 2^50), which half of 2R covers;
+    the rest lifts every later c(k' + 1) above the minimum by at least
+    rate·(k' - k)·R·c(k + 1) / D(k') >= (k' + k + 12)·2^-52·c(k + 1), more
+    than the rounding of both prices. The continuous minimizer is reported
+    beside it: in closed form (linear penalty), by root-finding (quadratic),
+    else ``tau_star`` itself.
     """
     check_rate(rate)
     p = model.update_cost
     delta_star = cap_threshold(model)
-    costs = _threshold_costs(rate, model, delta_star)
+
+    def margins(n: int) -> np.ndarray:
+        n = min(n, delta_star)
+        slack = 1.0 + 2.0**-51 * ((2.0 * n + 11.0) * (n + 1.0 / rate) + delta_star)
+        return model.staleness.eval_array(np.arange(1, n + 1)) - _threshold_costs(rate, model, n) * slack
+
+    end = _first_reach(margins, 0.0, delta_star)
+    costs = _threshold_costs(rate, model, delta_star if end is None else end + 1)
     tau_star = int(np.argmin(costs)) + 1
 
     kind = model.staleness.kind
@@ -162,18 +188,18 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
         costs = _periodic_costs(rate, model, hi)
         best = hi if costs[hi - 1] <= costs[lo - 1] else lo
         return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=float(costs[best - 1]))
-    n, held = 16, model.staleness.held_from
-    while True:
+    held = model.staleness.held_from
+
+    def margins(n: int) -> np.ndarray:
         d = np.arange(1, n + 1)
-        h = d * model.staleness.eval_array(d) - _penalty_prefix(model, n)
-        reached = np.flatnonzero(h >= model.update_cost / rate)
-        if reached.size:
-            costs = _periodic_costs(rate, model, int(reached[0]) + 1)
-            best = int(np.argmin(costs)) + 1
-            return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
-        if held is not None and n > held:
-            return PeriodSolution(d_star=None, d_continuous=None, cost_at_d_star=model.staleness(held))
-        n *= 2
+        return d * model.staleness.eval_array(d) - _penalty_prefix(model, n)
+
+    reached = _first_reach(margins, model.update_cost / rate, held)
+    if reached is None:
+        return PeriodSolution(d_star=None, d_continuous=None, cost_at_d_star=model.staleness(held))
+    costs = _periodic_costs(rate, model, reached + 1)
+    best = int(np.argmin(costs)) + 1
+    return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
 
 
 def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpectations:

@@ -90,22 +90,14 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
     arrival = data.setdefault(
         "arrival", {"kind": "trace"} if kind == "trace_compare" else {"kind": "bernoulli"}
     )
-    if getattr(args, "rate", None) is not None:
-        arrival["rate"] = args.rate
-    if getattr(args, "trace", None) is not None:
-        arrival["path"] = args.trace
-    if getattr(args, "slot_duration", None) is not None:
-        arrival["slot_duration"] = args.slot_duration
     if getattr(args, "tau", None) is not None:
         data["grid"] = [args.tau]
-    if args.seed is not None:
-        data["base_seed"] = args.seed
-    if args.runs is not None:
-        data["n_runs"] = args.runs
-    if args.requests is not None:
-        data["n_requests"] = args.requests
-    if args.out is not None:
-        data["output_path"] = args.out
+    for flag, record, key in (("rate", arrival, "rate"), ("trace", arrival, "path"),
+                              ("slot_duration", arrival, "slot_duration"), ("seed", data, "base_seed"),
+                              ("runs", data, "n_runs"), ("requests", data, "n_requests"),
+                              ("out", data, "output_path")):
+        if getattr(args, flag, None) is not None:
+            record[key] = getattr(args, flag)
     return ExperimentSpec.from_dict(data)
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_SCAN_CHUNK = 4096
-
 
 class NoCapExists(ValueError):
     """The staleness function never reaches the update cost."""
@@ -34,6 +32,20 @@ def check_rate(rate: float, *, allow_one: bool = True) -> float:
         hi = "1]" if allow_one else "1)"
         raise InvalidRate(f"arrival rate must be in (0, {hi}, got {rate}")
     return rate
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int. ValueError naming ``what`` for a bool or a value
+    int() would change or reject (it reads 2.5 as 2, true as 1, "3" as 3)."""
+    if type(value) is int:
+        return value
+    try:
+        n = int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, nan, None, "abc"
+        n = None
+    if isinstance(value, (bool, np.bool_)) or n is None or n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -56,36 +68,26 @@ class StalenessFn:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "quadratic", "table", "piecewise"):
             raise ValueError(f"unknown staleness kind {self.kind!r}")
-        if self.kind == "table":
-            vals = self.table
-            if not vals:
-                raise ValueError("table staleness needs at least one value")
-            for age, v in enumerate(vals):
+        if self.kind in ("table", "piecewise"):
+            table = self.kind == "table"
+            name = "table staleness" if table else "piecewise"
+            pairs = tuple(enumerate(self.table)) if table else self.breakpoints
+            if not pairs:
+                raise ValueError(f"{self.kind} staleness needs at least one {'value' if table else 'breakpoint'}")
+            for age, v in pairs:
                 if not math.isfinite(v):
-                    raise ValueError(f"table staleness value at age {age} must be finite, got {v}")
-            if vals[0] != 0.0:
+                    raise ValueError(f"{name} value at age {age} must be finite, got {v}")
+            ages, vals = zip(*pairs)
+            if table and vals[0] != 0.0:
                 raise ValueError("table staleness must have f(0) = 0")
-            if any(v < 0 for v in vals):
-                raise ValueError("table staleness values must be non-negative")
-            if any(a > b for a, b in zip(vals, vals[1:])):
-                raise ValueError("table staleness must be non-decreasing")
-        if self.kind == "piecewise":
-            bps = self.breakpoints
-            if not bps:
-                raise ValueError("piecewise staleness needs at least one breakpoint")
-            for start, v in bps:
-                if not math.isfinite(v):
-                    raise ValueError(f"piecewise value at age {start} must be finite, got {v}")
-            starts = [s for s, _ in bps]
-            vals = [v for _, v in bps]
-            if starts[0] < 1:
+            if not table and ages[0] < 1:
                 raise ValueError("piecewise breakpoints start at age >= 1 (f(0) = 0 is implicit)")
-            if any(a >= b for a, b in zip(starts, starts[1:])):
+            if any(a >= b for a, b in zip(ages, ages[1:])):
                 raise ValueError("piecewise breakpoints must be strictly increasing")
             if any(v < 0 for v in vals):
-                raise ValueError("piecewise values must be non-negative")
+                raise ValueError(f"{name} values must be non-negative")
             if any(a > b for a, b in zip(vals, vals[1:])):
-                raise ValueError("piecewise values must be non-decreasing")
+                raise ValueError(f"{name} values must be non-decreasing")
 
     @classmethod
     def linear(cls) -> "StalenessFn":
@@ -101,14 +103,7 @@ class StalenessFn:
 
     @classmethod
     def piecewise(cls, breakpoints) -> "StalenessFn":
-        pairs = list(breakpoints)
-        try:
-            bps = tuple((int(s), float(v)) for s, v in pairs)
-        except (OverflowError, ValueError) as exc:  # int(inf) overflows, int(nan) is a ValueError
-            raise ValueError(f"piecewise breakpoints {pairs!r}: {exc}") from None
-        for (s, v), (age, _) in zip(pairs, bps):
-            if isinstance(s, bool) or age != s:  # int() would read 2.5 as 2 and true as 1
-                raise ValueError(f"piecewise breakpoint {[s, v]!r}: age must be an integer, got {s!r}")
+        bps = tuple((as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), float(v)) for s, v in breakpoints)
         return cls("piecewise", breakpoints=bps)
 
     @property
@@ -145,6 +140,19 @@ class StalenessFn:
         vals = np.concatenate(([0.0], [v for _, v in self.breakpoints]))
         return vals[np.searchsorted(starts, ages, side="right")]
 
+    def first_age(self, level: float) -> int | None:
+        """Smallest age a >= 1 with f(a) >= level, by doubling, then bisection:
+        O(log a) calls of f. None if a held value stays below ``level``."""
+        lo, hi = 0, 1  # f(lo) < level, or lo = 0
+        while self(hi) < level:
+            if self.held_from is not None and hi >= self.held_from:
+                return None
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self(mid) < level else (lo, mid)
+        return hi
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -158,26 +166,23 @@ class CostModel:
         # An infinite cost would never be reached by an unbounded penalty.
         if not 0 < self.update_cost < math.inf:
             raise ValueError(f"update_cost must be positive and finite, got {self.update_cost}")
-        # Fails construction with NoCapExists when a bounded staleness
-        # function never reaches the update cost.
-        object.__setattr__(self, "_cap", _scan_cap(self.staleness, self.update_cost))
+        cap = self.staleness.first_age(self.update_cost)
+        if cap is None:
+            top = self.staleness(self.staleness.held_from)
+            raise NoCapExists(f"staleness tops out at {top} below update cost {self.update_cost}")
+        object.__setattr__(self, "_cap", cap)
 
     @classmethod
     def from_config(cls, config: dict) -> "CostModel":
         """Build from a plain record as written by ``to_config``:
         {"staleness": {"kind", "values"? | "breakpoints"?}, "update_cost"}."""
         st = config["staleness"]
-        kind = st["kind"]
-        if kind == "linear":
-            fn = StalenessFn.linear()
-        elif kind == "quadratic":
-            fn = StalenessFn.quadratic()
-        elif kind == "table":
+        if st["kind"] == "table":
             fn = StalenessFn.from_table(st["values"])
-        elif kind == "piecewise":
+        elif st["kind"] == "piecewise":
             fn = StalenessFn.piecewise(st["breakpoints"])
         else:
-            raise ValueError(f"unknown staleness kind {kind!r}")
+            fn = StalenessFn(st["kind"])  # linear, quadratic or an unknown kind's error
         return cls(staleness=fn, update_cost=float(config["update_cost"]))
 
     def to_config(self) -> dict:
@@ -207,30 +212,7 @@ def cap_threshold(model: CostModel) -> int:
     """Smallest age whose staleness penalty reaches the update cost.
 
     A refresh is never worth skipping at or above this age: the stale reply
-    alone would cost at least as much as the refresh.
+    alone would cost at least as much as the refresh. Found once, when the
+    model is built, by ``StalenessFn.first_age``: O(log Δ*) calls of f.
     """
     return model._cap
-
-
-def _scan_cap(fn: StalenessFn, update_cost: float) -> int:
-    # Linear scan from age 1 upward, chunked for array speed. Bounded
-    # variants are checked against their final held value first so the scan
-    # terminates with a clear error instead of looping forever.
-    if fn.held_from is not None:
-        limit = max(fn.held_from, 1)
-        if fn(limit) < update_cost:
-            raise NoCapExists(
-                f"staleness tops out at {fn(limit)} below update cost {update_cost}"
-            )
-    else:
-        limit = None
-    start = 1
-    while True:
-        stop = start + _SCAN_CHUNK if limit is None else min(limit + 1, start + _SCAN_CHUNK)
-        ages = np.arange(start, stop, dtype=np.int64)
-        hits = np.nonzero(fn.eval_array(ages) >= update_cost)[0]
-        if hits.size:
-            return int(ages[hits[0]])
-        if limit is not None and stop > limit:
-            raise NoCapExists("staleness never reaches the update cost")
-        start = stop

@@ -94,6 +94,8 @@ class ExperimentSpec:
             self.grid = _DEFAULT_GRIDS[self.kind]()
         if not isinstance(self.grid, list):
             raise ConfigError(f"grid: must be a list, got {self.grid!r}")
+        if isinstance(self.model, dict) and type(self.model.get("update_cost")) not in (int, float):
+            raise ConfigError(f"model.update_cost: must be a number, got {self.model.get('update_cost')!r}")
         try:
             model = CostModel.from_config(self.model)
         except (KeyError, TypeError, ValueError) as exc:
@@ -104,8 +106,10 @@ class ExperimentSpec:
                     if type(x) is not int:
                         raise TypeError(f"threshold must be an integer, got {x!r}")
                     Policy.threshold(x)
+                elif type(x) not in (int, float):
+                    raise TypeError(f"must be a number, got {x!r}")
                 elif self.kind == "lambda_sweep":
-                    check_rate(float(x))
+                    check_rate(x)
                 elif self.kind == "cost_sweep":
                     CostModel(model.staleness, float(x))
             except (TypeError, ValueError) as exc:
@@ -128,8 +132,11 @@ class ExperimentSpec:
             if self.kind != "lambda_sweep" and "rate" not in self.arrival:
                 raise ConfigError("arrival.rate: required")
             if "rate" in self.arrival:
+                rate = self.arrival["rate"]
                 try:
-                    check_rate(float(self.arrival["rate"]))
+                    if type(rate) not in (int, float):
+                        raise TypeError(f"must be a number, got {rate!r}")
+                    check_rate(rate)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"arrival.rate: {exc}") from None
         if self.policies != "auto":

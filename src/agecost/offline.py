@@ -12,12 +12,13 @@ ground truth the DP is validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import CostModel, cap_threshold
+from .core import CostModel
 
 BRUTE_FORCE_LIMIT = 22
 # Masks priced per array pass. Larger blocks are no faster and raise the
@@ -48,20 +49,14 @@ def _reach(model: CostModel, n: int, horizon: int) -> int:
     the interval younger. The bound admits f(a) up to p plus a relative margin
     of n(n + 2)·2^-50, which exceeds the rounding of two candidate sums of at
     most n + 2 terms each, so every candidate it drops is strictly worse in
-    floating point too and never the DP's first argmin.
+    floating point too and never the DP's first argmin. The reach ends one
+    age short of the first where f exceeds that limit.
     """
     f = model.staleness
     limit = model.update_cost * (1.0 + n * (n + 2) * 2.0**-50)
     if f(horizon) <= limit:
         return horizon
-    good, bad = cap_threshold(model) - 1, horizon  # f(good) < p, f(bad) > limit
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if f(mid) <= limit:
-            good = mid
-        else:
-            bad = mid
-    return good
+    return f.first_age(math.nextafter(limit, math.inf)) - 1
 
 
 def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import CostModel, cap_threshold
+from .core import CostModel, as_int, cap_threshold
 
 
 class NotReactive(ValueError):
@@ -58,7 +58,7 @@ class Policy:
 
     @classmethod
     def threshold(cls, tau: int) -> "Policy":
-        return cls("threshold", tau=int(tau))
+        return cls("threshold", tau=as_int(tau, "tau"))
 
     @classmethod
     def naive(cls) -> "Policy":
@@ -66,15 +66,11 @@ class Policy:
 
     @classmethod
     def periodic(cls, period: int) -> "Policy":
-        return cls("periodic", period=int(period))
+        return cls("periodic", period=as_int(period, "d"))
 
     @classmethod
     def scheduled(cls, slots) -> "Policy":
-        return cls("scheduled", update_slots=tuple(int(s) for s in sorted(slots)))
-
-    @property
-    def is_reactive(self) -> bool:
-        return self.kind in ("threshold", "naive")
+        return cls("scheduled", update_slots=tuple(sorted(as_int(s, "each slot") for s in slots)))
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":

@@ -17,13 +17,16 @@ is the exhaustive offline search done the slow way, one engine replay per
 subset of request slots; quadratic_offline_dp is the offline DP with every
 earlier request as a candidate last update. reference_csv is the CSV writer
 of the dict-per-row result table, one formatted cell at a time. cost_models
-draws the cost models the property tests share.
+draws the cost models the property tests share, and alarm bounds the wall
+time of a call that must not hang or grow with its input.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -93,7 +96,7 @@ def reference_replay(policy, arrivals, model):
         k = counts.get(t, 0)
         age = aoi_step(age_prev, False)
         ctx = DecisionContext(current_aoi=age, slot=t, has_request=k > 0)
-        if policy.is_reactive:
+        if policy.kind in ("threshold", "naive"):
             fire = decide(policy, model, ctx) if k > 0 else False
         else:
             fire = decide(policy, model, ctx)
@@ -251,22 +254,44 @@ def quadratic_offline_dp(arrivals, model):
 
 
 @st.composite
-def cost_models(draw, p):
+def cost_models(draw, p, held_at_p=False):
     """Any of the four penalty kinds at update cost p.
 
     Table and piecewise values are non-integer and non-decreasing, and the
-    last one reaches p so that the model has a cap threshold.
+    last one reaches p so that the model has a cap threshold. With
+    ``held_at_p`` only those two kinds are drawn, and their last value is p
+    exactly, with every earlier one at most p.
     """
-    fn = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
+    kinds = ["table", "piecewise"] if held_at_p else ["linear", "quadratic", "table", "piecewise"]
+    fn = draw(st.sampled_from(kinds))
     if fn in ("linear", "quadratic"):
         return CostModel(getattr(StalenessFn, fn)(), p)
     steps = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
     values = list(accumulate(steps))
-    values[-1] += p
+    if held_at_p:
+        values = [min(v, p) for v in values[:-1]] + [p]
+    else:
+        values[-1] += p
     if fn == "table":
         return CostModel(StalenessFn.from_table([0.0, *values]), p)
     starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values), max_size=len(values))))
     return CostModel(StalenessFn.piecewise(zip(starts, values)), p)
+
+
+@contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in place of running for more than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _format_cell(value) -> str:

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agecost import (
     CostModel,
@@ -18,7 +18,7 @@ from agecost import (
     threshold_avg_cost,
 )
 
-from oracles import cost_models, enumerate_renewal, scan_periods, threshold_margins
+from oracles import alarm, cost_models, enumerate_renewal, scan_periods, threshold_margins
 
 LINEAR = StalenessFn.linear()
 QUADRATIC = StalenessFn.quadratic()
@@ -75,17 +75,32 @@ def test_optimal_threshold_trace_operating_point():
     assert sol.tau_star == 10
 
 
-def test_optimal_threshold_exhaustive_over_cap_range():
-    for rate in RATES:
-        for p in COSTS:
-            for fn in (LINEAR, QUADRATIC):
-                m = CostModel(fn, p)
-                sol = optimal_threshold(rate, m)
-                costs = [threshold_avg_cost(rate, m, t) for t in range(1, cap_threshold(m) + 1)]
-                assert sol.tau_star <= cap_threshold(m)
-                assert sol.cost_at_tau_star == min(costs)
-                # The smallest minimizer: ties break toward the smaller threshold.
-                assert sol.tau_star == costs.index(min(costs)) + 1
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(RATES) | st.floats(min_value=1e-3, max_value=1.0),
+    st.tuples(st.floats(min_value=0.25, max_value=200.0) | st.integers(1, 80).map(lambda k: k / 2),
+              st.booleans()).flatmap(lambda a: cost_models(*a)),
+)
+@example(0.5, CostModel(LINEAR, 4.5))  # tau = 3 and 4 both price at 3.0
+@example(0.1, CostModel(LINEAR, 7.5))  # an exact tie that rounding gives to tau = 7 over 6
+@example(0.5, CostModel(StalenessFn.from_table([0, 1, 3, 3, 3, 3, 3, 10]), 4.0))  # tau = 2..7 all at 3.0
+@example(0.3, CostModel(StalenessFn.from_table([0, 5]), 5.0))  # g(k) = p for every k
+def test_optimal_threshold_exhaustive_over_cap_range(rate, m):
+    # Bit for bit the first minimizer of the closed form priced over all of
+    # [1, Δ*], though the search prices only a window past the crossing.
+    costs = [threshold_avg_cost(rate, m, t) for t in range(1, cap_threshold(m) + 1)]
+    sol = optimal_threshold(rate, m)
+    assert sol.cost_at_tau_star == min(costs)
+    assert sol.tau_star == costs.index(min(costs)) + 1
+
+
+def test_optimal_threshold_at_a_huge_update_cost():
+    # Pricing all of [1, Δ*] would build arrays of 10^12 floats.
+    with alarm(10.0):
+        m = CostModel(LINEAR, 1e12)
+        sol = optimal_threshold(0.1, m)
+    assert sol.tau_star == 4_472_127
+    assert sol.cost_at_tau_star == threshold_avg_cost(0.1, m, sol.tau_star)
 
 
 def test_optimal_threshold_clamps_to_cap():

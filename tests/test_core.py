@@ -11,7 +11,7 @@ from agecost import (
     cap_threshold,
 )
 
-from oracles import aoi_step
+from oracles import alarm, aoi_step, cost_models
 
 LINEAR = StalenessFn.linear()
 QUADRATIC = StalenessFn.quadratic()
@@ -48,20 +48,31 @@ def test_cap_threshold_matches_direct_formulas(p):
     assert cap_threshold(CostModel(QUADRATIC, p)) == math.ceil(math.sqrt(p))
 
 
-@given(st.floats(min_value=0.1, max_value=2000.0))
-def test_cap_threshold_is_the_first_crossing(p):
-    for fn in (LINEAR, QUADRATIC):
-        m = CostModel(fn, p)
-        ds = cap_threshold(m)
-        assert fn(ds) >= p
-        if ds > 1:
-            assert fn(ds - 1) < p
+@given(st.floats(min_value=0.1, max_value=2000.0), st.booleans(), st.data())
+def test_cap_threshold_is_the_first_crossing(p, held_at_p, data):
+    # Δ* against a scan of f from age 1, over every penalty kind and over
+    # penalties held at exactly p from their last age on.
+    m = data.draw(cost_models(p, held_at_p))
+    first = 1
+    while m.staleness(first) < p:
+        first += 1
+    assert cap_threshold(m) == first
+
+
+def test_cap_of_a_huge_update_cost_is_found_at_once():
+    # A scan from age 1 would take ~45 min to reach 10^12.
+    with alarm(1.0):
+        assert cap_threshold(CostModel(LINEAR, 1e12)) == 10**12
+        assert cap_threshold(CostModel(QUADRATIC, 1e24)) == 10**12
+        assert cap_threshold(CostModel(StalenessFn.piecewise([(1, 0.5), (10**12, 7.0)]), 7.0)) == 10**12
+        with pytest.raises(NoCapExists, match="staleness tops out at 6.0 below update cost 7.0"):
+            CostModel(StalenessFn.piecewise([(10**12, 6.0)]), 7.0)
 
 
 def test_no_cap_for_bounded_table():
-    with pytest.raises(NoCapExists):
+    with pytest.raises(NoCapExists, match=r"staleness tops out at 2\.0 below update cost 5\.0"):
         CostModel(StalenessFn.from_table([0, 1, 2]), 5.0)
-    with pytest.raises(NoCapExists):
+    with pytest.raises(NoCapExists, match=r"staleness tops out at 2\.0 below update cost 5\.0"):
         CostModel(StalenessFn.piecewise([(1, 0.5), (4, 2.0)]), 5.0)
 
 
@@ -113,7 +124,7 @@ def test_staleness_validation():
             StalenessFn.from_table([0, bad, 5])
         with pytest.raises(ValueError, match=f"piecewise value at age 4 must be finite, got {bad}"):
             StalenessFn.piecewise([(2, 1.0), (4, bad)])
-        with pytest.raises(ValueError, match="piecewise breakpoints"):
+        with pytest.raises(ValueError, match=rf"breakpoint \[{bad}, 5.0\]: age must be an integer, got {bad}"):
             StalenessFn.piecewise([(2, 1.0), (bad, 5.0)])
 
 

@@ -1,6 +1,4 @@
-import signal
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from agecost import (
 from agecost.arrivals import derive_seed
 from agecost.engine import _update_schedule
 
-from oracles import bisect_threshold_schedule, cost_models, reference_replay
+from oracles import alarm, bisect_threshold_schedule, cost_models, reference_replay
 
 LINEAR = StalenessFn.linear()
 
@@ -295,22 +293,6 @@ def test_naive_schedule_matches_bisect_oracle(case, p, data):
     _same_array(_update_schedule(Policy.naive(), arr, model), want)
 
 
-@contextmanager
-def _alarm(seconds):
-    """Raise in place of hanging: a successor that wrapped points backwards, and the walk never ends."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"schedule walk still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sets(st.integers(min_value=2**62 - 8, max_value=2**63 - 1), min_size=1, max_size=12),
@@ -319,9 +301,10 @@ def _alarm(seconds):
 )
 @example({2**62, 2**62 + 1, 2**63 - 1}, set(), 2**62)
 def test_threshold_schedule_near_int64_limit(high, low, tau):
-    # A slot plus tau can pass 2^63 - 1 here; the oracle adds Python ints.
+    # A slot plus tau can pass 2^63 - 1 here; the oracle adds Python ints. A
+    # successor that wrapped would point backwards, and the walk would never end.
     arr = ArrivalSequence.from_slots(sorted(low | high))
-    with _alarm(5.0):
+    with alarm(5.0):
         got = _update_schedule(Policy.threshold(tau), arr, CostModel(LINEAR, 5.0))
     _same_array(got, bisect_threshold_schedule(arr, tau))
 

@@ -21,7 +21,7 @@ from agecost import ArrivalSequence, ResultTable, experiments
 from agecost.cli import main
 from agecost.experiments import COLUMNS, truncate_requests
 
-from oracles import make_trace, reference_csv
+from oracles import alarm, make_trace, reference_csv
 
 
 def sweep_spec(**kw):
@@ -82,6 +82,26 @@ def test_spec_validation_messages():
             "staleness": {"kind": "table", "values": [0, 5, 60]}, "update_cost": 10.0})
     with pytest.raises(ConfigError, match="policies"):
         sweep_spec(policies=[{"kind": "threshold"}])
+    for policy, message in (
+        ({"kind": "threshold", "tau": 2.5}, "tau must be an integer, got 2.5"),
+        ({"kind": "periodic", "d": True}, "d must be an integer, got True"),
+        ({"kind": "scheduled", "slots": [1.7, 3.2]}, "each slot must be an integer, got 1.7"),
+    ):
+        with pytest.raises(ConfigError, match=rf"policies\[1\]: {message}"):
+            sweep_spec(policies=[{"kind": "naive"}, policy])
+    linear = {"staleness": {"kind": "linear"}}
+    for spec, message in (
+        (lambda: sweep_spec(model={**linear, "update_cost": True}), r"model\.update_cost: must be a number, got True"),
+        (lambda: sweep_spec(model={**linear, "update_cost": "50"}), r"model\.update_cost: must be a number, got '50'"),
+        (lambda: sweep_spec(model=linear), r"model\.update_cost: must be a number, got None"),
+        (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": True}), r"arrival\.rate: must be a number, got True"),
+        (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": "0.5"}),
+         r"arrival\.rate: must be a number, got '0\.5'"),
+        (lambda: comparison_spec("lambda_sweep", [0.3, True]), r"grid\[1\]: must be a number, got True"),
+        (lambda: comparison_spec("cost_sweep", ["50"]), r"grid\[0\]: must be a number, got '50'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            spec()
     with pytest.raises(ConfigError, match="n_runs"):
         sweep_spec(n_runs=0)
     with pytest.raises(ConfigError, match=r"n_runs: must be an integer >= 1, got '3'"):
@@ -507,7 +527,7 @@ def test_non_finite_costs_exit_1(tmp_path, capsys):
         ({"kind": "piecewise", "breakpoints": [[1, 0.5], [3, math.nan]]},
          "piecewise value at age 3 must be finite, got nan"),
         ({"kind": "piecewise", "breakpoints": [[1, 0.5], [math.inf, 5]]},
-         "piecewise breakpoints [[1, 0.5], [inf, 5]]: cannot convert float infinity to integer"),
+         "piecewise breakpoint [inf, 5]: age must be an integer, got inf"),
     ):
         cfg.write_text(json.dumps({"model": {"staleness": staleness, "update_cost": 4.0}}))
         argv = ["sweep-threshold", "--lambda", "0.5", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
@@ -537,8 +557,10 @@ def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
         ["optimal-threshold", "--lambda", "0", "--p", "10"],
         ["optimal-threshold", "--lambda", "0.5", "--p", "-3"],
         ["sweep-threshold", "--lambda", "1.5", "--p", "10", "--out", str(tmp_path / "never.csv")],
+        ["solve-mdp", "--lambda", "0.1", "--p", "1e12"],  # found without scanning 10^12 ages
     ):
-        assert main(argv) == 1, argv
+        with alarm(2.0):
+            assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv
 
 

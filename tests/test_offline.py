@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import agecost.engine
 import agecost.offline
@@ -183,6 +183,23 @@ def test_dp_held_penalty_at_update_cost(penalty):
     arr = ArrivalSequence(horizon=base.horizon, slots=base.slots, counts=counts)
     assert agecost.offline._reach(model, arr.slots.size, arr.horizon) == arr.horizon
     assert offline_optimal(arr, model) == quadratic_offline_dp(arr, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.floats(min_value=0.25, max_value=200.0), st.booleans()).flatmap(lambda a: cost_models(*a)),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=500),
+)
+# f(2) is the limit p·(1 + 3·2^-50) itself, f(3) one float above it.
+@example(CostModel(StalenessFn.from_table([0.0, 1.0, 1.0 + 12 * 2.0**-52, 1.0 + 13 * 2.0**-52]), 1.0), 1, 5)
+def test_dp_reach_is_the_last_age_within_the_limit(model, n, horizon):
+    # The reach against a scan of f from age 0 up to the horizon.
+    limit = model.update_cost * (1.0 + n * (n + 2) * 2.0**-50)
+    last = 0
+    while last < horizon and model.staleness(last + 1) <= limit:
+        last += 1
+    assert agecost.offline._reach(model, n, horizon) == last
 
 
 def test_dp_keeps_tie_at_cap_age():

@@ -60,6 +60,15 @@ def test_policy_validation_and_config():
         Policy.periodic(0)
     with pytest.raises(ValueError):
         Policy("scheduled", update_slots=(5, 3))
+    # int() used to truncate these: 2.5 read as 2 and True as 1.
+    for make, bad in ((Policy.threshold, 2.5), (Policy.threshold, "3"), (Policy.periodic, True),
+                      (Policy.scheduled, [1.7, 3.2]), (Policy.scheduled, [2, np.nan])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(bad)
+    # Integral floats and numpy integers name the same values.
+    assert Policy.threshold(np.int64(4)) == Policy.threshold(4.0) == Policy.threshold(4)
+    assert Policy.periodic(np.int32(3)) == Policy.periodic(3)
+    assert Policy.scheduled(np.array([8, 2])) == Policy.scheduled([2.0, 8]) == Policy.scheduled([2, 8])
     for cfg in (
         {"kind": "threshold", "tau": 9},
         {"kind": "naive"},
