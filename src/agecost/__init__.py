@@ -10,7 +10,6 @@ experiment CLI.
 __version__ = "0.1.0"
 
 from .core import (
-    CostBreakdown,
     CostModel,
     InvalidRate,
     NoCapExists,
@@ -74,7 +73,6 @@ __all__ = [
     "__version__",
     "StalenessFn",
     "CostModel",
-    "CostBreakdown",
     "NoCapExists",
     "InvalidRate",
     "cap_threshold",

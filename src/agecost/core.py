@@ -48,6 +48,14 @@ def as_int(value, what: str) -> int:
     return n
 
 
+def check_fields(record: dict, known, prefix: str = "", error=ValueError) -> None:
+    """Raise ``error``, its message led by ``prefix``, if ``record`` holds a
+    key outside ``known``."""
+    extra = set(record) - set(known)
+    if extra:
+        raise error(f"{prefix}unknown fields {sorted(extra)}")
+
+
 @dataclass(frozen=True)
 class StalenessFn:
     """Non-decreasing penalty of the AoI with f(0) = 0.
@@ -140,23 +148,29 @@ class StalenessFn:
         vals = np.concatenate(([0.0], [v for _, v in self.breakpoints]))
         return vals[np.searchsorted(starts, ages, side="right")]
 
-    def first_age(self, level: float) -> int | None:
-        """Smallest age a >= 1 with f(a) >= level, by doubling, then bisection:
-        O(log a) calls of f. None if a held value stays below ``level``."""
+    def first_age(self, level: float, limit: int) -> int | None:
+        """Smallest age a in [1, limit] with f(a) >= level, by doubling, then
+        bisection: O(log a) calls of f. None if f(limit) < level."""
         lo, hi = 0, 1  # f(lo) < level, or lo = 0
         while self(hi) < level:
-            if self.held_from is not None and hi >= self.held_from:
+            if hi >= limit:
                 return None
-            lo, hi = hi, 2 * hi
+            lo, hi = hi, min(2 * hi, limit)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if self(mid) < level else (lo, mid)
         return hi
 
 
+# Largest cap threshold a model may have: the optimizers' rounding bounds
+# assume it (see ``optimal_threshold``).
+MAX_CAP = 2**50
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """Staleness penalty plus the flat cost of one refresh."""
+    """Staleness penalty plus the flat cost of one refresh, whose cap
+    threshold is at most ``MAX_CAP``."""
 
     staleness: StalenessFn
     update_cost: float
@@ -166,16 +180,20 @@ class CostModel:
         # An infinite cost would never be reached by an unbounded penalty.
         if not 0 < self.update_cost < math.inf:
             raise ValueError(f"update_cost must be positive and finite, got {self.update_cost}")
-        cap = self.staleness.first_age(self.update_cost)
+        held = self.staleness.held_from
+        if held is not None and self.staleness(held) < self.update_cost:
+            raise NoCapExists(f"staleness tops out at {self.staleness(held)} below update cost {self.update_cost}")
+        cap = self.staleness.first_age(self.update_cost, MAX_CAP)
         if cap is None:
-            top = self.staleness(self.staleness.held_from)
-            raise NoCapExists(f"staleness tops out at {top} below update cost {self.update_cost}")
+            raise ValueError(f"update_cost {self.update_cost} is too large: the penalty "
+                             f"stays below it through age 2^50")
         object.__setattr__(self, "_cap", cap)
 
     @classmethod
     def from_config(cls, config: dict) -> "CostModel":
         """Build from a plain record as written by ``to_config``:
-        {"staleness": {"kind", "values"? | "breakpoints"?}, "update_cost"}."""
+        {"staleness": {"kind", "values"? | "breakpoints"?}, "update_cost"}.
+        A field that ``to_config`` would not write is a ValueError."""
         st = config["staleness"]
         if st["kind"] == "table":
             fn = StalenessFn.from_table(st["values"])
@@ -183,7 +201,11 @@ class CostModel:
             fn = StalenessFn.piecewise(st["breakpoints"])
         else:
             fn = StalenessFn(st["kind"])  # linear, quadratic or an unknown kind's error
-        return cls(staleness=fn, update_cost=float(config["update_cost"]))
+        model = cls(staleness=fn, update_cost=float(config["update_cost"]))
+        written = model.to_config()
+        check_fields(st, written["staleness"], "staleness: ")
+        check_fields(config, written)
+        return model
 
     def to_config(self) -> dict:
         st: dict = {"kind": self.staleness.kind}
@@ -192,20 +214,6 @@ class CostModel:
         elif self.staleness.kind == "piecewise":
             st["breakpoints"] = [list(bp) for bp in self.staleness.breakpoints]
         return {"staleness": st, "update_cost": self.update_cost}
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Cost totals of one replay."""
-
-    total_staleness: float
-    total_update: float
-    n_requests: int
-    n_updates: int
-
-    @property
-    def total(self) -> float:
-        return self.total_staleness + self.total_update
 
 
 def cap_threshold(model: CostModel) -> int:

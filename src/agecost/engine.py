@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalSequence, BernoulliSource, derive_seed, generate_bernoulli
-from .core import CostBreakdown, CostModel, cap_threshold
+from .core import CostModel, cap_threshold
 from .policies import Policy
 
 
@@ -28,19 +28,38 @@ class NoCompletedInterval(ValueError):
 class SimResult:
     """Full cost accounting of one replay.
 
-    ``request_charges`` holds the staleness charged to each request of an
-    occupied slot, aligned with ``arrivals.slots``; update slots charge 0.
-    ``update_slots`` is the realized update schedule. ``arrivals`` is the
-    replayed sequence itself, not a copy.
+    ``total`` and the three per-request averages are computed from the totals
+    held. ``updates_through`` counts the updates at or before each occupied
+    slot and ``request_charges`` holds the staleness charged to each of its
+    requests, both aligned with ``arrivals.slots``: an update in a request's
+    slot counts before it and serves it fresh. ``update_slots`` is the
+    realized schedule; ``arrivals`` is the replayed sequence, not a copy.
     """
 
-    breakdown: CostBreakdown
-    avg_total: float
-    avg_staleness: float
-    avg_update: float
+    total_staleness: float
+    total_update: float
+    n_requests: int
+    n_updates: int
     update_slots: np.ndarray
+    updates_through: np.ndarray
     request_charges: np.ndarray
     arrivals: ArrivalSequence
+
+    @property
+    def total(self) -> float:
+        return self.total_staleness + self.total_update
+
+    @property
+    def avg_total(self) -> float:
+        return self.total / self.n_requests
+
+    @property
+    def avg_staleness(self) -> float:
+        return self.total_staleness / self.n_requests
+
+    @property
+    def avg_update(self) -> float:
+        return self.total_update / self.n_requests
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ class SweepResult:
 
 
 def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> SimResult:
-    """Replay one policy over one arrival sequence and account every cost.
+    """Replay one policy over one arrival sequence into one ``SimResult``.
 
     Reactive policies update only at request slots; periodic and scheduled
     policies also fire on request-free slots (and still pay the update cost
@@ -97,24 +116,17 @@ def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> Sim
     slots = arrivals.slots
     # Each request is charged at its age since the last update at or before
     # its slot; f(0) = 0 serves requests in an update slot fresh.
-    last_up = np.concatenate(([0], ups))[np.searchsorted(ups, slots, side="right")]
-    charges = model.staleness.eval_array(slots - last_up)
+    through = np.searchsorted(ups, slots, side="right")
+    charges = model.staleness.eval_array(slots - np.concatenate(([0], ups))[through])
     # cumsum adds strictly in request order (np.sum would add pairwise), so
     # the total matches a sequential per-request sum bit for bit.
-    total_staleness = float(np.cumsum(arrivals.counts * charges)[-1])
-    total_update = model.update_cost * ups.size
-    breakdown = CostBreakdown(
-        total_staleness=total_staleness,
-        total_update=total_update,
+    return SimResult(
+        total_staleness=float(np.cumsum(arrivals.counts * charges)[-1]),
+        total_update=model.update_cost * ups.size,
         n_requests=n_req,
         n_updates=ups.size,
-    )
-    return SimResult(
-        breakdown=breakdown,
-        avg_total=breakdown.total / n_req,
-        avg_staleness=total_staleness / n_req,
-        avg_update=total_update / n_req,
         update_slots=ups,
+        updates_through=through,
         request_charges=charges,
         arrivals=arrivals,
     )
@@ -170,7 +182,7 @@ def renewal_stats(result: SimResult) -> RenewalStats:
     """Sample means over the completed update intervals of one replay.
 
     The trailing slots after the last update form an incomplete interval and
-    are excluded here (they are still part of the result's cost breakdown).
+    are excluded here (they still count in the result's totals).
     The ratio of the two means estimates the long-run average cost per
     request.
     """
@@ -183,5 +195,5 @@ def renewal_stats(result: SimResult) -> RenewalStats:
     stale = float(np.dot(counts, result.request_charges[:closed]))
     return RenewalStats(
         mean_requests_per_interval=float(counts.sum()) / ups.size,
-        mean_cost_per_interval=(result.breakdown.total_update + stale) / ups.size,
+        mean_cost_per_interval=(result.total_update + stale) / ups.size,
     )

@@ -28,7 +28,7 @@ from .arrivals import (
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, cap_threshold, check_rate
+from .core import CostModel, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
 from .offline import OfflineSolution, offline_optimal
 from .policies import Policy
@@ -126,6 +126,8 @@ class ExperimentSpec:
             if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
                 raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
                                   f"got {self.arrival['on_malformed']!r}")
+            check_fields(self.arrival, ("kind", "path", "slot_duration", "on_malformed"),
+                         "arrival: ", ConfigError)
         else:
             if akind != "bernoulli":
                 raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
@@ -139,6 +141,7 @@ class ExperimentSpec:
                     check_rate(rate)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"arrival.rate: {exc}") from None
+            check_fields(self.arrival, ("kind", "rate"), "arrival: ", ConfigError)
         if self.policies != "auto":
             if not isinstance(self.policies, list):
                 raise ConfigError("policies: must be 'auto' or a list of policy records")
@@ -358,14 +361,13 @@ def _cumulative_columns(replays: list[tuple[str, SimResult]], arrivals: ArrivalS
     """One block of rows per replay, in order: row j of a block holds the
     average cost over the first j requests, i.e. the staleness charged so far
     plus every update at slots up to and including request j's slot."""
-    per_req_slot = np.repeat(arrivals.slots, arrivals.counts)
-    n, k = per_req_slot.size, len(replays)
+    n, k = arrivals.n_requests, len(replays)
     index = np.arange(1, n + 1, dtype=np.int64)
     denom = index.astype(np.float64)
     total, staleness, update = [], [], []
     for _, res in replays:
         cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
-        cum_update = model.update_cost * np.searchsorted(res.update_slots, per_req_slot, side="right")
+        cum_update = model.update_cost * np.repeat(res.updates_through, arrivals.counts)
         total.append((cum_stale + cum_update) / denom)
         staleness.append(cum_stale / denom)
         update.append(cum_update / denom)

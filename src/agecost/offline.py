@@ -54,9 +54,8 @@ def _reach(model: CostModel, n: int, horizon: int) -> int:
     """
     f = model.staleness
     limit = model.update_cost * (1.0 + n * (n + 2) * 2.0**-50)
-    if f(horizon) <= limit:
-        return horizon
-    return f.first_age(math.nextafter(limit, math.inf)) - 1
+    first = f.first_age(math.nextafter(limit, math.inf), horizon)
+    return horizon if first is None else first - 1
 
 
 def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import CostModel, as_int, cap_threshold
+from .core import CostModel, as_int, cap_threshold, check_fields
 
 
 class NotReactive(ValueError):
@@ -74,16 +74,21 @@ class Policy:
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":
+        """Build from a record as written by ``to_config``; a field that
+        ``to_config`` would not write is a ValueError."""
         kind = config["kind"]
         if kind == "threshold":
-            return cls.threshold(config["tau"])
-        if kind == "naive":
-            return cls.naive()
-        if kind == "periodic":
-            return cls.periodic(config["d"])
-        if kind == "scheduled":
-            return cls.scheduled(config["slots"])
-        raise ValueError(f"unknown policy kind {kind!r}")
+            policy = cls.threshold(config["tau"])
+        elif kind == "naive":
+            policy = cls.naive()
+        elif kind == "periodic":
+            policy = cls.periodic(config["d"])
+        elif kind == "scheduled":
+            policy = cls.scheduled(config["slots"])
+        else:
+            raise ValueError(f"unknown policy kind {kind!r}")
+        check_fields(config, policy.to_config())
+        return policy
 
     def to_config(self) -> dict:
         if self.kind == "threshold":
@@ -111,7 +116,7 @@ def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:
     request collapse to one; updates with no request left to serve are
     dropped (they could only add cost).
     """
-    sched = np.asarray(sorted(int(s) for s in schedule), dtype=np.int64)
+    sched = np.asarray(sorted(as_int(s, "each slot") for s in schedule), dtype=np.int64)
     if sched.size and (sched[0] < 1 or sched[-1] > arrivals.horizon):
         raise ValueError("schedule slots must lie in [1, horizon]")
     req = arrivals.slots
@@ -132,7 +137,7 @@ def cap(schedule, arrivals: ArrivalSequence, model: CostModel) -> tuple[int, ...
     delta_star = cap_threshold(model)
     req = arrivals.slots.tolist()
     req_set = set(req)
-    keep = set(int(s) for s in schedule)
+    keep = set(as_int(s, "each slot") for s in schedule)
     if not keep <= req_set:
         bad = sorted(keep - req_set)
         raise NotReactive(f"schedule contains request-free slots {bad[:5]}")

@@ -193,7 +193,7 @@ def replay_every_schedule(arrivals, model):
     best_sched = ()
     for mask in range(1 << n):
         sched = tuple(slots[k] for k in range(n) if mask >> k & 1)
-        cost = simulate(Policy.scheduled(sched), arrivals, model).breakdown.total
+        cost = simulate(Policy.scheduled(sched), arrivals, model).total
         if cost < best_cost or (cost == best_cost and (len(sched), sched) < (len(best_sched), best_sched)):
             best_cost = cost
             best_sched = sched

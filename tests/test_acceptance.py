@@ -232,7 +232,7 @@ def test_criterion_06_offline_oracle():
         d = optimal_period(rate, model).d_star
         sched = sorted(np.random.default_rng((li, pi)).choice(arr.slots, size=50, replace=False))
         for pol in (Policy.threshold(tau), Policy.naive(), Policy.periodic(d), Policy.scheduled(sched)):
-            online = simulate(pol, arr, model).breakdown.total
+            online = simulate(pol, arr, model).total
             if off > online + 1e-9:
                 bound_violations.append((rate, model.update_cost, pol.label()))
     ok = mismatches == 0 and not bound_violations
@@ -254,10 +254,10 @@ def test_criterion_07_transform_dominance():
         n_sched = int(rng.integers(0, max(horizon // 3, 1)))
         sched = sorted(rng.choice(np.arange(1, horizon + 1), size=n_sched, replace=False))
         model = CostModel(LINEAR, float(rng.uniform(0.5, 25.0)))
-        base = simulate(Policy.scheduled(sched), arr, model).breakdown.total
+        base = simulate(Policy.scheduled(sched), arr, model).total
         r = reactify(sched, arr)
-        react = simulate(Policy.scheduled(r), arr, model).breakdown.total
-        capped = simulate(Policy.scheduled(cap(r, arr, model)), arr, model).breakdown.total
+        react = simulate(Policy.scheduled(r), arr, model).total
+        capped = simulate(Policy.scheduled(cap(r, arr, model)), arr, model).total
         if react > base + 1e-9 or capped > react + 1e-9:
             violations += 1
     ok = violations == 0

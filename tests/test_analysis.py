@@ -117,6 +117,9 @@ def test_optimal_threshold_quadratic():
     costs = [threshold_avg_cost(0.5, m, t) for t in range(1, cap_threshold(m) + 1)]
     assert sol.cost_at_tau_star == min(costs)
     assert 1.0 <= sol.tau_continuous <= cap_threshold(m) + 1
+    # A cost at or below the first age's penalty has its continuous minimizer at 1.
+    sol = optimal_threshold(0.5, CostModel(QUADRATIC, 0.1))
+    assert (sol.tau_star, sol.tau_continuous) == (1, 1.0)
 
 
 def test_table_staleness_scan_route():

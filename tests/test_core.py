@@ -65,8 +65,17 @@ def test_cap_of_a_huge_update_cost_is_found_at_once():
         assert cap_threshold(CostModel(LINEAR, 1e12)) == 10**12
         assert cap_threshold(CostModel(QUADRATIC, 1e24)) == 10**12
         assert cap_threshold(CostModel(StalenessFn.piecewise([(1, 0.5), (10**12, 7.0)]), 7.0)) == 10**12
-        with pytest.raises(NoCapExists, match="staleness tops out at 6.0 below update cost 7.0"):
-            CostModel(StalenessFn.piecewise([(10**12, 6.0)]), 7.0)
+        for held_from in (10**12, 2**60):
+            with pytest.raises(NoCapExists, match="staleness tops out at 6.0 below update cost 7.0"):
+                CostModel(StalenessFn.piecewise([(held_from, 6.0)]), 7.0)
+        # Δ* may be 2^50 but no more: the optimizers' rounding bounds assume it.
+        assert cap_threshold(CostModel(LINEAR, 2.0**50)) == 2**50
+        assert cap_threshold(CostModel(QUADRATIC, 2.0**100)) == 2**50
+        for staleness, p in ((LINEAR, 1.7e308), (LINEAR, 1e16), (QUADRATIC, 2.0**100 + 2.0**50),
+                             (StalenessFn.piecewise([(2**60, 8.0)]), 7.0)):
+            with pytest.raises(ValueError, match=r"^update_cost .* is too large") as exc:
+                CostModel(staleness, p)
+            assert type(exc.value) is ValueError
 
 
 def test_no_cap_for_bounded_table():
@@ -154,3 +163,13 @@ def test_cost_model_config_roundtrip():
         assert again == m
     with pytest.raises(ValueError):
         CostModel.from_config({"staleness": {"kind": "cubic"}, "update_cost": 1.0})
+    # A field the record's kind does not read is refused, not ignored.
+    for cfg, message in (
+        ({"staleness": {"kind": "linear"}, "update_cost": 1.0, "p": 3.0}, r"^unknown fields \['p'\]"),
+        ({"staleness": {"kind": "linear", "values": [0, 1]}, "update_cost": 1.0},
+         r"^staleness: unknown fields \['values'\]"),
+        ({"staleness": {"kind": "table", "values": [0, 1], "breakpoints": [[1, 1.0]]}, "update_cost": 1.0},
+         r"^staleness: unknown fields \['breakpoints'\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CostModel.from_config(cfg)

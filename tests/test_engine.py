@@ -1,3 +1,4 @@
+import bisect
 import tracemalloc
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_threshold_one_pays_update_cost_exactly():
 def test_no_updates_charges_age_equals_slot():
     arr = ArrivalSequence.from_slots([1, 2, 3])
     res = simulate(Policy.scheduled([]), arr, CostModel(LINEAR, 100.0))
-    assert res.breakdown.total_staleness == 6.0
-    assert res.breakdown.n_updates == 0
+    assert res.total_staleness == 6.0
+    assert res.n_updates == 0
     assert res.avg_total == 2.0
 
 
@@ -50,7 +51,7 @@ def test_update_slot_requests_served_fresh():
     arr = ArrivalSequence.from_slots([4, 9])
     res = simulate(Policy.scheduled([4]), arr, CostModel(LINEAR, 2.5))
     assert res.request_charges.tolist() == [0.0, 5.0]
-    assert res.breakdown.total == 2.5 + 5.0
+    assert res.total == 2.5 + 5.0
 
 
 def test_periodic_pays_on_request_free_slots():
@@ -58,7 +59,7 @@ def test_periodic_pays_on_request_free_slots():
     res = simulate(Policy.periodic(3), arr, CostModel(LINEAR, 1.0))
     # updates at 3, 6, 9; the request at 5 is charged age 5 - 3 = 2
     assert res.update_slots.tolist() == [3, 6, 9]
-    assert res.breakdown.total == pytest.approx(3.0 + 2.0)
+    assert res.total == pytest.approx(3.0 + 2.0)
 
 
 def test_periodic_every_slot_closed_form():
@@ -137,7 +138,7 @@ def test_trailing_interval_excluded_but_charged():
     stats = renewal_stats(res)
     assert stats.mean_requests_per_interval == 1.0
     assert stats.mean_cost_per_interval == 2.0
-    assert res.breakdown.total == pytest.approx(2.0 + 2.0 + 3.0)
+    assert res.total == pytest.approx(2.0 + 2.0 + 3.0)
 
 
 def test_renewal_stats_update_before_first_request():
@@ -189,9 +190,10 @@ def test_engine_matches_slotwise_reference_replay(case):
     res = simulate(pol, arr, model)
     ref_total, ref_stale, ref_update, ref_ups = reference_replay(pol, arr, model)
     # Both sum the staleness in request order, so they agree exactly.
-    assert res.breakdown.total_staleness == ref_stale
-    assert res.breakdown.total == ref_total
+    assert res.total_staleness == ref_stale
+    assert res.total == ref_total
     assert res.update_slots.tolist() == ref_ups
+    assert res.updates_through.tolist() == [bisect.bisect_right(ref_ups, t) for t in arr.slots.tolist()]
 
 
 @settings(max_examples=80, deadline=None)
@@ -202,7 +204,7 @@ def test_cost_conservation_from_event_log(case):
         return
     res = simulate(pol, arr, model)
     recomputed = float(np.dot(res.request_charges, arr.counts)) + model.update_cost * len(res.update_slots)
-    assert res.breakdown.total == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
+    assert res.total == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
     assert res.avg_total == pytest.approx(res.avg_staleness + res.avg_update, rel=1e-12)
 
 
@@ -226,8 +228,8 @@ def test_reactive_replay_with_multi_request_slots():
     # ages seen: 2 (skip), 6 (update), 3 (skip)
     assert res.update_slots.tolist() == [6]
     assert res.request_charges.tolist() == [2.0, 0.0, 3.0]
-    assert res.breakdown.total == pytest.approx(2.0 + 5.0 + 3.0)
-    assert res.breakdown.n_requests == 4
+    assert res.total == pytest.approx(2.0 + 5.0 + 3.0)
+    assert res.n_requests == 4
     stats = renewal_stats(res)
     assert stats.mean_requests_per_interval == 3.0
     assert stats.mean_cost_per_interval == 5.0 + 2.0
@@ -244,9 +246,10 @@ def test_engine_matches_reference_with_request_collisions(case, mult, pick):
     heavy = ArrivalSequence(horizon=arr.horizon, slots=arr.slots, counts=counts)
     res = simulate(pol, heavy, model)
     ref_total, ref_stale, _, ref_ups = reference_replay(pol, heavy, model)
-    assert res.breakdown.total_staleness == ref_stale
-    assert res.breakdown.total == ref_total
+    assert res.total_staleness == ref_stale
+    assert res.total == ref_total
     assert res.update_slots.tolist() == ref_ups
+    assert res.updates_through.tolist() == [bisect.bisect_right(ref_ups, t) for t in heavy.slots.tolist()]
 
 
 @st.composite

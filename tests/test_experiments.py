@@ -99,6 +99,25 @@ def test_spec_validation_messages():
          r"arrival\.rate: must be a number, got '0\.5'"),
         (lambda: comparison_spec("lambda_sweep", [0.3, True]), r"grid\[1\]: must be a number, got True"),
         (lambda: comparison_spec("cost_sweep", ["50"]), r"grid\[0\]: must be a number, got '50'"),
+        (lambda: sweep_spec(model={**linear, "update_cost": 1e300}), r"model: update_cost 1e\+300 is too large"),
+        # A field no reader reads is refused where its record is read.
+        (lambda: sweep_spec(model={**linear, "update_cost": 5.0, "p": 3}), r"model: unknown fields \['p'\]"),
+        (lambda: sweep_spec(model={"staleness": {"kind": "linear", "values": [0, 1]}, "update_cost": 5.0}),
+         r"model: staleness: unknown fields \['values'\]"),
+        (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": 0.1, "seed": 9}),
+         r"arrival: unknown fields \['seed'\]"),
+        (lambda: sweep_spec(policies=[{"kind": "threshold", "tau": 3, "d": 4}]),
+         r"policies\[0\]: unknown fields \['d'\]"),
+        (lambda: sweep_spec(arrival={"kind": "trace", "path": "t.csv"}),
+         r"arrival\.kind: expected 'bernoulli' for threshold_sweep"),
+        (lambda: sweep_spec(policies="all"), r"policies: must be 'auto' or a list of policy records"),
+        (lambda: ExperimentSpec.from_dict({"name": "x", "kind": "threshold_sweep"}),
+         r"missing 2 required positional arguments: 'model' and 'arrival'"),
+        (lambda: run_threshold_sweep(comparison_spec("cost_sweep", [10])),
+         r"kind: expected threshold_sweep, got cost_sweep"),
+        (lambda: run_policy_comparison(sweep_spec()),
+         r"kind: expected lambda_sweep or cost_sweep, got threshold_sweep"),
+        (lambda: run_trace_compare(sweep_spec()), r"kind: expected trace_compare, got threshold_sweep"),
     ):
         with pytest.raises(ConfigError, match=message):
             spec()
@@ -126,6 +145,10 @@ def test_spec_validation_messages():
         ({"kind": "trace", "path": "t.csv", "slot_duration": None},
          r"arrival\.slot_duration: must be a positive number, got None"),
         (["trace"], r"arrival: must be an object, got \['trace'\]"),
+        ({"kind": "trace", "slot_duration": 1.0},
+         r"arrival: trace_compare needs \{kind: 'trace', path, slot_duration\}"),
+        ({"kind": "trace", "path": "t.csv", "slot_duration": 1.0, "rate": 0.1},
+         r"arrival: unknown fields \['rate'\]"),
     ):
         with pytest.raises(ConfigError, match=message):
             ExperimentSpec.from_dict({**trace, "arrival": arrival})
@@ -151,6 +174,9 @@ def test_wrong_field_types_exit_1(tmp_path, capsys):
         ("sweep-threshold", "grid", [2.5]),
         ("compare", "offline_request_cap", "5"),
         ("compare", "include_offline", "false"),
+        ("sweep-threshold", "arrival", {"kind": "bernoulli", "rate": 0.5, "seed": 9}),
+        ("sweep-threshold", "model", {"staleness": {"kind": "linear"}, "update_cost": 1e300}),
+        ("compare", "policies", [{"kind": "threshold", "tau": 3, "d": 4}]),
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**base, field: value}))
@@ -497,6 +523,11 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     rc = main(["sweep-threshold", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert out.exists() and (tmp_path / "mini.csv.meta.json").exists()
+    # --tau narrows the sweep to one threshold, and the sidecar spec says so.
+    one = tmp_path / "one.csv"
+    assert main(["sweep-threshold", "--config", str(cfg), "--tau", "2", "--out", str(one)]) == 0
+    assert [line.split(",")[0] for line in one.read_text().splitlines()[1:]] == ["2"]
+    assert json.loads((tmp_path / "one.csv.meta.json").read_text())["spec"]["grid"] == [2]
     capsys.readouterr()
 
     # validation failure: malformed config
@@ -558,6 +589,10 @@ def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
         ["optimal-threshold", "--lambda", "0.5", "--p", "-3"],
         ["sweep-threshold", "--lambda", "1.5", "--p", "10", "--out", str(tmp_path / "never.csv")],
         ["solve-mdp", "--lambda", "0.1", "--p", "1e12"],  # found without scanning 10^12 ages
+        # A cap threshold past 2^50 is refused before anything is sized by it.
+        ["optimal-threshold", "--lambda", "0.1", "--p", "1.7e308"],
+        ["solve-mdp", "--lambda", "0.1", "--p", "1.7e308"],
+        ["optimal-threshold", "--lambda", "0.1", "--p", "1e16"],
     ):
         with alarm(2.0):
             assert main(argv) == 1, argv

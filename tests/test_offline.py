@@ -122,7 +122,7 @@ def test_replay_reproduces_dp_cost():
     model = CostModel(LINEAR, 9.0)
     sol = offline_optimal(arr, model)
     replay = simulate(Policy.scheduled(sol.update_slots), arr, model)
-    assert replay.breakdown.total == pytest.approx(sol.total_cost, rel=1e-12)
+    assert replay.total == pytest.approx(sol.total_cost, rel=1e-12)
     assert sol.per_request_cost == pytest.approx(sol.total_cost / arr.n_requests)
 
 
@@ -136,7 +136,7 @@ def test_offline_lower_bounds_online_policies():
         d = optimal_period(0.5, model).d_star
         sched = sorted(rng.choice(arr.slots, size=5, replace=False))
         for pol in (Policy.threshold(tau), Policy.naive(), Policy.periodic(d), Policy.scheduled(sched)):
-            online = simulate(pol, arr, model).breakdown.total
+            online = simulate(pol, arr, model).total
             assert off <= online + 1e-9
 
 

@@ -65,6 +65,12 @@ def test_policy_validation_and_config():
                       (Policy.scheduled, [1.7, 3.2]), (Policy.scheduled, [2, np.nan])):
         with pytest.raises(ValueError, match="must be an integer"):
             make(bad)
+    # The transforms used to truncate too: reactify read [2.5, 4.9] as (2, 5).
+    arr, m = ArrivalSequence.from_slots([2, 3, 5, 9]), CostModel(LINEAR, 5.0)
+    for call, bad in ((lambda: reactify([2.5, 4.9], arr), 2.5), (lambda: reactify([True], arr), True),
+                      (lambda: cap([3.7], arr, m), 3.7), (lambda: cap([True], arr, m), True)):
+        with pytest.raises(ValueError, match=f"each slot must be an integer, got {bad}"):
+            call()
     # Integral floats and numpy integers name the same values.
     assert Policy.threshold(np.int64(4)) == Policy.threshold(4.0) == Policy.threshold(4)
     assert Policy.periodic(np.int32(3)) == Policy.periodic(3)
@@ -76,6 +82,10 @@ def test_policy_validation_and_config():
         {"kind": "scheduled", "slots": [2, 8]},
     ):
         assert Policy.from_config(cfg).to_config() == cfg
+        with pytest.raises(ValueError, match=r"^unknown fields \['extra'\]"):
+            Policy.from_config({**cfg, "extra": 1})
+    with pytest.raises(ValueError, match=r"^unknown fields \['d'\]"):
+        Policy.from_config({"kind": "threshold", "tau": 3, "d": 4})
 
 
 def test_reactify_examples():
@@ -93,8 +103,8 @@ def test_reactify_drops_updates_after_last_request():
 def test_reactify_merged_updates_dominate_by_replay():
     arr = ArrivalSequence.from_slots([8])
     m = CostModel(LINEAR, 3.0)
-    before = simulate(Policy.scheduled([4, 6]), arr, m).breakdown.total
-    after = simulate(Policy.scheduled(reactify([4, 6], arr)), arr, m).breakdown.total
+    before = simulate(Policy.scheduled([4, 6]), arr, m).total
+    after = simulate(Policy.scheduled(reactify([4, 6], arr)), arr, m).total
     assert after <= before
 
 
@@ -132,9 +142,9 @@ def test_transform_idempotence_and_dominance(case):
     assert reactify(r1, arr) == r1
     c1 = cap(r1, arr, model)
     assert cap(c1, arr, model) == c1
-    base = simulate(Policy.scheduled(sched), arr, model).breakdown.total
-    react = simulate(Policy.scheduled(r1), arr, model).breakdown.total
-    capped = simulate(Policy.scheduled(c1), arr, model).breakdown.total
+    base = simulate(Policy.scheduled(sched), arr, model).total
+    react = simulate(Policy.scheduled(r1), arr, model).total
+    capped = simulate(Policy.scheduled(c1), arr, model).total
     assert react <= base + 1e-9
     assert capped <= react + 1e-9
 
@@ -153,7 +163,7 @@ def test_threshold_at_cap_equals_naive(rate, seed, p):
     thr = simulate(Policy.threshold(cap_threshold(model)), arr, model)
     naive = simulate(Policy.naive(), arr, model)
     assert np.array_equal(thr.update_slots, naive.update_slots)
-    assert thr.breakdown.total == naive.breakdown.total
+    assert thr.total == naive.total
 
 
 @settings(max_examples=60, deadline=None)
