@@ -33,25 +33,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="agecost", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, requests_help):
         p.add_argument("--config", help="JSON experiment spec; flags override its fields")
-        p.add_argument("--lambda", dest="rate", type=float, help="Bernoulli arrival rate")
         p.add_argument("--p", dest="update_cost", type=float, help="update cost")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--runs", type=int, help="simulation runs per grid point")
-        p.add_argument("--requests", type=int, help="requests per run")
+        p.add_argument("--requests", type=int, help=requests_help)
         p.add_argument("--out", help="output CSV path")
 
+    def sampled(p, rate_help):  # flags of the Bernoulli sweeps only
+        common(p, "requests per run")
+        p.add_argument("--lambda", dest="rate", type=float, help=rate_help)
+        p.add_argument("--seed", type=int, help="base seed")
+        p.add_argument("--runs", type=int, help="simulation runs per grid point")
+
     p = sub.add_parser("sweep-threshold", help="simulated vs closed-form cost across thresholds")
-    common(p)
+    sampled(p, "Bernoulli arrival rate")
     p.add_argument("--tau", type=int, help="restrict the sweep to a single threshold")
 
     p = sub.add_parser("compare", help="compare policies across a rate or cost grid")
-    common(p)
+    sampled(p, "Bernoulli arrival rate of a cost sweep (a lambda sweep takes its rates from the grid)")
     p.add_argument("--sweep", choices=("lambda", "cost"), required=True)
 
     p = sub.add_parser("trace-compare", help="replay policies on a timestamp trace")
-    common(p)
+    common(p, "requests replayed from the trace")
     p.add_argument("--trace", help="trace file, one 'timestamp[,...]' line per request")
     p.add_argument("--slot-duration", dest="slot_duration", type=float, help="slot length in trace time units")
 
@@ -83,7 +86,8 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
     for key in ("model", "arrival"):  # flags below write into these records
         if not isinstance(data.get(key, {}), dict):
             raise ConfigError(f"{key}: must be an object, got {data[key]!r}")
-    data["kind"] = data.get("kind", kind)
+    if data.setdefault("kind", kind) != kind:
+        raise ConfigError(f"kind: {args.command} runs a {kind}, got {data['kind']!r}")
     model = data.setdefault("model", {"staleness": {"kind": "linear"}, "update_cost": 50.0})
     if args.update_cost is not None:
         model["update_cost"] = args.update_cost

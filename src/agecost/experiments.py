@@ -12,7 +12,7 @@ import json
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -46,15 +46,19 @@ COLUMNS = (
     "seed",
 )
 
-KINDS = ("threshold_sweep", "lambda_sweep", "cost_sweep", "trace_compare")
-
 # Rows formatted and written per write call by ``emit``.
 _EMIT_CHUNK = 1 << 15
 
-_DEFAULT_GRIDS = {
-    "threshold_sweep": lambda: list(range(1, 101)),
-    "lambda_sweep": lambda: [round(0.1 * k, 1) for k in range(1, 10)],
-    "cost_sweep": lambda: list(range(10, 201, 10)),
+# Per kind: the arrival fields it reads, the spec fields it reads besides
+# those in ``_READ_BY_ALL``, and its default grid.
+_COMPARE = ("grid", "n_runs", "base_seed", "policies", "include_offline", "offline_request_cap")
+_READ_BY_ALL = ("name", "kind", "model", "arrival", "n_requests", "output_path")
+KINDS = {
+    "threshold_sweep": (("kind", "rate"), ("grid", "n_runs", "base_seed"), lambda: list(range(1, 101))),
+    "lambda_sweep": (("kind",), _COMPARE, lambda: [round(0.1 * k, 1) for k in range(1, 10)]),
+    "cost_sweep": (("kind", "rate"), _COMPARE, lambda: list(range(10, 201, 10))),
+    "trace_compare": (("kind", "path", "slot_duration", "on_malformed"),
+                      ("policies", "include_offline", "offline_request_cap"), list),
 }
 
 
@@ -64,7 +68,21 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
+
+    Every kind reads name, kind, model, arrival, n_requests and output_path.
+    Besides those, as ``KINDS`` gives them:
+
+    threshold_sweep  grid, n_runs, base_seed; arrival kind and rate
+    lambda_sweep     grid, n_runs, base_seed, policies, include_offline and
+                     offline_request_cap; arrival kind (the grid holds the rates)
+    cost_sweep       as lambda_sweep; arrival kind and rate
+    trace_compare    policies, include_offline, offline_request_cap; arrival
+                     kind, path, slot_duration and on_malformed
+
+    A field its kind does not read must hold its default; ``to_dict`` leaves
+    it out.
+    """
 
     name: str
     kind: str
@@ -80,8 +98,18 @@ class ExperimentSpec:
     offline_request_cap: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(f"kind: must be one of {tuple(KINDS)}, got {self.kind!r}")
+        arrival_fields, read, default_grid = KINDS[self.kind]
+        for f in fields(self):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if f.name not in _READ_BY_ALL + read and getattr(self, f.name) != default:
+                raise ConfigError(f"{f.name}: a {self.kind} does not read this field, "
+                                  f"got {getattr(self, f.name)!r}")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"name: must be a non-empty string, got {self.name!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path: must be a string or null, got {self.output_path!r}")
         # type(), not isinstance(): JSON true must not pass as an integer.
         for name in ("n_runs", "n_requests", "offline_request_cap"):
             if type(getattr(self, name)) is not int or getattr(self, name) < 1:
@@ -90,10 +118,9 @@ class ExperimentSpec:
             raise ConfigError(f"base_seed: must be an integer, got {self.base_seed!r}")
         if not isinstance(self.include_offline, bool):
             raise ConfigError(f"include_offline: must be true or false, got {self.include_offline!r}")
-        if not self.grid and self.kind in _DEFAULT_GRIDS:
-            self.grid = _DEFAULT_GRIDS[self.kind]()
         if not isinstance(self.grid, list):
             raise ConfigError(f"grid: must be a list, got {self.grid!r}")
+        self.grid = self.grid or default_grid()
         if isinstance(self.model, dict) and type(self.model.get("update_cost")) not in (int, float):
             raise ConfigError(f"model.update_cost: must be a number, got {self.model.get('update_cost')!r}")
         try:
@@ -120,28 +147,24 @@ class ExperimentSpec:
         if self.kind == "trace_compare":
             if akind != "trace" or "path" not in self.arrival:
                 raise ConfigError("arrival: trace_compare needs {kind: 'trace', path, slot_duration}")
+        elif akind != "bernoulli":
+            raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
+        check_fields(self.arrival, arrival_fields, "arrival: ", ConfigError)
+        if "rate" in arrival_fields:
+            rate = self.arrival.get("rate")
+            try:
+                if type(rate) not in (int, float):
+                    raise TypeError(f"must be a number, got {rate!r}")
+                check_rate(rate)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"arrival.rate: {exc}") from None
+        if "slot_duration" in arrival_fields:
             slot = self.arrival.get("slot_duration", 0)
             if type(slot) not in (int, float) or not slot > 0:
                 raise ConfigError(f"arrival.slot_duration: must be a positive number, got {slot!r}")
             if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
                 raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
                                   f"got {self.arrival['on_malformed']!r}")
-            check_fields(self.arrival, ("kind", "path", "slot_duration", "on_malformed"),
-                         "arrival: ", ConfigError)
-        else:
-            if akind != "bernoulli":
-                raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
-            if self.kind != "lambda_sweep" and "rate" not in self.arrival:
-                raise ConfigError("arrival.rate: required")
-            if "rate" in self.arrival:
-                rate = self.arrival["rate"]
-                try:
-                    if type(rate) not in (int, float):
-                        raise TypeError(f"must be a number, got {rate!r}")
-                    check_rate(rate)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"arrival.rate: {exc}") from None
-            check_fields(self.arrival, ("kind", "rate"), "arrival: ", ConfigError)
         if self.policies != "auto":
             if not isinstance(self.policies, list):
                 raise ConfigError("policies: must be 'auto' or a list of policy records")
@@ -162,7 +185,10 @@ class ExperimentSpec:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields this spec's kind reads; ``from_dict`` gives the rest
+        their defaults."""
+        read = _READ_BY_ALL + KINDS[self.kind][1]
+        return {name: value for name, value in asdict(self).items() if name in read}
 
 
 class _Rows(Sequence):

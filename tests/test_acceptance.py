@@ -287,7 +287,8 @@ def _comparison_spec(kind, grid, p, include_offline):
         "name": f"acceptance-{kind}",
         "kind": kind,
         "model": {"staleness": {"kind": "linear"}, "update_cost": p},
-        "arrival": {"kind": "bernoulli", "rate": 0.5},
+        # A lambda sweep takes its rates from the grid.
+        "arrival": {"kind": "bernoulli"} if kind == "lambda_sweep" else {"kind": "bernoulli", "rate": 0.5},
         "grid": grid,
         "n_runs": 20,
         "n_requests": 2000,
@@ -345,7 +346,6 @@ def test_criterion_10_trace_experiment(tmp_path):
         "model": {"staleness": {"kind": "linear"}, "update_cost": 25.0},
         "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
         "n_requests": 1000,
-        "base_seed": BASE_SEED,
     })
     table = run_trace_compare(spec)
     info = table.meta["auto_policies"]

@@ -61,8 +61,9 @@ def test_threshold_sweep_consistency_flag():
 
 
 def test_spec_validation_messages():
-    with pytest.raises(ConfigError, match="kind"):
-        sweep_spec(kind="nonsense")
+    for kind in ("nonsense", ["threshold_sweep"]):
+        with pytest.raises(ConfigError, match=r"^kind: must be one of \("):
+            sweep_spec(kind=kind)
     with pytest.raises(ConfigError, match="arrival.rate"):
         ExperimentSpec.from_dict({
             "name": "x", "kind": "cost_sweep",
@@ -81,14 +82,14 @@ def test_spec_validation_messages():
         comparison_spec("cost_sweep", [10, 90], model={
             "staleness": {"kind": "table", "values": [0, 5, 60]}, "update_cost": 10.0})
     with pytest.raises(ConfigError, match="policies"):
-        sweep_spec(policies=[{"kind": "threshold"}])
+        comparison_spec("cost_sweep", [10], policies=[{"kind": "threshold"}])
     for policy, message in (
         ({"kind": "threshold", "tau": 2.5}, "tau must be an integer, got 2.5"),
         ({"kind": "periodic", "d": True}, "d must be an integer, got True"),
         ({"kind": "scheduled", "slots": [1.7, 3.2]}, "each slot must be an integer, got 1.7"),
     ):
         with pytest.raises(ConfigError, match=rf"policies\[1\]: {message}"):
-            sweep_spec(policies=[{"kind": "naive"}, policy])
+            comparison_spec("cost_sweep", [10], policies=[{"kind": "naive"}, policy])
     linear = {"staleness": {"kind": "linear"}}
     for spec, message in (
         (lambda: sweep_spec(model={**linear, "update_cost": True}), r"model\.update_cost: must be a number, got True"),
@@ -106,11 +107,15 @@ def test_spec_validation_messages():
          r"model: staleness: unknown fields \['values'\]"),
         (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": 0.1, "seed": 9}),
          r"arrival: unknown fields \['seed'\]"),
-        (lambda: sweep_spec(policies=[{"kind": "threshold", "tau": 3, "d": 4}]),
+        # A lambda sweep takes its rates from the grid.
+        (lambda: comparison_spec("lambda_sweep", [0.3], arrival={"kind": "bernoulli", "rate": 0.3}),
+         r"arrival: unknown fields \['rate'\]"),
+        (lambda: comparison_spec("cost_sweep", [10], policies=[{"kind": "threshold", "tau": 3, "d": 4}]),
          r"policies\[0\]: unknown fields \['d'\]"),
         (lambda: sweep_spec(arrival={"kind": "trace", "path": "t.csv"}),
          r"arrival\.kind: expected 'bernoulli' for threshold_sweep"),
-        (lambda: sweep_spec(policies="all"), r"policies: must be 'auto' or a list of policy records"),
+        (lambda: comparison_spec("cost_sweep", [10], policies="all"),
+         r"policies: must be 'auto' or a list of policy records"),
         (lambda: ExperimentSpec.from_dict({"name": "x", "kind": "threshold_sweep"}),
          r"missing 2 required positional arguments: 'model' and 'arrival'"),
         (lambda: run_threshold_sweep(comparison_spec("cost_sweep", [10])),
@@ -137,6 +142,18 @@ def test_spec_validation_messages():
         sweep_spec(base_seed="1")
     with pytest.raises(ConfigError, match=r"grid: must be a list"):
         sweep_spec(grid=5)
+    # The default grid fills in only an empty list, not any false value.
+    for grid in (None, 0, False):
+        with pytest.raises(ConfigError, match=rf"^grid: must be a list, got {grid}$"):
+            sweep_spec(grid=grid)
+    for name, message in (("output_path", r"^output_path: must be a string or null, got 5$"),
+                          ("name", r"^name: must be a non-empty string, got 5$")):
+        with pytest.raises(ConfigError, match=message):
+            sweep_spec(**{name: 5})
+    for name in (None, ""):
+        with pytest.raises(ConfigError, match=rf"^name: must be a non-empty string, got {name!r}$"):
+            sweep_spec(name=name)
+    assert sweep_spec(output_path=None).output_path is None
     trace = {"name": "t", "kind": "trace_compare",
              "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0}}
     for arrival, message in (
@@ -229,7 +246,8 @@ def comparison_spec(kind, grid, **kw):
         "name": "cmp",
         "kind": kind,
         "model": {"staleness": {"kind": "linear"}, "update_cost": 50.0},
-        "arrival": {"kind": "bernoulli", "rate": 0.5},
+        # A lambda sweep takes its rates from the grid.
+        "arrival": {"kind": "bernoulli"} if kind == "lambda_sweep" else {"kind": "bernoulli", "rate": 0.5},
         "grid": grid,
         "n_runs": 4,
         "n_requests": 300,
@@ -256,6 +274,52 @@ def test_cost_sweep_overrides_update_cost():
     assert naive_rows[10]["analytic_cost"] < naive_rows[40]["analytic_cost"]
 
 
+# Per kind: an arrival it accepts, a grid, and the spec fields it reads
+# besides name, kind, model, arrival, n_requests and output_path.
+_KIND_INPUTS = {
+    "threshold_sweep": ({"kind": "bernoulli", "rate": 0.5}, [3, 5], {"grid", "n_runs", "base_seed"}),
+    "lambda_sweep": ({"kind": "bernoulli"}, [0.3, 0.7],
+                     {"grid", "n_runs", "base_seed", "policies", "include_offline", "offline_request_cap"}),
+    "cost_sweep": ({"kind": "bernoulli", "rate": 0.5}, [10, 40],
+                   {"grid", "n_runs", "base_seed", "policies", "include_offline", "offline_request_cap"}),
+    "trace_compare": ({"kind": "trace", "path": "t.csv", "slot_duration": 1.0}, [],
+                      {"policies", "include_offline", "offline_request_cap"}),
+}
+_DEFAULTS = {"policies": "auto", "grid": [], "n_runs": 100, "base_seed": 0, "include_offline": True,
+             "offline_request_cap": 10_000}
+_NOT_DEFAULTS = {"policies": [{"kind": "naive"}], "grid": [5], "n_runs": 7, "base_seed": 3,
+                 "include_offline": False, "offline_request_cap": 50}
+
+
+def kind_data(kind, **kw):
+    arrival, grid, _ = _KIND_INPUTS[kind]
+    data = {"name": "k", "kind": kind, "model": {"staleness": {"kind": "linear"}, "update_cost": 50.0},
+            "arrival": arrival, "n_requests": 100}
+    if grid:
+        data["grid"] = grid
+    return {**data, **kw}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, (_, _, reads) in _KIND_INPUTS.items()
+                                       for name in sorted(set(_DEFAULTS) - reads)])
+def test_a_kind_refuses_the_fields_it_does_not_read(kind, name):
+    with pytest.raises(ConfigError, match=rf"^{name}: a {kind} does not read this field, got "):
+        ExperimentSpec.from_dict(kind_data(kind, **{name: _NOT_DEFAULTS[name]}))
+    spec = ExperimentSpec.from_dict(kind_data(kind, **{name: _DEFAULTS[name]}))
+    assert name not in spec.to_dict()
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_INPUTS))
+def test_old_sidecar_specs_of_every_kind_load(kind):
+    # Sidecars used to hold all 12 fields; those a kind does not read were
+    # always at their defaults.
+    old = {**kind_data(kind), **_DEFAULTS, "grid": _KIND_INPUTS[kind][1], "output_path": "out.csv"}
+    spec = ExperimentSpec.from_dict(old)
+    read = {"name", "kind", "model", "arrival", "n_requests", "output_path"} | _KIND_INPUTS[kind][2]
+    assert spec.to_dict() == {name: value for name, value in old.items() if name in read}
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
 def test_spec_roundtrip_every_staleness_kind():
     fns = (
         StalenessFn.linear(),
@@ -265,10 +329,12 @@ def test_spec_roundtrip_every_staleness_kind():
     )
     for fn in fns:
         model = CostModel(fn, 40.0)
-        spec = comparison_spec("cost_sweep", [10, 40], model=model.to_config())
-        again = ExperimentSpec.from_dict(spec.to_dict())
-        assert again.to_dict() == spec.to_dict()
-        assert CostModel.from_config(again.model) == model
+        for kind in _KIND_INPUTS:
+            spec = ExperimentSpec.from_dict(kind_data(kind, model=model.to_config()))
+            again = ExperimentSpec.from_dict(spec.to_dict())
+            assert again.to_dict() == spec.to_dict()
+            assert again == spec
+            assert CostModel.from_config(again.model) == model
 
 
 def test_cost_sweep_piecewise_penalty():
@@ -597,6 +663,31 @@ def test_cli_invalid_flag_values_are_config_errors(tmp_path, capsys):
         with alarm(2.0):
             assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv
+    # A flag or config field that the command's experiment kind does not read
+    # is a configuration error naming it, and no CSV is written.
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=50, horizon=100, seed=1)
+    replay = ["trace-compare", "--trace", str(trace), "--slot-duration", "1.0", "--p", "25"]
+    assert main(replay + ["--out", str(tmp_path / "trace-out.csv")]) == 0
+    cost = tmp_path / "cost.json"
+    cost.write_text(json.dumps({"kind": "cost_sweep", "arrival": {"kind": "bernoulli", "rate": 0.3},
+                                "grid": [10], "n_runs": 2, "n_requests": 50}))
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps({"policies": [{"kind": "naive"}], "grid": [3], "n_runs": 2, "n_requests": 50}))
+    for argv, name in (
+        (replay + ["--runs", "5"], "--runs 5"),
+        (replay + ["--seed", "1"], "--seed 1"),
+        (replay + ["--lambda", "0.1"], "--lambda 0.1"),
+        (["compare", "--sweep", "lambda", "--lambda", "0.3", "--runs", "2", "--requests", "50"],
+         "arrival: unknown fields ['rate']"),
+        (["compare", "--sweep", "lambda", "--config", str(cost)], "kind: compare runs a lambda_sweep, got 'cost_sweep'"),
+        (["sweep-threshold", "--lambda", "0.3", "--config", str(policies)],
+         "policies: a threshold_sweep does not read this field"),
+    ):
+        assert main(argv + ["--out", str(tmp_path / "never.csv")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and name in err, (argv, err)
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_compare_smoke(tmp_path, capsys):
