@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostModel, cap_threshold, check_rate
+from .core import CostModel, as_int, cap_threshold, check_rate
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,10 @@ def _periodic_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
 
 
 def threshold_avg_cost(rate: float, model: CostModel, tau: int) -> float:
-    """Average cost per request of the threshold-tau policy under Bernoulli(rate)."""
+    """Average cost per request of the threshold-tau policy under Bernoulli(rate);
+    ``tau`` is read through ``as_int``."""
     check_rate(rate)
+    tau = as_int(tau, "tau")
     if tau < 1:
         raise ValueError("tau must be >= 1")
     return float(_threshold_costs(rate, model, tau)[-1])
@@ -162,8 +164,10 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
 
 
 def periodic_avg_cost(rate: float, model: CostModel, d: int) -> float:
-    """Average cost per request of updating every d slots under Bernoulli(rate)."""
+    """Average cost per request of updating every d slots under Bernoulli(rate);
+    ``d`` is read through ``as_int``."""
     check_rate(rate)
+    d = as_int(d, "d")
     if d < 1:
         raise ValueError("period must be >= 1")
     return float(_periodic_costs(rate, model, d)[-1])
@@ -205,9 +209,11 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
 def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpectations:
     """Expected requests and cost per update interval of the threshold-tau policy.
 
-    Their ratio equals threshold_avg_cost exactly.
+    Their ratio equals threshold_avg_cost exactly; ``tau`` is read through
+    ``as_int``.
     """
     check_rate(rate)
+    tau = as_int(tau, "tau")
     if tau < 1:
         raise ValueError("tau must be >= 1")
     return RenewalExpectations(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +27,27 @@ class InvalidRate(ValueError):
 
 
 def check_rate(rate: float, *, allow_one: bool = True) -> float:
-    """Validate a Bernoulli arrival rate and return it unchanged."""
+    """Validate a Bernoulli arrival rate and return it unchanged: ValueError
+    if it is not a number (see ``as_float``), InvalidRate if it lies outside
+    (0, 1], or outside (0, 1) without ``allow_one``."""
+    as_float(rate, "arrival rate")
     hi_ok = rate <= 1.0 if allow_one else rate < 1.0
     if not (0.0 < rate and hi_ok):
         hi = "1]" if allow_one else "1)"
         raise InvalidRate(f"arrival rate must be in (0, {hi}, got {rate}")
     return rate
+
+
+def as_float(value, what: str) -> float:
+    """``value`` as a float, an int past the float range as +-inf. ValueError
+    naming ``what`` for a bool, a string or anything else that is not a real
+    number."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def as_int(value, what: str) -> int:
@@ -67,6 +83,10 @@ class StalenessFn:
                        constant past the end of the table
       * ``piecewise``  step function given as (start_age, value) breakpoints;
                        0 before the first breakpoint, last value held
+
+    However it is built, values are stored as floats and breakpoint ages
+    through ``as_int``. Only the table kind takes ``table`` and only the
+    piecewise kind ``breakpoints``; another kind given one is a ValueError.
     """
 
     kind: str
@@ -76,6 +96,12 @@ class StalenessFn:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "quadratic", "table", "piecewise"):
             raise ValueError(f"unknown staleness kind {self.kind!r}")
+        object.__setattr__(self, "table", tuple(float(v) for v in self.table))
+        object.__setattr__(self, "breakpoints", tuple(
+            (as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), float(v)) for s, v in self.breakpoints))
+        for name, owner in (("table", "table"), ("breakpoints", "piecewise")):
+            if getattr(self, name) and self.kind != owner:
+                raise ValueError(f"a {self.kind} staleness takes no {name}")
         if self.kind in ("table", "piecewise"):
             table = self.kind == "table"
             name = "table staleness" if table else "piecewise"
@@ -107,12 +133,11 @@ class StalenessFn:
 
     @classmethod
     def from_table(cls, values) -> "StalenessFn":
-        return cls("table", table=tuple(float(v) for v in values))
+        return cls("table", table=values)
 
     @classmethod
     def piecewise(cls, breakpoints) -> "StalenessFn":
-        bps = tuple((as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), float(v)) for s, v in breakpoints)
-        return cls("piecewise", breakpoints=bps)
+        return cls("piecewise", breakpoints=breakpoints)
 
     @property
     def held_from(self) -> int | None:
@@ -170,13 +195,16 @@ MAX_CAP = 2**50
 @dataclass(frozen=True)
 class CostModel:
     """Staleness penalty plus the flat cost of one refresh, whose cap
-    threshold is at most ``MAX_CAP``."""
+    threshold is at most ``MAX_CAP``. However the model is built,
+    ``update_cost`` is stored as a float and a non-number is a ValueError
+    naming it (see ``as_float``)."""
 
     staleness: StalenessFn
     update_cost: float
     _cap: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "update_cost", as_float(self.update_cost, "update_cost"))
         # An infinite cost would never be reached by an unbounded penalty.
         if not 0 < self.update_cost < math.inf:
             raise ValueError(f"update_cost must be positive and finite, got {self.update_cost}")
@@ -201,7 +229,7 @@ class CostModel:
             fn = StalenessFn.piecewise(st["breakpoints"])
         else:
             fn = StalenessFn(st["kind"])  # linear, quadratic or an unknown kind's error
-        model = cls(staleness=fn, update_cost=float(config["update_cost"]))
+        model = cls(staleness=fn, update_cost=config.get("update_cost"))
         written = model.to_config()
         check_fields(st, written["staleness"], "staleness: ")
         check_fields(config, written)

@@ -28,7 +28,7 @@ from .arrivals import (
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, cap_threshold, check_fields, check_rate
+from .core import CostModel, as_float, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
 from .offline import OfflineSolution, offline_optimal
 from .policies import Policy
@@ -121,8 +121,6 @@ class ExperimentSpec:
         if not isinstance(self.grid, list):
             raise ConfigError(f"grid: must be a list, got {self.grid!r}")
         self.grid = self.grid or default_grid()
-        if isinstance(self.model, dict) and type(self.model.get("update_cost")) not in (int, float):
-            raise ConfigError(f"model.update_cost: must be a number, got {self.model.get('update_cost')!r}")
         try:
             model = CostModel.from_config(self.model)
         except (KeyError, TypeError, ValueError) as exc:
@@ -133,35 +131,33 @@ class ExperimentSpec:
                     if type(x) is not int:
                         raise TypeError(f"threshold must be an integer, got {x!r}")
                     Policy.threshold(x)
-                elif type(x) not in (int, float):
-                    raise TypeError(f"must be a number, got {x!r}")
                 elif self.kind == "lambda_sweep":
                     check_rate(x)
                 elif self.kind == "cost_sweep":
-                    CostModel(model.staleness, float(x))
+                    CostModel(model.staleness, x)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"grid[{i}]: {exc}") from None
         if not isinstance(self.arrival, dict):
             raise ConfigError(f"arrival: must be an object, got {self.arrival!r}")
         akind = self.arrival.get("kind", "bernoulli")
         if self.kind == "trace_compare":
-            if akind != "trace" or "path" not in self.arrival:
+            if akind != "trace" or not {"path", "slot_duration"} <= self.arrival.keys():
                 raise ConfigError("arrival: trace_compare needs {kind: 'trace', path, slot_duration}")
         elif akind != "bernoulli":
             raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
         check_fields(self.arrival, arrival_fields, "arrival: ", ConfigError)
         if "rate" in arrival_fields:
-            rate = self.arrival.get("rate")
             try:
-                if type(rate) not in (int, float):
-                    raise TypeError(f"must be a number, got {rate!r}")
-                check_rate(rate)
-            except (TypeError, ValueError) as exc:
+                check_rate(self.arrival.get("rate"))
+            except ValueError as exc:
                 raise ConfigError(f"arrival.rate: {exc}") from None
         if "slot_duration" in arrival_fields:
-            slot = self.arrival.get("slot_duration", 0)
-            if type(slot) not in (int, float) or not slot > 0:
-                raise ConfigError(f"arrival.slot_duration: must be a positive number, got {slot!r}")
+            slot = self.arrival["slot_duration"]
+            try:
+                if not as_float(slot, "slot duration") > 0:
+                    raise ValueError(f"slot duration must be positive, got {slot!r}")
+            except ValueError as exc:
+                raise ConfigError(f"arrival.slot_duration: {exc}") from None
             if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
                 raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
                                   f"got {self.arrival['on_malformed']!r}")
@@ -176,9 +172,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        extra = set(data) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown fields: {sorted(extra)}")
+        check_fields(data, cls.__dataclass_fields__, error=ConfigError)
         try:
             return cls(**data)
         except TypeError as exc:
@@ -333,7 +327,7 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
             model = base_model
         else:
             rate = float(spec.arrival["rate"])
-            model = CostModel(staleness=base_model.staleness, update_cost=float(x))
+            model = CostModel(staleness=base_model.staleness, update_cost=x)
         policies, info = _resolve_policies(spec, rate, model)
         if info:
             resolutions[str(x)] = info

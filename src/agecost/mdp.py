@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CostModel, cap_threshold, check_rate
+from .core import CostModel, as_int, cap_threshold, check_rate
 
 
 @dataclass(frozen=True)
 class MdpConfig:
-    """Problem instance. ``state_cap`` is the largest age a solution reports;
-    it must reach the lumped state Delta*, and it changes no solved number."""
+    """Problem instance. ``state_cap`` is the largest age a solution reports,
+    read through ``as_int``; it must reach the lumped state Delta*, and it
+    changes no solved number."""
 
     rate: float
     model: CostModel
@@ -35,6 +36,7 @@ class MdpConfig:
 
     def __post_init__(self) -> None:
         check_rate(self.rate, allow_one=False)
+        object.__setattr__(self, "state_cap", as_int(self.state_cap, "state_cap"))
         ds = cap_threshold(self.model)
         if self.state_cap < ds + 1:
             raise ValueError(f"state_cap must be >= cap threshold + 1 = {ds + 1}")

@@ -24,6 +24,12 @@ class NotReactive(ValueError):
     """A schedule expected to sit on request slots contains other slots."""
 
 
+# Per kind: the attribute holding its parameter and that parameter's key in
+# a config record, which also names it in errors; naive has none.
+_PARAMS = {"threshold": ("tau", "tau"), "naive": (None, None), "periodic": ("period", "d"),
+           "scheduled": ("update_slots", "slots")}
+
+
 @dataclass(frozen=True)
 class Policy:
     """Decision rule for when to refresh.
@@ -32,6 +38,11 @@ class Policy:
     updates on a request once the staleness penalty reaches the update cost;
     periodic(d) updates every d-th slot regardless of requests; scheduled
     fires at a fixed list of slots.
+
+    However it is built, ``tau``, ``period`` and each slot are stored as ints
+    (``as_int``: 2.5, True or "3" is a ValueError naming the parameter), and
+    a kind given another kind's parameter is a ValueError, e.g. "a naive
+    policy takes no tau".
     """
 
     kind: str
@@ -40,25 +51,30 @@ class Policy:
     update_slots: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "threshold":
-            if self.tau is None or self.tau < 1:
-                raise ValueError("threshold policy needs tau >= 1")
-        elif self.kind == "periodic":
-            if self.period is None or self.period < 1:
-                raise ValueError("periodic policy needs period >= 1")
-        elif self.kind == "scheduled":
+        if not isinstance(self.kind, str) or self.kind not in _PARAMS:
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        attr, key = _PARAMS[self.kind]
+        for name in ("tau", "period", "update_slots"):
+            if name != attr and getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} policy takes no {name}")
+        if self.kind == "scheduled":
             if self.update_slots is None:
                 raise ValueError("scheduled policy needs update slots")
-            if any(a >= b for a, b in zip(self.update_slots, self.update_slots[1:])):
+            slots = tuple(as_int(s, "each slot") for s in self.update_slots)
+            if any(a >= b for a, b in zip(slots, slots[1:])):
                 raise ValueError("scheduled slots must be strictly increasing")
-            if self.update_slots and self.update_slots[0] < 1:
+            if slots and slots[0] < 1:
                 raise ValueError("scheduled slots must be >= 1")
-        elif self.kind != "naive":
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            object.__setattr__(self, attr, slots)
+        elif attr is not None:
+            value = as_int(getattr(self, attr), key)
+            if value < 1:
+                raise ValueError(f"{self.kind} policy needs {attr} >= 1")
+            object.__setattr__(self, attr, value)
 
     @classmethod
     def threshold(cls, tau: int) -> "Policy":
-        return cls("threshold", tau=as_int(tau, "tau"))
+        return cls("threshold", tau=tau)
 
     @classmethod
     def naive(cls) -> "Policy":
@@ -66,38 +82,31 @@ class Policy:
 
     @classmethod
     def periodic(cls, period: int) -> "Policy":
-        return cls("periodic", period=as_int(period, "d"))
+        return cls("periodic", period=period)
 
     @classmethod
     def scheduled(cls, slots) -> "Policy":
-        return cls("scheduled", update_slots=tuple(sorted(as_int(s, "each slot") for s in slots)))
+        return cls("scheduled", update_slots=sorted(slots))
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":
-        """Build from a record as written by ``to_config``; a field that
-        ``to_config`` would not write is a ValueError."""
+        """Build from a record as written by ``to_config``, through the
+        classmethod named after its kind; a field that ``to_config`` would not
+        write is a ValueError."""
         kind = config["kind"]
-        if kind == "threshold":
-            policy = cls.threshold(config["tau"])
-        elif kind == "naive":
-            policy = cls.naive()
-        elif kind == "periodic":
-            policy = cls.periodic(config["d"])
-        elif kind == "scheduled":
-            policy = cls.scheduled(config["slots"])
-        else:
+        if not isinstance(kind, str) or kind not in _PARAMS:
             raise ValueError(f"unknown policy kind {kind!r}")
+        key = _PARAMS[kind][1]
+        policy = getattr(cls, kind)(config.get(key)) if key else cls.naive()
         check_fields(config, policy.to_config())
         return policy
 
     def to_config(self) -> dict:
-        if self.kind == "threshold":
-            return {"kind": "threshold", "tau": self.tau}
-        if self.kind == "periodic":
-            return {"kind": "periodic", "d": self.period}
-        if self.kind == "scheduled":
-            return {"kind": "scheduled", "slots": list(self.update_slots)}
-        return {"kind": "naive"}
+        attr, key = _PARAMS[self.kind]
+        if attr is None:
+            return {"kind": self.kind}
+        value = getattr(self, attr)
+        return {"kind": self.kind, key: list(value) if isinstance(value, tuple) else value}
 
     def label(self) -> str:
         if self.kind == "threshold":

@@ -175,6 +175,17 @@ def test_renewal_expectations_examples():
     assert big.e_cost / big.e_requests == pytest.approx(36.217, abs=1e-3)
 
 
+def test_closed_forms_take_integer_tau_and_d():
+    # 2.5 used to price as 3, and renewal_expectations' ratio then missed
+    # threshold_avg_cost (11.5 / 1.75 against 5.75).
+    m = CostModel(LINEAR, 10.0)
+    for price, name in ((threshold_avg_cost, "tau"), (renewal_expectations, "tau"), (periodic_avg_cost, "d")):
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                price(0.5, m, bad)
+        assert price(0.5, m, 3.0) == price(0.5, m, np.int64(3)) == price(0.5, m, 3)
+
+
 def test_ratio_identity():
     table = StalenessFn.from_table([a / 10 for a in range(1001)])
     for rate in RATES:

@@ -92,14 +92,15 @@ def test_spec_validation_messages():
             comparison_spec("cost_sweep", [10], policies=[{"kind": "naive"}, policy])
     linear = {"staleness": {"kind": "linear"}}
     for spec, message in (
-        (lambda: sweep_spec(model={**linear, "update_cost": True}), r"model\.update_cost: must be a number, got True"),
-        (lambda: sweep_spec(model={**linear, "update_cost": "50"}), r"model\.update_cost: must be a number, got '50'"),
-        (lambda: sweep_spec(model=linear), r"model\.update_cost: must be a number, got None"),
-        (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": True}), r"arrival\.rate: must be a number, got True"),
+        (lambda: sweep_spec(model={**linear, "update_cost": True}), r"model: update_cost must be a number, got True"),
+        (lambda: sweep_spec(model={**linear, "update_cost": "50"}), r"model: update_cost must be a number, got '50'"),
+        (lambda: sweep_spec(model=linear), r"model: update_cost must be a number, got None"),
+        (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": True}),
+         r"arrival\.rate: arrival rate must be a number, got True"),
         (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": "0.5"}),
-         r"arrival\.rate: must be a number, got '0\.5'"),
-        (lambda: comparison_spec("lambda_sweep", [0.3, True]), r"grid\[1\]: must be a number, got True"),
-        (lambda: comparison_spec("cost_sweep", ["50"]), r"grid\[0\]: must be a number, got '50'"),
+         r"arrival\.rate: arrival rate must be a number, got '0\.5'"),
+        (lambda: comparison_spec("lambda_sweep", [0.3, True]), r"grid\[1\]: arrival rate must be a number, got True"),
+        (lambda: comparison_spec("cost_sweep", ["50"]), r"grid\[0\]: update_cost must be a number, got '50'"),
         (lambda: sweep_spec(model={**linear, "update_cost": 1e300}), r"model: update_cost 1e\+300 is too large"),
         # A field no reader reads is refused where its record is read.
         (lambda: sweep_spec(model={**linear, "update_cost": 5.0, "p": 3}), r"model: unknown fields \['p'\]"),
@@ -158,11 +159,16 @@ def test_spec_validation_messages():
              "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0}}
     for arrival, message in (
         ({"kind": "trace", "path": "t.csv", "slot_duration": "abc"},
-         r"arrival\.slot_duration: must be a positive number, got 'abc'"),
+         r"arrival\.slot_duration: slot duration must be a number, got 'abc'"),
         ({"kind": "trace", "path": "t.csv", "slot_duration": None},
-         r"arrival\.slot_duration: must be a positive number, got None"),
+         r"arrival\.slot_duration: slot duration must be a number, got None"),
+        ({"kind": "trace", "path": "t.csv", "slot_duration": 0},
+         r"arrival\.slot_duration: slot duration must be positive, got 0"),
         (["trace"], r"arrival: must be an object, got \['trace'\]"),
         ({"kind": "trace", "slot_duration": 1.0},
+         r"arrival: trace_compare needs \{kind: 'trace', path, slot_duration\}"),
+        # A missing slot length is named as missing, not read as 0.
+        ({"kind": "trace", "path": "t.csv"},
          r"arrival: trace_compare needs \{kind: 'trace', path, slot_duration\}"),
         ({"kind": "trace", "path": "t.csv", "slot_duration": 1.0, "rate": 0.1},
          r"arrival: unknown fields \['rate'\]"),
@@ -193,6 +199,8 @@ def test_wrong_field_types_exit_1(tmp_path, capsys):
         ("compare", "include_offline", "false"),
         ("sweep-threshold", "arrival", {"kind": "bernoulli", "rate": 0.5, "seed": 9}),
         ("sweep-threshold", "model", {"staleness": {"kind": "linear"}, "update_cost": 1e300}),
+        # An int past the float range used to exit 2 from float().
+        ("sweep-threshold", "model", {"staleness": {"kind": "linear"}, "update_cost": 10**400}),
         ("compare", "policies", [{"kind": "threshold", "tau": 3, "d": 4}]),
     ):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +247,12 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
             assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
                         + extra) == 1, (bad, extra)
             assert capsys.readouterr().err.startswith(f"configuration error: {field}:"), (bad, extra)
+    # A trace arrival with no slot length is refused as incomplete; it used
+    # to read as slot_duration 0, a value nobody gave.
+    assert main(["trace-compare", "--trace", str(trace), "--p", "25", "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: arrival: trace_compare needs {kind: 'trace', path, "
+                                              "slot_duration}")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def comparison_spec(kind, grid, **kw):

@@ -39,6 +39,11 @@ def test_config_validation():
         small_config(rate=0.0)
     with pytest.raises(ValueError):
         small_config(state_cap=2)  # below cap threshold + 1
+    # 12.5 used to build and then fail inside numpy's pad.
+    for bad in (12.5, True, "64", None):
+        with pytest.raises(ValueError, match=rf"^state_cap must be an integer, got {bad!r}$"):
+            small_config(state_cap=bad)
+    assert small_config(state_cap=64.0).state_cap == 64
     with pytest.raises(ValueError):
         small_config(discount=1.0)
 
