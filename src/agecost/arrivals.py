@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_rate
+from .core import as_float, check_rate
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +141,18 @@ def generate_bernoulli(
     )
 
 
+def check_trace_options(slot_duration, on_malformed: str = "error") -> float:
+    """``slot_duration`` as a float, once it is a positive number (``as_float``)
+    and ``on_malformed`` is "error" or "skip": the rule ``load_trace`` and a
+    trace spec share. A ValueError's message starts with the option's name."""
+    slot = as_float(slot_duration, "slot_duration: slot duration")
+    if not slot > 0:
+        raise ValueError(f"slot_duration: slot duration must be positive, got {slot_duration!r}")
+    if on_malformed not in ("error", "skip"):
+        raise ValueError(f"on_malformed: must be 'error' or 'skip', got {on_malformed!r}")
+    return slot
+
+
 def load_trace(path, slot_duration: float, on_malformed: str = "error") -> ArrivalSequence:
     """Discretize timestamped request arrivals into slots.
 
@@ -149,13 +161,10 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     Multiple requests may share a slot. A line whose timestamp is not a
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
-    A span too long for int64 slot ids at this ``slot_duration`` raises
-    ValueError.
+    Both options are checked first (``check_trace_options``). A span too
+    long for int64 slot ids at this ``slot_duration`` raises ValueError.
     """
-    if slot_duration <= 0:
-        raise ValueError("slot_duration must be positive")
-    if on_malformed not in ("error", "skip"):
-        raise ValueError("on_malformed must be 'error' or 'skip'")
+    slot_duration = check_trace_options(slot_duration, on_malformed)
     stamps = []
     skipped = 0
     with open(path) as fh:

@@ -84,9 +84,10 @@ class StalenessFn:
       * ``piecewise``  step function given as (start_age, value) breakpoints;
                        0 before the first breakpoint, last value held
 
-    However it is built, values are stored as floats and breakpoint ages
-    through ``as_int``. Only the table kind takes ``table`` and only the
-    piecewise kind ``breakpoints``; another kind given one is a ValueError.
+    However it is built, values go through ``as_float`` and breakpoint ages
+    through ``as_int``, their errors naming the age. Only the table kind takes
+    ``table`` and only the piecewise kind ``breakpoints``; another kind given
+    one is a ValueError.
     """
 
     kind: str
@@ -96,9 +97,11 @@ class StalenessFn:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "quadratic", "table", "piecewise"):
             raise ValueError(f"unknown staleness kind {self.kind!r}")
-        object.__setattr__(self, "table", tuple(float(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(
+            as_float(v, f"table staleness value at age {age}") for age, v in enumerate(self.table)))
         object.__setattr__(self, "breakpoints", tuple(
-            (as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), float(v)) for s, v in self.breakpoints))
+            (age := as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), as_float(v, f"piecewise value at age {age}"))
+            for s, v in self.breakpoints))
         for name, owner in (("table", "table"), ("breakpoints", "piecewise")):
             if getattr(self, name) and self.kind != owner:
                 raise ValueError(f"a {self.kind} staleness takes no {name}")

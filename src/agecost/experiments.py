@@ -23,12 +23,13 @@ from .arrivals import (
     RNG_ALGORITHM,
     ArrivalSequence,
     BernoulliSource,
+    check_trace_options,
     derive_seed,
     empirical_rate,
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, as_float, cap_threshold, check_fields, check_rate
+from .core import CostModel, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
 from .offline import OfflineSolution, offline_optimal
 from .policies import Policy
@@ -49,16 +50,28 @@ COLUMNS = (
 # Rows formatted and written per write call by ``emit``.
 _EMIT_CHUNK = 1 << 15
 
+
+def _threshold_point(tau, rate: float, model: CostModel) -> tuple[float, CostModel]:
+    if type(tau) is not int:  # not as_int(): tau is echoed into x_value and the label
+        raise TypeError(f"threshold must be an integer, got {tau!r}")
+    Policy.threshold(tau)
+    return rate, model
+
+
 # Per kind: the arrival fields it reads, the spec fields it reads besides
-# those in ``_READ_BY_ALL``, and its default grid.
+# those in ``_READ_BY_ALL``, its default grid, and what a grid value x means:
+# a function of (x, arrival rate, model) that gives x's (rate, model) or raises.
 _COMPARE = ("grid", "n_runs", "base_seed", "policies", "include_offline", "offline_request_cap")
 _READ_BY_ALL = ("name", "kind", "model", "arrival", "n_requests", "output_path")
 KINDS = {
-    "threshold_sweep": (("kind", "rate"), ("grid", "n_runs", "base_seed"), lambda: list(range(1, 101))),
-    "lambda_sweep": (("kind",), _COMPARE, lambda: [round(0.1 * k, 1) for k in range(1, 10)]),
-    "cost_sweep": (("kind", "rate"), _COMPARE, lambda: list(range(10, 201, 10))),
+    "threshold_sweep": (("kind", "rate"), ("grid", "n_runs", "base_seed"), lambda: list(range(1, 101)),
+                        _threshold_point),
+    "lambda_sweep": (("kind",), _COMPARE, lambda: [round(0.1 * k, 1) for k in range(1, 10)],
+                     lambda x, rate, model: (float(check_rate(x)), model)),
+    "cost_sweep": (("kind", "rate"), _COMPARE, lambda: list(range(10, 201, 10)),
+                   lambda x, rate, model: (rate, CostModel(model.staleness, x))),
     "trace_compare": (("kind", "path", "slot_duration", "on_malformed"),
-                      ("policies", "include_offline", "offline_request_cap"), list),
+                      ("policies", "include_offline", "offline_request_cap"), list, None),
 }
 
 
@@ -81,7 +94,10 @@ class ExperimentSpec:
                      kind, path, slot_duration and on_malformed
 
     A field its kind does not read must hold its default; ``to_dict`` leaves
-    it out.
+    it out. The runners replay what the checks build, kept outside the fields
+    and so outside ``to_dict``: the ``CostModel`` as ``_model``, one (x, rate,
+    model) per grid point as ``_points`` and the configured policies as
+    ``_policies`` (None for "auto").
     """
 
     name: str
@@ -100,7 +116,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"kind: must be one of {tuple(KINDS)}, got {self.kind!r}")
-        arrival_fields, read, default_grid = KINDS[self.kind]
+        arrival_fields, read, default_grid, point = KINDS[self.kind]
         for f in fields(self):
             default = f.default if f.default_factory is MISSING else f.default_factory()
             if f.name not in _READ_BY_ALL + read and getattr(self, f.name) != default:
@@ -122,21 +138,9 @@ class ExperimentSpec:
             raise ConfigError(f"grid: must be a list, got {self.grid!r}")
         self.grid = self.grid or default_grid()
         try:
-            model = CostModel.from_config(self.model)
+            self._model = CostModel.from_config(self.model)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from None
-        for i, x in enumerate(self.grid):
-            try:
-                if self.kind == "threshold_sweep":
-                    if type(x) is not int:
-                        raise TypeError(f"threshold must be an integer, got {x!r}")
-                    Policy.threshold(x)
-                elif self.kind == "lambda_sweep":
-                    check_rate(x)
-                elif self.kind == "cost_sweep":
-                    CostModel(model.staleness, x)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"grid[{i}]: {exc}") from None
         if not isinstance(self.arrival, dict):
             raise ConfigError(f"arrival: must be an object, got {self.arrival!r}")
         akind = self.arrival.get("kind", "bernoulli")
@@ -146,27 +150,29 @@ class ExperimentSpec:
         elif akind != "bernoulli":
             raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
         check_fields(self.arrival, arrival_fields, "arrival: ", ConfigError)
-        if "rate" in arrival_fields:
-            try:
-                check_rate(self.arrival.get("rate"))
+        try:
+            rate = float(check_rate(self.arrival.get("rate"))) if "rate" in arrival_fields else None
+        except ValueError as exc:
+            raise ConfigError(f"arrival.rate: {exc}") from None
+        if self.kind == "trace_compare":
+            try:  # the options are named as load_trace's parameters
+                check_trace_options(**{k: v for k, v in self.arrival.items() if k not in ("kind", "path")})
             except ValueError as exc:
-                raise ConfigError(f"arrival.rate: {exc}") from None
-        if "slot_duration" in arrival_fields:
-            slot = self.arrival["slot_duration"]
+                raise ConfigError(f"arrival.{exc}") from None
+        self._points = []
+        for i, x in enumerate(self.grid):
             try:
-                if not as_float(slot, "slot duration") > 0:
-                    raise ValueError(f"slot duration must be positive, got {slot!r}")
-            except ValueError as exc:
-                raise ConfigError(f"arrival.slot_duration: {exc}") from None
-            if self.arrival.get("on_malformed", "error") not in ("error", "skip"):
-                raise ConfigError(f"arrival.on_malformed: must be 'error' or 'skip', "
-                                  f"got {self.arrival['on_malformed']!r}")
+                self._points.append((x, *point(x, rate, self._model)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"grid[{i}]: {exc}") from None
+        self._policies = None
         if self.policies != "auto":
             if not isinstance(self.policies, list):
                 raise ConfigError("policies: must be 'auto' or a list of policy records")
+            self._policies = []
             for i, cfg in enumerate(self.policies):
                 try:
-                    Policy.from_config(cfg)
+                    self._policies.append(Policy.from_config(cfg))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"policies[{i}]: {exc}") from None
 
@@ -240,11 +246,9 @@ def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
     """Simulated and closed-form average cost for each threshold in the grid."""
     if spec.kind != "threshold_sweep":
         raise ConfigError(f"kind: expected threshold_sweep, got {spec.kind}")
-    model = CostModel.from_config(spec.model)
-    rate = float(spec.arrival["rate"])
     columns = {name: [] for name in COLUMNS}
     outside = []
-    for point, tau in enumerate(spec.grid):
+    for point, (tau, rate, model) in enumerate(spec._points):
         seed = derive_seed(spec.base_seed, point)
         sweep = simulate_many(
             Policy.threshold(tau), BernoulliSource(rate, seed), spec.n_runs, spec.n_requests, model
@@ -278,7 +282,8 @@ def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
     then priced by the same call, so one policy gets one number on every path."""
     delta_star = cap_threshold(model)
     info = {}
-    if spec.policies == "auto":
+    policies = spec._policies
+    if policies is None:
         ts = optimal_threshold(rate, model)
         ps = optimal_period(rate, model)
         policies = [Policy.threshold(ts.tau_star), Policy.naive()]
@@ -289,8 +294,6 @@ def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
                                         f"toward {ps.cost_at_d_star!r} as the period grows")
         else:
             policies.append(Policy.periodic(ps.d_star))
-    else:
-        policies = [Policy.from_config(cfg) for cfg in spec.policies]
     resolved = []
     repeats: dict[str, int] = {}
     for pol in policies:
@@ -317,17 +320,10 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     shared Bernoulli sample paths across a rate or update-cost grid."""
     if spec.kind not in ("lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected lambda_sweep or cost_sweep, got {spec.kind}")
-    base_model = CostModel.from_config(spec.model)
     columns = {name: [] for name in COLUMNS}
     resolutions = {}
     offline_on = spec.include_offline and spec.n_requests <= spec.offline_request_cap
-    for point, x in enumerate(spec.grid):
-        if spec.kind == "lambda_sweep":
-            rate = float(x)
-            model = base_model
-        else:
-            rate = float(spec.arrival["rate"])
-            model = CostModel(staleness=base_model.staleness, update_cost=x)
+    for point, (x, rate, model) in enumerate(spec._points):
         policies, info = _resolve_policies(spec, rate, model)
         if info:
             resolutions[str(x)] = info
@@ -415,10 +411,8 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     """
     if spec.kind != "trace_compare":
         raise ConfigError(f"kind: expected trace_compare, got {spec.kind}")
-    model = CostModel.from_config(spec.model)
-    seq = load_trace(spec.arrival["path"], float(spec.arrival["slot_duration"]),
-                     on_malformed=spec.arrival.get("on_malformed", "error"))
-    seq = truncate_requests(seq, spec.n_requests)
+    model = spec._model
+    seq = truncate_requests(load_trace(**{k: v for k, v in spec.arrival.items() if k != "kind"}), spec.n_requests)
     rate_hat = empirical_rate(seq)
     policies, info = _resolve_policies(spec, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap

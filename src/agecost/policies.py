@@ -12,6 +12,7 @@ Together they justify searching only over reactive, capped policies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,9 @@ class Policy:
     fires at a fixed list of slots.
 
     However it is built, ``tau``, ``period`` and each slot are stored as ints
-    (``as_int``: 2.5, True or "3" is a ValueError naming the parameter), and
-    a kind given another kind's parameter is a ValueError, e.g. "a naive
-    policy takes no tau".
+    (``as_int``: 2.5, True or "3" is a ValueError naming the parameter, as
+    are non-list ``slots``), and a kind given another kind's parameter is a
+    ValueError, e.g. "a naive policy takes no tau".
     """
 
     kind: str
@@ -58,8 +59,8 @@ class Policy:
             if name != attr and getattr(self, name) is not None:
                 raise ValueError(f"a {self.kind} policy takes no {name}")
         if self.kind == "scheduled":
-            if self.update_slots is None:
-                raise ValueError("scheduled policy needs update slots")
+            if not isinstance(self.update_slots, Iterable):
+                raise ValueError(f"slots must be a list, got {self.update_slots!r}")
             slots = tuple(as_int(s, "each slot") for s in self.update_slots)
             if any(a >= b for a, b in zip(slots, slots[1:])):
                 raise ValueError("scheduled slots must be strictly increasing")
@@ -86,7 +87,7 @@ class Policy:
 
     @classmethod
     def scheduled(cls, slots) -> "Policy":
-        return cls("scheduled", update_slots=sorted(slots))
+        return cls("scheduled", update_slots=sorted(slots) if isinstance(slots, Iterable) else slots)
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":

@@ -202,6 +202,12 @@ def test_wrong_field_types_exit_1(tmp_path, capsys):
         # An int past the float range used to exit 2 from float().
         ("sweep-threshold", "model", {"staleness": {"kind": "linear"}, "update_cost": 10**400}),
         ("compare", "policies", [{"kind": "threshold", "tau": 3, "d": 4}]),
+        # Penalty values are numbers: true used to load as 1.0, and an int
+        # past the float range used to exit 2 from float().
+        ("sweep-threshold", "model", {"staleness": {"kind": "table", "values": [0, True, 20]}, "update_cost": 10.0}),
+        ("sweep-threshold", "model", {"staleness": {"kind": "table", "values": [0, 10**400]}, "update_cost": 10.0}),
+        ("compare", "policies", [{"kind": "scheduled"}]),
+        ("compare", "policies", [{"kind": "scheduled", "slots": 5}]),
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**base, field: value}))

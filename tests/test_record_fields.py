@@ -1,15 +1,17 @@
 """Each record converts and checks its own fields in ``__post_init__``, so a
 bad value is refused naming its field however the record is built: by a
-direct call, a classmethod, ``from_config`` or an experiment spec."""
+direct call, a classmethod, ``from_config`` or an experiment spec. Trace
+options follow one rule whether ``load_trace`` or a spec reads them."""
 
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from agecost import BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn
+from agecost import BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn, load_trace
 
 
 def cost_spec(**kw):
@@ -19,8 +21,12 @@ def cost_spec(**kw):
     return ExperimentSpec.from_dict({**data, **kw})
 
 
-def piecewise_model(age):
-    return {"staleness": {"kind": "piecewise", "breakpoints": [[age, 9.0]]}, "update_cost": 5.0}
+def piecewise_model(age, value=9.0):
+    return {"staleness": {"kind": "piecewise", "breakpoints": [[age, value]]}, "update_cost": 5.0}
+
+
+def table_model(value):
+    return {"staleness": {"kind": "table", "values": [0, value]}, "update_cost": 5.0}
 
 
 # Per (record, field): the name its errors give it, what it must be, and per
@@ -44,11 +50,29 @@ _FIELDS = {
         "from_config": lambda v: Policy.from_config({"kind": "scheduled", "slots": [v]}),
         "spec": lambda v: cost_spec(policies=[{"kind": "scheduled", "slots": [v]}]),
     }),
+    "Policy.update_slots list": ("slots", "a list", {
+        "direct": lambda v: Policy("scheduled", update_slots=v),
+        "classmethod": Policy.scheduled,
+        "from_config": lambda v: Policy.from_config({"kind": "scheduled", "slots": v}),
+        "spec": lambda v: cost_spec(policies=[{"kind": "scheduled", "slots": v}]),
+    }),
     "StalenessFn.breakpoints": ("age", "an integer", {
         "direct": lambda v: StalenessFn("piecewise", breakpoints=((v, 9.0),)),
         "classmethod": lambda v: StalenessFn.piecewise([(v, 9.0)]),
         "from_config": lambda v: CostModel.from_config(piecewise_model(v)),
         "spec": lambda v: cost_spec(model=piecewise_model(v)),
+    }),
+    "StalenessFn.breakpoints values": ("piecewise value at age 1", "a finite number", {
+        "direct": lambda v: StalenessFn("piecewise", breakpoints=((1, v),)),
+        "classmethod": lambda v: StalenessFn.piecewise([(1, v)]),
+        "from_config": lambda v: CostModel.from_config(piecewise_model(1, v)),
+        "spec": lambda v: cost_spec(model=piecewise_model(1, v)),
+    }),
+    "StalenessFn.table": ("table staleness value at age 1", "a finite number", {
+        "direct": lambda v: StalenessFn("table", table=(0, v)),
+        "classmethod": lambda v: StalenessFn.from_table([0, v]),
+        "from_config": lambda v: CostModel.from_config(table_model(v)),
+        "spec": lambda v: cost_spec(model=table_model(v)),
     }),
     "CostModel.update_cost": ("update_cost", "a number", {
         "direct": lambda v: CostModel(StalenessFn.linear(), v),
@@ -61,16 +85,35 @@ _FIELDS = {
         "spec": lambda v: cost_spec(arrival={"kind": "bernoulli", "rate": v}),
         "spec grid": lambda v: cost_spec(kind="lambda_sweep", arrival={"kind": "bernoulli"}, grid=[v]),
     }),
+    # The options are checked before the file is read.
+    "load_trace.slot_duration": ("slot_duration: slot duration", "a positive number", {
+        "direct": lambda v: load_trace(os.devnull, v),
+    }),
+    "load_trace.on_malformed": ("on_malformed:", "'error' or 'skip'", {
+        "direct": lambda v: load_trace(os.devnull, 1.0, on_malformed=v),
+    }),
 }
 # 2.5 is a number, so only the integer fields refuse it.
-_BAD = {"an integer": (True, "3", 2.5, None), "a number": (True, "3", None)}
+_BAD = {"an integer": (True, "3", 2.5, None), "a number": (True, "3", None), "a finite number": (True, "3", 10**400),
+        "a positive number": (True, "1", 0, None), "a list": (None, 5), "'error' or 'skip'": ("bogus",)}
+# Numbers that a finite or positive number refuses, and how: an int past the
+# float range reads as inf. A non-number is refused as not "a number".
+_OUT_OF_RANGE = {10**400: "must be finite, got inf", 0: "must be positive, got 0"}
+
+
+def refusal(rule, value):
+    """The end of the message that refuses ``value`` for a field that must be ``rule``."""
+    if type(value) is int and value in _OUT_OF_RANGE:
+        return _OUT_OF_RANGE[value]
+    return f"must be {'a number' if rule.endswith(' number') else rule}, got {value!r}"
 
 
 @pytest.mark.parametrize("field,entry,value", [(field, entry, value) for field, (_, rule, entries) in _FIELDS.items()
-                                               for entry in entries for value in _BAD[rule]])
+                                               for entry in entries for value in _BAD[rule]],
+                         ids=lambda v: "10**400" if v == 10**400 else None)
 def test_a_bad_value_is_refused_naming_its_field_at_every_entry_point(field, entry, value):
     name, rule, entries = _FIELDS[field]
-    with pytest.raises(ValueError, match=rf"\b{name} must be {rule}, got {re.escape(repr(value))}$") as exc:
+    with pytest.raises(ValueError, match=rf"\b{name} {re.escape(refusal(rule, value))}$") as exc:
         entries[entry](value)
     assert isinstance(exc.value, ConfigError) == entry.startswith("spec")
 
