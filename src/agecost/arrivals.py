@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,10 +162,14 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     Multiple requests may share a slot. A line whose timestamp is not a
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
-    Both options are checked first (``check_trace_options``). A span too
-    long for int64 slot ids at this ``slot_duration`` raises ValueError.
+    Both options are checked first (``check_trace_options``), and ``path``
+    must be a str or os.PathLike: ``open`` would read an int as a file
+    descriptor. A span too long for int64 slot ids at this ``slot_duration``
+    raises ValueError.
     """
     slot_duration = check_trace_options(slot_duration, on_malformed)
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path: must be a string or os.PathLike, got {path!r}")
     stamps = []
     skipped = 0
     with open(path) as fh:

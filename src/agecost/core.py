@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,14 @@ def as_int(value, what: str) -> int:
     return n
 
 
+def as_list(value, what: str) -> tuple:
+    """``value``'s items as a tuple. ValueError naming ``what`` unless it is
+    an iterable other than a string or a mapping (JSON: a list)."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def check_fields(record: dict, known, prefix: str = "", error=ValueError) -> None:
     """Raise ``error``, its message led by ``prefix``, if ``record`` holds a
     key outside ``known``."""
@@ -84,10 +93,11 @@ class StalenessFn:
       * ``piecewise``  step function given as (start_age, value) breakpoints;
                        0 before the first breakpoint, last value held
 
-    However it is built, values go through ``as_float`` and breakpoint ages
-    through ``as_int``, their errors naming the age. Only the table kind takes
-    ``table`` and only the piecewise kind ``breakpoints``; another kind given
-    one is a ValueError.
+    However it is built, ``table``, ``breakpoints`` and each breakpoint go
+    through ``as_list`` (a breakpoint must be an [age, value] pair), values
+    through ``as_float`` and breakpoint ages through ``as_int``, their errors
+    naming the age. Only the table kind takes ``table`` and only the
+    piecewise kind ``breakpoints``; another kind given one is a ValueError.
     """
 
     kind: str
@@ -97,11 +107,16 @@ class StalenessFn:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "quadratic", "table", "piecewise"):
             raise ValueError(f"unknown staleness kind {self.kind!r}")
-        object.__setattr__(self, "table", tuple(
-            as_float(v, f"table staleness value at age {age}") for age, v in enumerate(self.table)))
+        object.__setattr__(self, "table", tuple(as_float(v, f"table staleness value at age {age}")
+                                                for age, v in enumerate(as_list(self.table, "table staleness values"))))
+        pairs = tuple(as_list(bp, "each piecewise breakpoint")
+                      for bp in as_list(self.breakpoints, "piecewise breakpoints"))
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"each piecewise breakpoint must be an [age, value] pair, got {list(pair)!r}")
         object.__setattr__(self, "breakpoints", tuple(
             (age := as_int(s, f"piecewise breakpoint {[s, v]!r}: age"), as_float(v, f"piecewise value at age {age}"))
-            for s, v in self.breakpoints))
+            for s, v in pairs))
         for name, owner in (("table", "table"), ("breakpoints", "piecewise")):
             if getattr(self, name) and self.kind != owner:
                 raise ValueError(f"a {self.kind} staleness takes no {name}")
@@ -227,9 +242,9 @@ class CostModel:
         A field that ``to_config`` would not write is a ValueError."""
         st = config["staleness"]
         if st["kind"] == "table":
-            fn = StalenessFn.from_table(st["values"])
+            fn = StalenessFn.from_table(st.get("values"))
         elif st["kind"] == "piecewise":
-            fn = StalenessFn.piecewise(st["breakpoints"])
+            fn = StalenessFn.piecewise(st.get("breakpoints"))
         else:
             fn = StalenessFn(st["kind"])  # linear, quadratic or an unknown kind's error
         model = cls(staleness=fn, update_cost=config.get("update_cost"))

@@ -155,6 +155,9 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"arrival.rate: {exc}") from None
         if self.kind == "trace_compare":
+            # An int would open that file descriptor (0 reads stdin).
+            if not isinstance(self.arrival["path"], str):
+                raise ConfigError(f"arrival.path: must be a string, got {self.arrival['path']!r}")
             try:  # the options are named as load_trace's parameters
                 check_trace_options(**{k: v for k, v in self.arrival.items() if k not in ("kind", "path")})
             except ValueError as exc:

@@ -12,13 +12,12 @@ Together they justify searching only over reactive, capped policies.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import CostModel, as_int, cap_threshold, check_fields
+from .core import CostModel, as_int, as_list, cap_threshold, check_fields
 
 
 class NotReactive(ValueError):
@@ -42,8 +41,9 @@ class Policy:
 
     However it is built, ``tau``, ``period`` and each slot are stored as ints
     (``as_int``: 2.5, True or "3" is a ValueError naming the parameter, as
-    are non-list ``slots``), and a kind given another kind's parameter is a
-    ValueError, e.g. "a naive policy takes no tau".
+    are ``slots`` that are not a list, see ``as_list``), and a kind given
+    another kind's parameter is a ValueError, e.g. "a naive policy takes no
+    tau".
     """
 
     kind: str
@@ -59,9 +59,7 @@ class Policy:
             if name != attr and getattr(self, name) is not None:
                 raise ValueError(f"a {self.kind} policy takes no {name}")
         if self.kind == "scheduled":
-            if not isinstance(self.update_slots, Iterable):
-                raise ValueError(f"slots must be a list, got {self.update_slots!r}")
-            slots = tuple(as_int(s, "each slot") for s in self.update_slots)
+            slots = _as_slots(self.update_slots)
             if any(a >= b for a, b in zip(slots, slots[1:])):
                 raise ValueError("scheduled slots must be strictly increasing")
             if slots and slots[0] < 1:
@@ -87,7 +85,8 @@ class Policy:
 
     @classmethod
     def scheduled(cls, slots) -> "Policy":
-        return cls("scheduled", update_slots=sorted(slots) if isinstance(slots, Iterable) else slots)
+        """A scheduled policy firing at ``slots``, given in any order."""
+        return cls("scheduled", update_slots=sorted(_as_slots(slots)))
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":
@@ -117,6 +116,10 @@ class Policy:
         if self.kind == "scheduled":
             return f"scheduled[{len(self.update_slots)}]"
         return "naive"
+
+
+def _as_slots(slots) -> tuple[int, ...]:
+    return tuple(as_int(s, "each slot") for s in as_list(slots, "slots"))
 
 
 def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:

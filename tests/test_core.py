@@ -135,6 +135,26 @@ def test_staleness_validation():
             StalenessFn.piecewise([(2, 1.0), (4, bad)])
         with pytest.raises(ValueError, match=rf"breakpoint \[{bad}, 5.0\]: age must be an integer, got {bad}"):
             StalenessFn.piecewise([(2, 1.0), (bad, 5.0)])
+    # The structure is checked before the contents are read: these used to
+    # fail with "'NoneType' object is not iterable" or "not enough values to
+    # unpack", naming no field.
+    for make, message in (
+        (lambda: StalenessFn.from_table(None), r"^table staleness values must be a list, got None$"),
+        (lambda: StalenessFn.piecewise(None), r"^piecewise breakpoints must be a list, got None$"),
+        (lambda: StalenessFn.piecewise([(1, 2.0), 5]), r"^each piecewise breakpoint must be a list, got 5$"),
+        (lambda: StalenessFn.piecewise([(1, 2.0), [3]]),
+         r"^each piecewise breakpoint must be an \[age, value\] pair, got \[3\]$"),
+        (lambda: StalenessFn.piecewise([(1, 2.0, 3.0)]),
+         r"^each piecewise breakpoint must be an \[age, value\] pair, got \[1, 2.0, 3.0\]$"),
+        (lambda: CostModel.from_config({"staleness": {"kind": "table", "values": None}, "update_cost": 5.0}),
+         r"^table staleness values must be a list, got None$"),
+        (lambda: CostModel.from_config({"staleness": {"kind": "piecewise"}, "update_cost": 5.0}),
+         r"^piecewise breakpoints must be a list, got None$"),
+        (lambda: CostModel.from_config({"staleness": {"kind": "piecewise", "breakpoints": [[4]]}, "update_cost": 5.0}),
+         r"^each piecewise breakpoint must be an \[age, value\] pair, got \[4\]$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_piecewise_ages_must_be_integers():

@@ -22,7 +22,7 @@ from agecost import (
     threshold_avg_cost,
 )
 from agecost.arrivals import derive_seed
-from agecost.engine import _update_schedule
+from agecost.engine import _DOUBLE_BELOW, _doubling_levels, _follow, _update_schedule
 
 from oracles import alarm, bisect_threshold_schedule, cost_models, reference_replay
 
@@ -273,6 +273,18 @@ def _same_array(got, want):
     assert got.tolist() == want.tolist()
 
 
+def _same_schedule(schedule, arr, want):
+    ups, through = schedule
+    _same_array(ups, want)
+    assert through.tolist() == np.searchsorted(want, arr.slots, side="right").tolist()
+
+
+# Every slot occupied: the successor jump is exactly tau requests, so tau =
+# _DOUBLE_BELOW walks the successors and tau = _DOUBLE_BELOW - 1 doubles once.
+DENSE = ArrivalSequence.from_slots(range(1, 3001))
+SPARSE = generate_bernoulli(BernoulliSource(0.1, 0), n_requests=3000)
+
+
 @settings(max_examples=300, deadline=None)
 @given(reactive_case())
 @example((ArrivalSequence.from_counts({3: 2}), 3))
@@ -281,10 +293,53 @@ def _same_array(got, want):
 @example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 5))
 @example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 7))
 @example((ArrivalSequence.from_counts({2: 1, 7: 2}, horizon=7), 8))
+@example((DENSE, 1))
+@example((DENSE, 2))
+@example((SPARSE, 1))
+@example((SPARSE, 2))
+@example((DENSE, _DOUBLE_BELOW - 1))
+@example((DENSE, _DOUBLE_BELOW))
 def test_threshold_schedule_matches_bisect_oracle(case):
     arr, tau = case
     got = _update_schedule(Policy.threshold(tau), arr, CostModel(LINEAR, 5.0))
-    _same_array(got, bisect_threshold_schedule(arr, tau))
+    _same_schedule(got, arr, bisect_threshold_schedule(arr, tau))
+
+
+def _successors(arr, tau):
+    shifted = arr.slots - tau
+    return np.searchsorted(shifted, arr.slots), int(np.searchsorted(shifted, 0))
+
+
+def test_switch_examples_take_both_branches():
+    # The examples above pin the doubling levels on each side of the switch.
+    assert [_doubling_levels(_successors(DENSE, tau)[0]) for tau in (1, 2, _DOUBLE_BELOW - 1, _DOUBLE_BELOW)] == [
+        4, 3, 1, 0]
+    assert _doubling_levels(_successors(SPARSE, 1)[0]) == 4
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=4 * _DOUBLE_BELOW),
+)
+def test_every_doubling_level_matches_bisect_oracle(n, max_gap, seed, tau):
+    # Up to 3,000 occupied slots holding 1-3 requests each, and thresholds
+    # from 1 to past the switch; each branch is forced on its own.
+    rng = np.random.default_rng(seed)
+    slots = np.cumsum(rng.integers(1, max_gap + 1, size=n), dtype=np.int64)
+    arr = ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 4, size=n))
+    want = bisect_threshold_schedule(arr, tau)
+    if tau <= slots[-1]:
+        succ, start = _successors(arr, tau)
+        for levels in range(6):
+            _same_array(slots[_follow(succ, start, levels)], want)
+    model = CostModel(LINEAR, float(tau))
+    for policy, threshold in ((Policy.threshold(tau), tau), (Policy.naive(), cap_threshold(model))):
+        res = simulate(policy, arr, model)
+        _same_array(res.update_slots, bisect_threshold_schedule(arr, threshold))
+        assert res.updates_through.tolist() == np.searchsorted(res.update_slots, slots, side="right").tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,7 +348,7 @@ def test_naive_schedule_matches_bisect_oracle(case, p, data):
     arr, _ = case
     model = data.draw(cost_models(p))
     want = bisect_threshold_schedule(arr, cap_threshold(model))
-    _same_array(_update_schedule(Policy.naive(), arr, model), want)
+    _same_schedule(_update_schedule(Policy.naive(), arr, model), arr, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,7 +364,7 @@ def test_threshold_schedule_near_int64_limit(high, low, tau):
     arr = ArrivalSequence.from_slots(sorted(low | high))
     with alarm(5.0):
         got = _update_schedule(Policy.threshold(tau), arr, CostModel(LINEAR, 5.0))
-    _same_array(got, bisect_threshold_schedule(arr, tau))
+    _same_schedule(got, arr, bisect_threshold_schedule(arr, tau))
 
 
 def test_sweep_result_mean_matches_per_run():

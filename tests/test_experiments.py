@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -172,6 +173,11 @@ def test_spec_validation_messages():
          r"arrival: trace_compare needs \{kind: 'trace', path, slot_duration\}"),
         ({"kind": "trace", "path": "t.csv", "slot_duration": 1.0, "rate": 0.1},
          r"arrival: unknown fields \['rate'\]"),
+        # An int path opened that file descriptor: 7 failed with "Bad file
+        # descriptor" and 0 read the trace from stdin.
+        *(({"kind": "trace", "path": path, "slot_duration": 1.0},
+           rf"^arrival\.path: must be a string, got {re.escape(repr(path))}$")
+          for path in (7, 0, True, None, ["t.csv"])),
     ):
         with pytest.raises(ConfigError, match=message):
             ExperimentSpec.from_dict({**trace, "arrival": arrival})
@@ -208,6 +214,11 @@ def test_wrong_field_types_exit_1(tmp_path, capsys):
         ("sweep-threshold", "model", {"staleness": {"kind": "table", "values": [0, 10**400]}, "update_cost": 10.0}),
         ("compare", "policies", [{"kind": "scheduled"}]),
         ("compare", "policies", [{"kind": "scheduled", "slots": 5}]),
+        ("compare", "policies", [{"kind": "scheduled", "slots": [3, None]}]),
+        ("compare", "policies", [{"kind": "scheduled", "slots": ""}]),
+        ("compare", "policies", [{"kind": "scheduled", "slots": {}}]),
+        ("sweep-threshold", "model", {"staleness": {"kind": "table", "values": None}, "update_cost": 10.0}),
+        ("sweep-threshold", "model", {"staleness": {"kind": "piecewise", "breakpoints": [[4]]}, "update_cost": 10.0}),
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**base, field: value}))
@@ -253,6 +264,10 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
             assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
                         + extra) == 1, (bad, extra)
             assert capsys.readouterr().err.startswith(f"configuration error: {field}:"), (bad, extra)
+    for path in (7, 0):
+        cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": path}}))
+        assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1, path
+        assert capsys.readouterr().err.startswith(f"configuration error: arrival.path: must be a string, got {path}")
     # A trace arrival with no slot length is refused as incomplete; it used
     # to read as slot_duration 0, a value nobody gave.
     assert main(["trace-compare", "--trace", str(trace), "--p", "25", "--out", str(tmp_path / "never.csv")]) == 1

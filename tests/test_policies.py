@@ -65,6 +65,12 @@ def test_policy_validation_and_config():
                       (Policy.scheduled, [1.7, 3.2]), (Policy.scheduled, [2, np.nan])):
         with pytest.raises(ValueError, match="must be an integer"):
             make(bad)
+    # Slots are checked before they are sorted, which failed on [3, None]
+    # with "'<' not supported between instances of 'NoneType' and 'int'".
+    for make in (Policy.scheduled, lambda v: Policy.from_config({"kind": "scheduled", "slots": v})):
+        for bad, named in (([3, None], "None"), ([3, "1"], "'1'"), ([[1], 3], r"\[1\]")):
+            with pytest.raises(ValueError, match=rf"^each slot must be an integer, got {named}$"):
+                make(bad)
     # The transforms used to truncate too: reactify read [2.5, 4.9] as (2, 5).
     arr, m = ArrivalSequence.from_slots([2, 3, 5, 9]), CostModel(LINEAR, 5.0)
     for call, bad in ((lambda: reactify([2.5, 4.9], arr), 2.5), (lambda: reactify([True], arr), True),

@@ -56,6 +56,27 @@ _FIELDS = {
         "from_config": lambda v: Policy.from_config({"kind": "scheduled", "slots": v}),
         "spec": lambda v: cost_spec(policies=[{"kind": "scheduled", "slots": v}]),
     }),
+    "StalenessFn.table list": ("table staleness values", "a list", {
+        "direct": lambda v: StalenessFn("table", table=v),
+        "classmethod": StalenessFn.from_table,
+        "from_config": lambda v: CostModel.from_config(
+            {"staleness": {"kind": "table", "values": v}, "update_cost": 5.0}),
+        "spec": lambda v: cost_spec(model={"staleness": {"kind": "table", "values": v}, "update_cost": 5.0}),
+    }),
+    "StalenessFn.breakpoints list": ("piecewise breakpoints", "a list", {
+        "direct": lambda v: StalenessFn("piecewise", breakpoints=v),
+        "classmethod": StalenessFn.piecewise,
+        "from_config": lambda v: CostModel.from_config(
+            {"staleness": {"kind": "piecewise", "breakpoints": v}, "update_cost": 5.0}),
+        "spec": lambda v: cost_spec(model={"staleness": {"kind": "piecewise", "breakpoints": v}, "update_cost": 5.0}),
+    }),
+    "StalenessFn.breakpoints pair": ("each piecewise breakpoint", "a list", {
+        "direct": lambda v: StalenessFn("piecewise", breakpoints=(v,)),
+        "classmethod": lambda v: StalenessFn.piecewise([v]),
+        "from_config": lambda v: CostModel.from_config(
+            {"staleness": {"kind": "piecewise", "breakpoints": [v]}, "update_cost": 5.0}),
+        "spec": lambda v: cost_spec(model={"staleness": {"kind": "piecewise", "breakpoints": [v]}, "update_cost": 5.0}),
+    }),
     "StalenessFn.breakpoints": ("age", "an integer", {
         "direct": lambda v: StalenessFn("piecewise", breakpoints=((v, 9.0),)),
         "classmethod": lambda v: StalenessFn.piecewise([(v, 9.0)]),
@@ -92,10 +113,15 @@ _FIELDS = {
     "load_trace.on_malformed": ("on_malformed:", "'error' or 'skip'", {
         "direct": lambda v: load_trace(os.devnull, 1.0, on_malformed=v),
     }),
+    # open() reads an int as a file descriptor: 0 is stdin.
+    "load_trace.path": ("path:", "a string or os.PathLike", {
+        "direct": lambda v: load_trace(v, 1.0),
+    }),
 }
 # 2.5 is a number, so only the integer fields refuse it.
 _BAD = {"an integer": (True, "3", 2.5, None), "a number": (True, "3", None), "a finite number": (True, "3", 10**400),
-        "a positive number": (True, "1", 0, None), "a list": (None, 5), "'error' or 'skip'": ("bogus",)}
+        "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}), "'error' or 'skip'": ("bogus",),
+        "a string or os.PathLike": (7, 0, True, None, b"t.csv")}
 # Numbers that a finite or positive number refuses, and how: an int past the
 # float range reads as inf. A non-number is refused as not "a number".
 _OUT_OF_RANGE = {10**400: "must be finite, got inf", 0: "must be positive, got 0"}
@@ -103,7 +129,7 @@ _OUT_OF_RANGE = {10**400: "must be finite, got inf", 0: "must be positive, got 0
 
 def refusal(rule, value):
     """The end of the message that refuses ``value`` for a field that must be ``rule``."""
-    if type(value) is int and value in _OUT_OF_RANGE:
+    if rule.endswith(" number") and type(value) is int and value in _OUT_OF_RANGE:
         return _OUT_OF_RANGE[value]
     return f"must be {'a number' if rule.endswith(' number') else rule}, got {value!r}"
 
