@@ -239,8 +239,13 @@ class CostModel:
     def from_config(cls, config: dict) -> "CostModel":
         """Build from a plain record as written by ``to_config``:
         {"staleness": {"kind", "values"? | "breakpoints"?}, "update_cost"}.
-        A field that ``to_config`` would not write is a ValueError."""
-        st = config["staleness"]
+        A field that ``to_config`` would not write is a ValueError, and so is
+        a staleness that is not an object holding a kind."""
+        st = config.get("staleness")
+        if not isinstance(st, dict):
+            raise ValueError(f"staleness: must be an object, got {st!r}")
+        if "kind" not in st:
+            raise ValueError(f"staleness: missing field 'kind', got {st!r}")
         if st["kind"] == "table":
             fn = StalenessFn.from_table(st.get("values"))
         elif st["kind"] == "piecewise":

@@ -8,12 +8,12 @@ comparisons via common random numbers).
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import time
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +48,7 @@ COLUMNS = (
 )
 
 # Rows formatted and written per write call by ``emit``.
-_EMIT_CHUNK = 1 << 15
+_EMIT_CHUNK = 1 << 13
 
 
 def _threshold_point(tau, rate: float, model: CostModel) -> tuple[float, CostModel]:
@@ -221,12 +221,14 @@ class ResultTable:
     that reproduces them.
 
     ``columns`` maps every name in ``COLUMNS`` to a numpy array or a list,
-    all of one length. ``emit`` writes a float64 array's values as
-    ``format(v, ".10g")`` and an integer array's as ``str(v)``; any other
-    column keeps each value's own type, and its cells read empty for ``None``
-    or ``""``, ``format(v, ".10g")`` for a Python float and ``str(v)``
-    otherwise. ``rows`` is a read-only view with one dict per row, made on
-    demand, in which numpy scalars come back as Python numbers.
+    all of one length. In the CSV that ``emit`` writes, a cell of a float64
+    array reads ``format(v, ".10g")`` and one of an integer array ``str(v)``,
+    both made by numpy from the array. Any other column keeps each value's
+    own type: its cells read empty for ``None`` or ``""``, ``format(v,
+    ".10g")`` for a Python float and ``str(v)`` otherwise, in UTF-8, and a
+    cell whose text holds a NUL character is refused. ``rows`` is a
+    read-only view with one dict per row, made on demand, in which numpy
+    scalars come back as Python numbers.
     """
 
     columns: dict
@@ -445,51 +447,183 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _column_format(chunk) -> tuple[str, list | None]:
-    """A ``%`` conversion for one column's cells in a chunk and the values it
-    takes; a column whose cells are all alike gives its text, escaped, and None."""
-    if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
-        bits = chunk.view(np.int64)  # bitwise, so 0.0 and -0.0 stay apart
-        if (bits == bits[0]).all():
-            return "%.10g" % chunk[0], None
-        return "%.10g", chunk.tolist()
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
-        if (chunk == chunk[0]).all():
-            return str(chunk[0]), None
-        return "%d", chunk.tolist()
-    cells = list(chunk)
-    if all(map(operator.is_, cells, repeat(cells[0]))):
-        return _format_cell(cells[0]).replace("%", "%%"), None
-    return "%s", [_format_cell(v) for v in cells]
+@functools.cache
+def _tables():
+    """Lookup tables of the numeric cell kernels, built on first use.
+
+    A float cell's field is the first 28 bytes of four 8-byte words: byte 0
+    holds the sign, bytes 1-5 the "0.000" that leads a first digit at 1e-1
+    to 1e-4, bytes 8-26 the ten digits, each followed by a point slot, and
+    byte 27 the separator. For key = (14·negative + X + 4)·11 + trailing
+    zeros, with X the decimal exponent in -4..9, ``prefix[key]`` is the
+    first word and the word masks ``masks[key]`` keep the digits and the
+    point that print; the last key, for a cell formatted in Python, keeps
+    nothing. ``pairs[k]`` holds the four digits of k < 10,000, each followed
+    by a point, and ``groups`` the four digits of k as one 4-byte word in
+    three forms: as they are, without leading zeros, and without leading
+    zeros but "0" for k = 0. ``pow10`` holds 10^0..10^14.
+    """
+    k = np.arange(10_000)
+    digits = (k[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    zeros = sum(k % 10**t == 0 for t in (1, 2, 3, 4)).astype(np.uint8)
+    pairs = np.full((10_000, 8), ord("."), np.uint8)
+    pairs[:, ::2] = digits
+    lead = digits * (np.arange(4) >= 4 - (k[:, None] >= np.array([1000, 100, 10, 1])).sum(1, keepdims=True))
+    low = lead.copy()
+    low[0, 3] = ord("0")
+    groups = np.vstack([digits, lead, low]).view(np.uint32).ravel()
+    neg, x, tz = np.ix_(np.arange(2), np.arange(-4, 10), np.arange(11))
+    c = np.arange(32)[:, None, None, None]
+    j = (c - 8) // 2  # the digit at or before byte c
+    keep = np.select(
+        [c == 0, c < 8, c % 2 == 0],
+        [neg == 1, (x < 0) & (c < 2 - x), (j <= x) | (j < 10 - tz)],
+        (j == x) & (x < 9 - tz),
+    ).reshape(32, -1).T
+    keep = np.vstack([keep, np.zeros(32, bool)])
+    masks = np.ascontiguousarray(keep * np.uint8(255)).view(np.uint64)
+    prefix = np.frombuffer(b"-0.000\0\0", np.uint64) & masks[:, 0]
+    pow10 = 10.0 ** np.arange(15)  # exact as doubles
+    tables = (pow10, pairs.view(np.uint64).ravel(), zeros, groups, prefix,
+              *(masks[:, w].copy() for w in (1, 2, 3)))
+    for t in tables:  # shared by every call
+        t.flags.writeable = False
+    return tables
+
+
+def _packed(texts: list[bytes], which, end: int) -> np.ndarray:
+    """Field of cells whose bytes are ``texts[which[i]]``, each followed by
+    the byte ``end``; a NUL byte is padding, so a text may not hold one."""
+    if any(b"\0" in t for t in texts):
+        raise ValueError("a CSV cell may not hold a NUL character")
+    ended = [t + bytes([end]) for t in texts]
+    table = np.array(ended, dtype=f"S{max(map(len, ended))}")
+    return table.view(np.uint8).reshape(len(ended), -1).take(which, axis=0)
+
+
+def _float_cells(v: np.ndarray, end: int) -> np.ndarray:
+    """Field of float64 cells as ``format(v, ".10g")``.
+
+    With x = floor(log10|v|), s = |v|·10^(9-x) takes one rounding (10^k is
+    exact for k <= 22), at most 2^-20 for s < 2^34, so the ten digits
+    m = floor(s) + (frac > 0.5) are exact unless frac is within 1e-5 of a
+    half; a carry to 10^10 is 10^9 at x + 1. Where log10 rounds across a
+    power of ten, m lands on 10^9 or 10^10 and is still right; any other m
+    outside [10^9, 10^10] is not trusted. Such a cell, one near a half, one
+    not finite or one printed in exponent notation (X outside -4..9) is
+    formatted in Python, into a field of its own before this one.
+    """
+    pow10, pairs, zeros, _, prefix, *masks = _tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.floor(np.log10(a))
+    fixed = (x >= -5) & (x <= 9)  # False for 0, NaN and inf
+    x = np.where(fixed, x, 0).astype(np.int64)
+    s = np.where(fixed, a, 0.0) * pow10.take(9 - x)
+    m = np.floor(s)
+    frac = s - m
+    m += frac > 0.5
+    ok = fixed & (np.abs(frac - 0.5) > 1e-5) & (m >= 1e9) & (m <= 1e10)
+    carry = m == 1e10
+    x += carry
+    ok = (ok & (x >= -4) & (x <= 9)) | (a == 0)  # 0 is m = 0 at x = 0
+    m = np.where(ok, np.where(carry, 1e9, m), 0)
+    # m < 2^34, so these quotients are exact
+    q = np.floor(m / 100)
+    hi = np.floor(q / 1e4)
+    lo = (m - 100 * q).astype(np.intp)
+    mid = (q - 1e4 * hi).astype(np.intp)
+    hi = hi.astype(np.intp)
+    tz = zeros.take(lo).clip(max=2) + (lo == 0) * (zeros.take(mid) + (mid == 0) * zeros.take(hi))
+    key = np.where(ok, (np.signbit(v) * 14 + x + 4) * 11 + tz, len(prefix) - 1)
+    words = np.empty((len(v), 4), np.uint64)
+    words[:, 0] = prefix.take(key)
+    for w, part in enumerate((hi, mid, 100 * lo)):  # lo's two digits lead its word
+        words[:, w + 1] = pairs.take(part) & masks[w].take(key)
+    field = words.view(np.uint8)[:, :28]
+    field[:, 27] = end
+    if not words[:, 0].any():
+        field = field[:, 8:]
+    if ok.all():
+        return field
+    rows = np.flatnonzero(~ok)
+    which = np.full(len(v), len(rows))
+    which[rows] = np.arange(len(rows))
+    texts = [format(c, ".10g").encode() for c in v[rows].tolist()]
+    return np.hstack([_packed(texts + [b""], which, 0), field])
+
+
+def _int_cells(v: np.ndarray, end: int) -> np.ndarray:
+    """Field of integer cells as ``str(v)``, signed down to -2^63 and
+    unsigned up to 2^64 - 1: a sign word, then four digits a word."""
+    groups = _tables()[3]
+    neg = v < 0
+    u = v.astype(np.uint64)
+    if neg.any():
+        u[neg] = -u[neg]  # |v|, in two's complement
+    words = np.empty((len(v), 7), np.uint32)
+    words[:, 6] = end
+    col = 6
+    while col == 6 or u.any():
+        col -= 1
+        q = u // 10_000
+        state = (q == 0) * np.uint64(10_000 * (1 + (col == 5)))  # leading zeros go; 0 keeps a "0"
+        words[:, col] = groups.take((u - 10_000 * q + state).astype(np.intp))
+        u = q
+    if neg.any():
+        col -= 1
+        words[:, col] = neg * np.frombuffer(b"-\0\0\0", np.uint32)[0]
+    return words.view(np.uint8)[:, 4 * col:25]
+
+
+def _text_cells(cells, end: int) -> np.ndarray:
+    """Field of cells formatted by ``_format_cell``, once per run of the
+    same object."""
+    n = len(cells)
+    new = np.ones(n, bool)
+    new[1:] = ~np.frombuffer(bytes(map(operator.is_, cells[1:], cells[:-1])), bool)
+    texts = [_format_cell(cells[i]).encode() for i in np.flatnonzero(new).tolist()]
+    return _packed(texts, np.cumsum(new) - 1, end)
+
+
+def _cells(chunk, end: int) -> np.ndarray:
+    """Field of one column's cells in a chunk: one row of bytes per cell,
+    ending in the byte ``end``, in which NUL bytes are padding."""
+    if isinstance(chunk, np.ndarray) and (chunk.dtype == np.float64 or chunk.dtype.kind in "iu"):
+        bits = chunk.view(np.int64) if chunk.dtype == np.float64 else chunk
+        if (bits == bits[0]).all():  # bitwise, so 0.0 and -0.0 stay apart
+            return _packed([_format_cell(chunk[0]).encode()], np.zeros(len(chunk), np.intp), end)
+        return _float_cells(chunk, end) if chunk.dtype == np.float64 else _int_cells(chunk, end)
+    return _text_cells(chunk, end)
 
 
 def emit(table: ResultTable, path) -> None:
     """Write the table as CSV plus a JSON sidecar holding the artifact version,
     the RNG algorithm, ``created_unix`` and the table's meta (spec and seeds).
 
-    The CSV is built column by column, ``_EMIT_CHUNK`` rows at a time, and
-    each chunk is written with one call; a float prints as ``format(v,
-    ".10g")``, an integer as ``str(v)`` and ``None`` or ``""`` as an empty
-    cell (see ``ResultTable``). Rerunning the same spec reproduces the CSV
-    byte for byte; ``created_unix`` is the only non-deterministic field of
-    the sidecar.
+    Cells print as ``ResultTable`` says; text is written as UTF-8, and a
+    cell holding a NUL character is refused. The CSV is built
+    ``_EMIT_CHUNK`` rows at a time. A float64 or integer column's chunk is
+    turned into bytes by numpy, with no Python object per cell: a float cell
+    the kernel cannot place exactly (near a rounding tie, not finite, or in
+    exponent notation) is formatted in Python. Other columns format each run
+    of the same object once. Each column gives a byte matrix, one row per
+    cell, padded with NUL bytes; a chunk's matrices are joined, the padding
+    dropped, and the chunk written with one call. Rerunning the same spec
+    reproduces the CSV byte for byte; ``created_unix`` is the only
+    non-deterministic field of the sidecar.
     """
     n = len(table.rows)
     if not n:
         raise ValueError("refusing to emit an empty table")
     path = str(path)
-    with open(path, "w") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
+    ends = b"," * (len(COLUMNS) - 1) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(COLUMNS) + "\n").encode())
         for lo in range(0, n, _EMIT_CHUNK):
-            hi = min(lo + _EMIT_CHUNK, n)
-            formats, values = [], []
-            for column in table.columns.values():
-                fmt, cells = _column_format(column[lo:hi])
-                formats.append(fmt)
-                if cells is not None:
-                    values.append(cells)
-            line = ",".join(formats) + "\n"
-            fh.write("".join(map(line.__mod__, zip(*values))) if values else (line % ()) * (hi - lo))
+            rows = np.hstack([_cells(column[lo:lo + _EMIT_CHUNK], end)
+                              for column, end in zip(table.columns.values(), ends)])
+            fh.write(rows.tobytes().translate(None, b"\0"))
     sidecar = {
         "artifact_version": __version__,
         "rng": RNG_ALGORITHM,

@@ -107,6 +107,13 @@ def test_spec_validation_messages():
         (lambda: sweep_spec(model={**linear, "update_cost": 5.0, "p": 3}), r"model: unknown fields \['p'\]"),
         (lambda: sweep_spec(model={"staleness": {"kind": "linear", "values": [0, 1]}, "update_cost": 5.0}),
          r"model: staleness: unknown fields \['values'\]"),
+        (lambda: sweep_spec(model={"staleness": None, "update_cost": 5.0}),
+         r"model: staleness: must be an object, got None"),
+        (lambda: sweep_spec(model={"staleness": "linear", "update_cost": 5.0}),
+         r"model: staleness: must be an object, got 'linear'"),
+        (lambda: sweep_spec(model={"staleness": {"values": [0, 1]}, "update_cost": 5.0}),
+         r"model: staleness: missing field 'kind', got \{'values': \[0, 1\]\}"),
+        (lambda: sweep_spec(model={"update_cost": 5.0}), r"model: staleness: must be an object, got None"),
         (lambda: sweep_spec(arrival={"kind": "bernoulli", "rate": 0.1, "seed": 9}),
          r"arrival: unknown fields \['seed'\]"),
         # A lambda sweep takes its rates from the grid.
@@ -546,6 +553,100 @@ def test_emit_matches_the_reference_writer(tmp_path_factory, columns, chunk):
     with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
         emit(table, out)
     assert out.read_bytes() == reference_csv(table.rows).encode()
+
+
+def _edge_floats():
+    """Floats whose ten significant digits are hardest to place, both signs:
+    near-halfway decimals (k + 1/2)·10^-j, each side of every decade edge,
+    10-digit carries, both notation switches, zeros, the specials and
+    subnormals."""
+    k = np.random.default_rng(3).integers(10**9, 10**10, 40)
+    halves = ((k[:, None] + 0.5) * 10.0 ** -np.arange(16)).ravel()
+    decades = 10.0 ** np.arange(-7, 13)
+    edges = np.concatenate([np.nextafter(decades, 0), decades, np.nextafter(decades, np.inf)])
+    carries = [9999999999.5, 9999999999.4999, 9.9999999995e-5, 9.99999999949e-5, 0.99999999995, 99999.999995]
+    switches = [1e-4, 1.0000000001e-4, 1e-5, 1e10, 9.999999999e9, 1.00000000001e10]
+    specials = [0.0, math.nan, math.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([halves, edges, carries, switches, specials])
+    return np.concatenate([values, -values])
+
+
+_EDGE_FLOATS = _edge_floats()
+_TEXT_CELLS = st.one_of(_CELLS, st.text(max_size=6), st.sampled_from(["%", "%%d", "a\0b", "\0", "é", "🙂", "naïve(3)"]))
+
+
+@st.composite
+def _long_columns(draw):
+    """2,000 to 2,500 rows. A float64 column mixes running means, every
+    magnitude with both signs, values of fewer than ten digits, integers,
+    the edge floats and hypothesis floats; an integer column spans int64 or
+    uint64 with their extremes; a cell column holds runs of the same object,
+    text with "%", NUL or non-ASCII among them."""
+    n = draw(st.integers(2_000, 2_500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in COLUMNS:
+        kind = draw(st.sampled_from(("float64", "int64", "uint64", "cells", "object")))
+        if kind == "float64":
+            pool = np.concatenate([
+                np.cumsum(rng.uniform(0, 50, n)) / np.arange(1, n + 1),
+                10.0 ** rng.uniform(-6, 11, n) * rng.choice([-1, 1], n),
+                np.round(rng.uniform(-1e4, 1e4, n), rng.integers(0, 10)),
+                rng.integers(-10**6, 10**6, n).astype(np.float64),
+                _EDGE_FLOATS,
+                draw(st.lists(st.floats(), max_size=20)),
+            ])
+            columns[name] = rng.permutation(pool)[:n]
+        elif kind in ("int64", "uint64"):
+            info = np.iinfo(kind)
+            column = rng.integers(info.min, info.max, n, dtype=kind, endpoint=True)
+            column[rng.random(n) < 0.5] %= 1000
+            column[rng.integers(0, n, 3)] = [info.min, info.max, 0]
+            columns[name] = column
+        else:
+            values = draw(st.lists(_TEXT_CELLS, min_size=1, max_size=5))
+            cells = [values[i] for i in np.sort(rng.integers(0, len(values), n))]
+            columns[name] = np.array(cells, dtype=object) if kind == "object" else cells
+    return columns
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns=_long_columns(), chunk=st.sampled_from([999, 2048, experiments._EMIT_CHUNK]))
+def test_emit_matches_the_reference_writer_on_long_columns(tmp_path_factory, columns, chunk):
+    table = ResultTable(columns, meta={})
+    out = tmp_path_factory.getbasetemp() / "emit-long.csv"
+    expected = reference_csv(table.rows)
+    with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
+        if "\0" in expected:  # NUL pads the kernel's byte rows, so a cell holding one is refused
+            with pytest.raises(ValueError, match="NUL"):
+                emit(table, out)
+        else:
+            emit(table, out)
+            assert out.read_bytes() == expected.encode()
+
+
+def test_emit_places_every_edge_float_and_extreme_integer(tmp_path):
+    floats = np.concatenate([_EDGE_FLOATS, _EDGE_FLOATS[::-1]])
+    n = len(floats)
+    ints = np.resize(np.array([-2**63, 2**63 - 1, -1, 0, 7, 10**18, -10**18], dtype=np.int64), n)
+    columns = {name: ["x"] * n for name in COLUMNS}
+    columns.update(mean_cost=floats, stderr=floats[::-1].copy(), x_value=ints,
+                   n_runs=np.resize(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64), n),
+                   policy_label=np.resize(np.array(["100%", "naïve", "é🙂"], dtype=object), n))
+    emit(ResultTable(columns, meta={}), tmp_path / "edges.csv")
+    rows = [line.split(",") for line in (tmp_path / "edges.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert n >= 2_000
+    assert [r[2] for r in rows] == [format(v, ".10g") for v in floats.tolist()]
+    assert [r[3] for r in rows] == [format(v, ".10g") for v in floats[::-1].tolist()]
+    assert [r[0] for r in rows] == [str(v) for v in ints.tolist()]
+    assert [r[7] for r in rows] == [str(v) for v in columns["n_runs"].tolist()]
+    assert [r[1] for r in rows] == columns["policy_label"].tolist()
+
+
+def test_emit_refuses_a_nul_in_a_text_cell(tmp_path):
+    columns = {name: [1, 2] for name in COLUMNS}
+    with pytest.raises(ValueError, match="may not hold a NUL character"):
+        emit(ResultTable({**columns, "policy_label": ["naive", "a\0b"]}, meta={}), tmp_path / "nul.csv")
 
 
 def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):

@@ -88,3 +88,20 @@ def test_csv_digests_are_pinned(penalty, tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
         digests[f"{penalty}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == {k: v for k, v in DIGESTS.items() if k.startswith(f"{penalty}/")}
+
+
+def test_multi_chunk_trace_csv_digest_is_pinned(tmp_path, capsys):
+    # 40,000 requests under three policies give 120,000 rows: the writer
+    # crosses many chunk boundaries, and the policy label changes inside a
+    # chunk. Pinned before the CSV writer was vectorised.
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=40_000, horizon=100_000, seed=23)
+    cfg, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({
+        "model": {"staleness": {"kind": "quadratic"}, "update_cost": 40.0},
+        "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+        "n_requests": 40_000}))
+    assert main(["trace-compare", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 120_000
+    assert hashlib.sha256(data).hexdigest() == "bbc81587194c664a5bcc3a850a28bc66353c1d88c55484685cd52c1e91c3b1e8"

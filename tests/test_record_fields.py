@@ -101,6 +101,10 @@ _FIELDS = {
         "spec": lambda v: cost_spec(model={"staleness": {"kind": "linear"}, "update_cost": v}),
         "spec grid": lambda v: cost_spec(grid=[v]),
     }),
+    "CostModel.staleness": ("staleness:", "an object", {
+        "from_config": lambda v: CostModel.from_config({"staleness": v, "update_cost": 5.0}),
+        "spec": lambda v: cost_spec(model={"staleness": v, "update_cost": 5.0}),
+    }),
     "BernoulliSource.rate": ("arrival rate", "a number", {
         "direct": lambda v: BernoulliSource(v, 0),
         "spec": lambda v: cost_spec(arrival={"kind": "bernoulli", "rate": v}),
@@ -120,7 +124,8 @@ _FIELDS = {
 }
 # 2.5 is a number, so only the integer fields refuse it.
 _BAD = {"an integer": (True, "3", 2.5, None), "a number": (True, "3", None), "a finite number": (True, "3", 10**400),
-        "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}), "'error' or 'skip'": ("bogus",),
+        "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}),
+        "an object": (None, "linear", ["linear"], 5), "'error' or 'skip'": ("bogus",),
         "a string or os.PathLike": (7, 0, True, None, b"t.csv")}
 # Numbers that a finite or positive number refuses, and how: an int past the
 # float range reads as inf. A non-number is refused as not "a number".
