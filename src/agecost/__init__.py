@@ -57,7 +57,7 @@ from .mdp import (
     solve_discounted,
     write_policy_csv,
 )
-from .offline import OfflineSolution, TooLarge, brute_force_optimal, offline_optimal
+from .offline import OfflineSolution, TooLarge, brute_force_optimal, offline_optimal, offline_optimal_many
 from .experiments import (
     ConfigError,
     ExperimentSpec,
@@ -110,6 +110,7 @@ __all__ = [
     "OfflineSolution",
     "TooLarge",
     "offline_optimal",
+    "offline_optimal_many",
     "brute_force_optimal",
     "ExperimentSpec",
     "ResultTable",

@@ -53,15 +53,20 @@ def as_float(value, what: str) -> float:
 
 def as_int(value, what: str) -> int:
     """``value`` as an int. ValueError naming ``what`` for a bool or a value
-    int() would change or reject (it reads 2.5 as 2, true as 1, "3" as 3)."""
+    int() would change or reject (it reads 2.5 as 2, true as 1, "3" as 3),
+    and for an integer outside int64, which no numpy array of slots, ages
+    or counts can hold."""
     if type(value) is int:
-        return value
-    try:
-        n = int(value)
-    except (OverflowError, TypeError, ValueError):  # inf, nan, None, "abc"
-        n = None
-    if isinstance(value, (bool, np.bool_)) or n is None or n != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        n = value
+    else:
+        try:
+            n = int(value)
+        except (OverflowError, TypeError, ValueError):  # inf, nan, None, "abc"
+            n = None
+        if isinstance(value, (bool, np.bool_)) or n is None or n != value:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not -(1 << 63) <= n < 1 << 63:
+        raise ValueError(f"{what} must fit in int64, got an integer of {n.bit_length()} bits")
     return n
 
 

@@ -9,6 +9,7 @@ comparisons via common random numbers).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import time
@@ -29,9 +30,9 @@ from .arrivals import (
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, cap_threshold, check_fields, check_rate
+from .core import CostModel, as_int, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
-from .offline import OfflineSolution, offline_optimal
+from .offline import OfflineSolution, offline_optimal_many
 from .policies import Policy
 
 COLUMNS = (
@@ -49,6 +50,11 @@ COLUMNS = (
 
 # Rows formatted and written per write call by ``emit``.
 _EMIT_CHUNK = 1 << 13
+# A batch of ``run_policy_comparison``: at most this many requests and
+# paths, whose offline optima are one ``offline_optimal_many`` call. The
+# path cap bounds the DP's per-path block arrays when paths are short.
+_BATCH_REQUESTS = 1 << 16
+_BATCH_PATHS = 64
 
 
 def _threshold_point(tau, rate: float, model: CostModel) -> tuple[float, CostModel]:
@@ -128,8 +134,13 @@ class ExperimentSpec:
             raise ConfigError(f"output_path: must be a string or null, got {self.output_path!r}")
         # type(), not isinstance(): JSON true must not pass as an integer.
         for name in ("n_runs", "n_requests", "offline_request_cap"):
-            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be an integer >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name}: must be an integer >= 1, got {value!r}")
+            try:
+                as_int(value, f"{name}:")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if type(self.base_seed) is not int:
             raise ConfigError(f"base_seed: must be an integer, got {self.base_seed!r}")
         if not isinstance(self.include_offline, bool):
@@ -322,48 +333,58 @@ def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
 
 def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     """Compare the auto (or configured) policies and the offline optimum on
-    shared Bernoulli sample paths across a rate or update-cost grid."""
+    shared Bernoulli sample paths across a rate or update-cost grid.
+
+    Every grid point is resolved first. The (point, run) pairs then go in
+    order, in batches of at most ``_BATCH_REQUESTS`` requests and
+    ``_BATCH_PATHS`` paths (one pair at least): a batch's paths are
+    generated, their offline optima solved by one ``offline_optimal_many``
+    call, and each path replayed as before. A point's rows are added once
+    its last run is replayed.
+    """
     if spec.kind not in ("lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected lambda_sweep or cost_sweep, got {spec.kind}")
     columns = {name: [] for name in COLUMNS}
     resolutions = {}
     offline_on = spec.include_offline and spec.n_requests <= spec.offline_request_cap
-    for point, (x, rate, model) in enumerate(spec._points):
+    points = []
+    for x, rate, model in spec._points:
         policies, info = _resolve_policies(spec, rate, model)
         if info:
             resolutions[str(x)] = info
-        analytic = {label: value for label, _, value in policies} | {"offline": None}
-        # Per-run averages only: each run's replays are dropped once summarized.
-        averages: dict[str, list[tuple[float, float, float]]] = {}
-        for run in range(spec.n_runs):
-            arrivals = generate_bernoulli(
-                BernoulliSource(rate, derive_seed(spec.base_seed, point, run)),
-                n_requests=spec.n_requests,
-            )
-            for label, res in _replay(policies, arrivals, model, offline_on)[0]:
+        points.append((x, rate, model, policies))
+    pairs = ((point, run) for point in range(len(points)) for run in range(spec.n_runs))
+    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests))
+    # Per-run averages only: each run's replays are dropped once summarized.
+    averages: dict[str, list[tuple[float, float, float]]] = {}
+    while batch := list(itertools.islice(pairs, per_batch)):
+        paths = [generate_bernoulli(BernoulliSource(points[point][1], derive_seed(spec.base_seed, point, run)),
+                                    n_requests=spec.n_requests) for point, run in batch]
+        models = [points[point][2] for point, _ in batch]
+        solutions = offline_optimal_many(paths, models) if offline_on else [None] * len(batch)
+        for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions):
+            for label, res in _replay(points[point][3], arrivals, model, sol):
                 averages.setdefault(label, []).append((res.avg_total, res.avg_staleness, res.avg_update))
-        point_seed = derive_seed(spec.base_seed, point)
-        for label, runs in averages.items():
-            sweep = SweepResult(*np.array(runs).T)
-            _add_summary_row(columns, spec, x, label, sweep, analytic[label], point_seed)
+            if run == spec.n_runs - 1:
+                x, _, _, policies = points[point]
+                analytic = {label: value for label, _, value in policies} | {"offline": None}
+                point_seed = derive_seed(spec.base_seed, point)
+                for label, runs in averages.items():
+                    sweep = SweepResult(*np.array(runs).T)
+                    _add_summary_row(columns, spec, x, label, sweep, analytic[label], point_seed)
+                averages = {}
     meta = {"spec": spec.to_dict(), "auto_policies": resolutions, "offline_included": offline_on}
     return ResultTable(columns, meta)
 
 
-def _replay(
-    policies: list[tuple[str, Policy, float | None]], arrivals: ArrivalSequence, model: CostModel, offline: bool
-) -> tuple[list[tuple[str, SimResult]], OfflineSolution | None]:
-    """Replay every resolved policy on one arrival sequence, in order.
-
-    With ``offline`` the offline-optimal schedule is solved and replayed too,
-    labelled "offline", and its DP solution is returned beside the replays.
-    """
+def _replay(policies: list[tuple[str, Policy, float | None]], arrivals: ArrivalSequence, model: CostModel,
+            sol: OfflineSolution | None) -> list[tuple[str, SimResult]]:
+    """Replay every resolved policy on one arrival sequence, in order, and
+    the offline-optimal schedule ``sol`` last, labelled "offline", if given."""
     replays = [(label, simulate(pol, arrivals, model)) for label, pol, _ in policies]
-    sol = None
-    if offline:
-        sol = offline_optimal(arrivals, model)
+    if sol is not None:
         replays.append(("offline", simulate(Policy.scheduled(sol.update_slots), arrivals, model)))
-    return replays, sol
+    return replays
 
 
 def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
@@ -417,11 +438,16 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     if spec.kind != "trace_compare":
         raise ConfigError(f"kind: expected trace_compare, got {spec.kind}")
     model = spec._model
-    seq = truncate_requests(load_trace(**{k: v for k, v in spec.arrival.items() if k != "kind"}), spec.n_requests)
+    try:
+        trace = load_trace(**{k: v for k, v in spec.arrival.items() if k != "kind"})
+    except OSError as exc:  # a missing or unreadable file is bad input, like a bad field
+        raise ConfigError(f"arrival.path: cannot read {spec.arrival['path']!r}: {exc.strerror or exc}") from None
+    seq = truncate_requests(trace, spec.n_requests)
     rate_hat = empirical_rate(seq)
     policies, info = _resolve_policies(spec, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
-    replays, sol = _replay(policies, seq, model, offline_on)
+    sol = offline_optimal_many([seq], [model])[0] if offline_on else None
+    replays = _replay(policies, seq, model, sol)
     offline_meta = {} if sol is None else {
         "offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
     tau_c = info.get("tau_continuous")

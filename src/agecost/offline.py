@@ -5,7 +5,10 @@ Both restrict candidate update times to request slots, which loses nothing
 (any off-request update can be postponed to the next request at no extra
 cost). The DP also never serves a request at an age whose penalty exceeds
 the update cost, so each update looks back over at most W requests and a
-solve costs O(N·W). The brute-force search prices every subset with array
+solve costs O(N·W). ``offline_optimal_many`` steps a batch of K such
+solves together, one Python step per target for the whole batch, and
+holds O(K·(N + B·W)) floats for blocks of B targets; ``offline_optimal``
+is a batch of one. The brute-force search prices every subset with array
 operations, independently of the DP and of the replay engine, and is the
 ground truth the DP is validated against.
 """
@@ -13,9 +16,11 @@ ground truth the DP is validated against.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .arrivals import ArrivalSequence
 from .core import CostModel
@@ -24,9 +29,15 @@ BRUTE_FORCE_LIMIT = 22
 # Masks priced per array pass. Larger blocks are no faster and raise the
 # peak memory of the search.
 _BLOCK_MASKS = 1 << 11
-# Targets per block of the windowed DP: small blocks pay more per-block
-# overhead, large ones hold a larger array of charges.
+# Targets per block of the windowed DP, halved down to 8 while a block's
+# charges exceed _BLOCK_CELLS or half a block holds every target: small
+# blocks pay more numpy calls per target, large ones sum more charges that
+# no target reads.
 _BLOCK_TARGETS = 64
+_BLOCK_CELLS = 1 << 13
+# Above this many columns a block's charges are summed one row at a time:
+# np.add.accumulate down axis 0 pays per column, a row add per row.
+_SUM_BY_ROWS = 256
 
 
 class TooLarge(ValueError):
@@ -70,70 +81,186 @@ def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolut
 
     Only update points whose stale requests stay within ``_reach`` are
     candidates, W of them at most, so a solve costs O(N·W) instead of
-    O(N^2). Targets go in blocks of ``_BLOCK_TARGETS``; each block sums its
-    candidates' charges in one (block + 1) x (W + block) array, so memory
-    is O(W), not O(N·W). Every charge is summed in request order from its
-    update point, as (U[i] + p) + charges, and ties go to the earliest
-    update point, so the schedule and the total are those of the full
-    O(N^2) recursion bit for bit.
+    O(N^2) and holds O(N + B·W) floats, B <= 64. Every charge is summed in
+    request order from its update point, as (U[i] + p) + charges, and ties
+    go to the earliest update point, so the schedule and the total are
+    those of the full O(N^2) recursion bit for bit. This is a batch of one
+    for ``offline_optimal_many``, whose loop does the work.
     """
-    n = arrivals.slots.size
-    if n == 0:
-        raise ValueError("arrival sequence has no requests")
-    r = arrivals.slots.astype(np.int64)
-    w = arrivals.counts.astype(np.float64)
-    f = model.staleness
-    p = model.update_cost
+    return offline_optimal_many([arrivals], [model])[0]
 
-    # Ages after update point i run from slot base[i].
-    base = np.concatenate(([0], r))
-    # Target j = 1..n updates at request j; target n + 1 is the update-free
-    # tail. From update point i, target j serves requests i+1..j-1 stale, the
-    # oldest at age r[j-2] - base[i], so lo[j] is the first point in reach.
-    lo = [0, 0, *np.searchsorted(base, r - _reach(model, n, int(r[-1]))).tolist()]
-    U = np.empty(n + 1)
-    V = np.empty(n + 1)  # U + p: the price of the next update after i
-    parent = np.empty(n + 1, dtype=np.int64)
-    U[0] = 0.0
-    V[0] = U[0] + p
-    # carry[i - c0]: the charge of requests i+1..j0-1 from base[i].
-    carry, c0 = np.zeros(1), 0
-    for j0 in range(1, n + 2, _BLOCK_TARGETS):
-        j1 = min(j0 + _BLOCK_TARGETS, n + 2)
-        s0, s1 = lo[j0], min(j1, n + 1)
-        k = np.arange(j0 - 1, min(j1 - 1, n))
+
+def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[CostModel]) -> list[OfflineSolution]:
+    """``offline_optimal`` of each path under its own model, all K paths
+    solved by one loop; the models must share one staleness function.
+
+    The loop makes one Python step per target index for the whole batch,
+    not one per path. Each path keeps its own update cost and its own
+    ``_reach``, and the batch shares one window of D update points, the
+    widest any path needs. A point out of a path's reach stays in the
+    window: ``_reach``'s margin makes its candidate strictly worse than one
+    in reach, so it is never a minimum nor the first of one. Targets go in
+    blocks of B, 8 to 64: a block sums its charges down the columns of one
+    (B + 1) x (D + B) x K array, carried from block to block, so a batch
+    holds O(K·(N + B·D)) floats. A target's minimum over the points before
+    its block is one array reduction; each step then turns the next
+    target's minimum into its V and pushes V + charge to every later target
+    of the block, and the first candidate that reaches each minimum is
+    found once the block is done. Candidate values, charge sums and
+    first-index ties are those of each path's own solve, so every schedule
+    and total is the same bits whatever else is in the batch.
+    """
+    k_paths = len(paths)
+    if len(models) != k_paths:
+        raise ValueError(f"{k_paths} paths but {len(models)} cost models")
+    if not k_paths:
+        return []
+    f = models[0].staleness
+    if any(m.staleness != f for m in models):
+        raise ValueError("the paths of a batch must share one staleness function")
+    if any(a.slots.size == 0 for a in paths):
+        raise ValueError("arrival sequence has no requests")
+    sizes = [a.slots.size for a in paths]
+    n = max(sizes)
+    reach = [_reach(m, a.slots.size, int(a.slots[-1])) for a, m in zip(paths, models)]
+    d, tail_lo = 1, []  # the window, and the first point in reach of each tail
+    for a, r in zip(paths, reach):
+        lo = _first_in_reach(a, r)
+        d = max(d, int((np.arange(lo.size) - lo).max()))
+        tail_lo.append(int(lo[-1]))
+    b = _BLOCK_TARGETS
+    while b > 8 and ((b + 1) * k_paths * (d + b) > _BLOCK_CELLS or b // 2 > n):
+        b //= 2
+    width = d + b
+
+    # Every array carries the paths on its last axis, and a batch of one
+    # drops that axis, so its steps add numpy scalars, not 1-vectors. The
+    # views named *_k always have it, for per-path access.
+    paths_axis = (k_paths,) if k_paths > 1 else ()
+    # Row D + i holds base[i], the slot ages run from after update point i,
+    # and so row D + j the slot of request j. Past a path's end its last slot
+    # repeats, at zero weight; before point 0 a slot beyond every other makes
+    # every age clamp to 0. Slots and counts take the narrowest type that
+    # holds them: the batch's largest arrays are these two.
+    top = max(int(a.slots[-1]) for a in paths)
+    slot_type = next(t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max > top)
+    slot = np.empty((n + 1 + b + d, *paths_axis), slot_type)
+    slot[:d] = np.iinfo(slot.dtype).max
+    slot[d] = 0
+    weights = np.zeros((n + b, *paths_axis), np.min_scalar_type(max(int(a.counts.max()) for a in paths)))
+    slot_k, weights_k = slot.reshape(-1, k_paths), weights.reshape(-1, k_paths)
+    for k, a in enumerate(paths):
+        m = a.slots.size
+        slot_k[d + 1 : d + 1 + m, k] = a.slots
+        slot_k[d + 1 + m :, k] = a.slots[-1]
+        weights_k[:m, k] = a.counts
+
+    p = np.array([m.update_cost for m in models]).reshape(paths_axis)[()]
+    # In the block from j0, row c holds U[i] and V[i] = U[i] + p, the price
+    # of the next update after i, for i = j0 - D + c; the rows of points
+    # before 0 and of the points the block has not reached are +inf.
+    U = np.full((d + b, *paths_axis), np.inf)
+    V = np.full((d + b, *paths_axis), np.inf)
+    U[d - 1] = 0.0
+    V[d - 1] = p
+    U_k = U.reshape(-1, k_paths)
+    # V_window[q]: V over target j0 + q's window, the points j0+q-D..j0+q-1.
+    V_window = as_strided(V, (b + 1, d, *paths_axis), (V.strides[0], *V.strides), writeable=False)
+    parent = np.empty((n + 2, *paths_axis), np.int32)  # argmin within target j's window
+    C = np.zeros((b + 1, width, *paths_axis))
+    C_k = C.reshape(b + 1, width, k_paths)
+    # window[q]: C[q] over target j0 + q's window.
+    window = as_strided(C, (b, d, *paths_axis), (C.strides[0] + C.strides[1], *C.strides[1:]), writeable=False)
+    # pushes[q]: the charges from update point j0 + q to each later target
+    # of the block, copied out of C; +inf for the targets at or before it.
+    pushes = np.full((b, b, *paths_axis), np.inf)
+    later = (np.arange(b)[:, None] < np.arange(b)).reshape((b, b) + (1,) * len(paths_axis))
+    cand = np.empty((b, d, *paths_axis))
+    best = np.empty((b, *paths_axis))
+    push = np.empty((b, *paths_axis))
+    ages = np.empty((b, width, *paths_axis), np.int64)
+    best_total = np.empty(k_paths)
+    best_end = np.empty(k_paths, np.int64)
+    tails = sorted(range(k_paths), key=sizes.__getitem__)
+    tail_from = sizes[tails[0]] + 1
+    add, minimum = np.add, np.minimum
+    for j0 in range(1, n + 2, b):
+        j1 = min(j0 + b, n + 2)
+        nb = j1 - j0
+        # C[0]: the carry, the charge of requests i+1..j0-1 from base[i]; a
+        # point from j0 - 1 on has none yet. C[1 + q] charges request j0 + q.
+        C[0, :d] = C[b, b:]
         # Ages before an update point clamp to 0, where f is 0, so each
         # column's sum starts at its own update point.
-        ages = np.maximum(r[k, None] - base[None, s0:s1], 0)
-        rows = np.zeros((k.size + 1, s1 - s0))
-        rows[0, : j0 - s0] = carry[s0 - c0 :]
-        np.multiply(w[k, None], f.eval_array(ages), out=rows[1:])
-        # C[j - j0, i - s0]: the charge of requests i+1..j-1 from base[i],
-        # summed in request order down each column.
-        C = np.cumsum(rows, axis=0)
-        for j in range(j0, j1):
-            a = lo[j]
-            cand = (V if j <= n else U)[a:j] + C[j - j0, a - s0 : j - s0]
-            t = int(cand.argmin())
-            if j <= n:
-                U[j] = cand[t]
-                V[j] = U[j] + p
-                parent[j] = a + t
-            else:
-                best_total, best_end = cand[t], a + t
-        carry, c0 = C[-1], s0
+        np.subtract(slot[d + j0 : d + j0 + b, None], slot[j0 : j0 + width], out=ages, dtype=np.int64)
+        np.maximum(ages, 0, out=ages)
+        np.multiply(weights[j0 - 1 : j0 - 1 + b, None], f.eval_array(ages), out=C[1:])
+        # C[q, c]: the charge of requests i+1..j0+q-1 from base[i], with
+        # i = j0 - D + c, summed in request order down each column.
+        if k_paths * width > _SUM_BY_ROWS:
+            for q in range(1, b + 1):
+                add(C[q - 1], C[q], C[q])
+        else:
+            add.accumulate(C, axis=0, out=C)
+        np.copyto(pushes, C[:b, d:].swapaxes(0, 1), where=later)
+        # best[q]: the cheapest candidate of target j0 + q so far, first
+        # from the points before the block, whose V is known (a target D or
+        # more into the block has none) ...
+        old = min(nb, d)
+        minimum.reduce(add(V_window[:old], window[:old], cand[:old]), axis=1, out=best[:old])
+        best[old:] = np.inf
+        # ... then, one step per target, from each point of the block once
+        # its V is known: U[j] is complete when the step reaches j.
+        for c, (u, charges) in enumerate(zip(best[:nb], pushes), d):
+            v = V[c] = u + p
+            minimum(best, add(v, charges, push), out=best)
+        near_tail = j1 + d > tail_from  # U is read only by a tail's window
+        if near_tail:
+            U[d : d + nb] = best[:nb]
+        # The first candidate that reaches each minimum, in window order.
+        parent[j0:j1] = add(V_window[:nb], window[:nb], cand[:nb]).argmin(1)
+        while tails and sizes[tails[0]] + 1 < j1:
+            k = tails.pop(0)
+            j, a = sizes[k] + 1, tail_lo[k]
+            tail = U_k[a - j0 + d : j - j0 + d, k] + C_k[j - j0, a - j0 + d : j - j0 + d, k]
+            t = int(tail.argmin())
+            best_total[k], best_end[k] = tail[t], a + t
+        # The next block's window starts b points on.
+        if near_tail:
+            U[:d] = U[b:]
+        V[:d] = V[b:]
+        V[d:] = np.inf
 
-    ups = []
-    j = best_end
-    while j > 0:
-        ups.append(int(r[j - 1]))
-        j = int(parent[j])
-    ups.reverse()
-    return OfflineSolution(
-        update_slots=tuple(ups),
-        total_cost=float(best_total),
-        per_request_cost=float(best_total) / arrivals.n_requests,
-    )
+    solutions = []
+    parent_k = parent.reshape(-1, k_paths)
+    for k, a in enumerate(paths):
+        m = a.slots.size
+        # A window of +inf candidates (a sum past the float range) ties at
+        # its first point in reach, as the solve of one path has it.
+        lo = _first_in_reach(a, reach[k])
+        prev = np.maximum(parent_k[: m + 1, k] + np.arange(-d, m + 1 - d), lo[: m + 1]).tolist()
+        ups = []
+        j = int(best_end[k])
+        while j > 0:
+            ups.append(int(a.slots[j - 1]))
+            j = prev[j]
+        ups.reverse()
+        total = float(best_total[k])
+        solutions.append(OfflineSolution(tuple(ups), total, total / a.n_requests))
+    return solutions
+
+
+def _first_in_reach(arrivals: ArrivalSequence, reach: int) -> np.ndarray:
+    """lo[j], j = 0..n+1: the first update point in reach of target j.
+
+    Target j = 1..n updates at request j and target n + 1 is the
+    update-free tail. From update point i, target j serves requests
+    i+1..j-1 stale, the oldest at age r[j-2] - base[i], where base[i] is
+    the slot ages run from after point i: 0 for i = 0 (never updated), else
+    the slot of request i.
+    """
+    r = arrivals.slots.astype(np.int64)
+    return np.concatenate(([0, 0], np.searchsorted(np.concatenate(([0], r)), r - reach)))
 
 
 def brute_force_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:

@@ -738,10 +738,21 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     assert main(["sweep-threshold", "--config", str(bad)]) == 1
     # validation failure: unknown flag
     assert main(["sweep-threshold", "--frobnicate"]) == 1
-    # runtime failure: missing trace file
-    assert main(["trace-compare", "--trace", str(tmp_path / "missing.csv"),
-                 "--slot-duration", "1.0", "--p", "25"]) == 2
     capsys.readouterr()
+
+
+def test_missing_trace_file_exits_1_naming_the_path(tmp_path, capsys):
+    # A trace file that cannot be read is bad input, refused naming
+    # arrival.path, whether the path comes from --trace or --config.
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "never.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arrival": {"kind": "trace", "path": str(missing), "slot_duration": 1.0}}))
+    for argv in (["--trace", str(missing), "--slot-duration", "1.0", "--p", "25"], ["--config", str(cfg)]):
+        assert main(["trace-compare", *argv, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err == (f"configuration error: arrival.path: cannot read {str(missing)!r}: "
+                                           "No such file or directory\n")
+        assert not out.exists()
 
 
 def test_non_finite_costs_exit_1(tmp_path, capsys):

@@ -105,3 +105,17 @@ def test_multi_chunk_trace_csv_digest_is_pinned(tmp_path, capsys):
     data = out.read_bytes()
     assert data.count(b"\n") == 1 + 120_000
     assert hashlib.sha256(data).hexdigest() == "bbc81587194c664a5bcc3a850a28bc66353c1d88c55484685cd52c1e91c3b1e8"
+
+
+def test_mixed_window_cost_sweep_csv_digest_is_pinned(tmp_path, capsys):
+    # At rate 0.3 and 600 requests, p = 2 keeps a window of a few requests
+    # while p = 2000 reaches back over every earlier one: the offline optima
+    # of all 9 paths are solved as one batch that mixes both. Pinned before
+    # the offline DP solved paths in batches.
+    cfg, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({
+        "model": {"staleness": {"kind": "linear"}, "update_cost": 50.0},
+        "arrival": {"kind": "bernoulli", "rate": 0.3}, "grid": [2, 50, 2000], "n_runs": 3, "n_requests": 600}))
+    assert main(["compare", "--sweep", "cost", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0979e4127e1386ac22a0e9e70bca6711a6b92eb21e840305c9ac4fa9e3aaee96"

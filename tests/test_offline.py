@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from agecost import (
     cap,
     generate_bernoulli,
     offline_optimal,
+    offline_optimal_many,
     optimal_period,
     optimal_threshold,
     simulate,
@@ -244,3 +246,111 @@ def test_dp_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_dp_memory_is_bounded_in_a_mixed_batch():
+    # The W = N path of the test above shares its batch with three narrow
+    # paths, so every path's block spans the wide window.
+    wide = generate_bernoulli(BernoulliSource(0.5, 9), n_requests=5000)
+    narrow = [generate_bernoulli(BernoulliSource(0.5, seed), n_requests=5000) for seed in (1, 2, 3)]
+    paths = [narrow[0], wide, *narrow[1:]]
+    models = [CostModel(LINEAR, p) for p in (5.0, 1e5, 3.0, 25.0)]
+    tracemalloc.start()
+    try:
+        sols = offline_optimal_many(paths, models)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert sols[1] == offline_optimal(wide, models[1])
+
+
+_KINDS = ("linear", "quadratic", "table", "piecewise")
+
+
+@st.composite
+def dp_batch(draw, kind=None):
+    """1-6 paths of up to 120 occupied slots, 1-12 slots apart, with 1-3
+    requests each, under one penalty of the given (or a drawn) kind and an
+    update cost per path. Half the time one path's window covers every
+    earlier request: its cost is the penalty at the longest horizon, or
+    the held value of a table or piecewise penalty."""
+    kind = kind or draw(st.sampled_from(_KINDS))
+    size = draw(st.integers(min_value=1, max_value=6))
+    paths = []
+    for _ in range(size):
+        n = draw(st.integers(min_value=1, max_value=120))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+        slots = np.cumsum(rng.integers(1, 13, size=n))
+        paths.append(ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 4, size=n)))
+    costs = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=60).map(float),
+                                    st.floats(min_value=0.25, max_value=200.0)), min_size=size, max_size=size))
+    if kind in ("linear", "quadratic"):
+        f = getattr(StalenessFn, kind)()
+        top = float(f(max(a.horizon for a in paths)))
+    else:
+        steps = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
+        values = np.cumsum(steps).tolist()
+        values[-1] += max(costs)  # the held value reaches every path's cost
+        top = values[-1]
+        if kind == "table":
+            f = StalenessFn.from_table([0.0, *values])
+        else:
+            ages = sorted(draw(st.sets(st.integers(min_value=1, max_value=30), min_size=len(values),
+                                       max_size=len(values))))
+            f = StalenessFn.piecewise(zip(ages, values))
+    if draw(st.booleans()):  # one wide path
+        costs[draw(st.integers(min_value=0, max_value=size - 1))] = top
+    return paths, [CostModel(f, p) for p in costs]
+
+
+def _wide_between_narrow():
+    paths = [generate_bernoulli(BernoulliSource(0.3, seed), n_requests=n) for seed, n in ((1, 90), (2, 120), (3, 60))]
+    return paths, [CostModel(LINEAR, p) for p in (2.0, 1e5, 7.5)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(dp_batch(), st.randoms(use_true_random=False))
+@example(_wide_between_narrow(), random.Random(0))
+def test_a_batch_solves_each_path_as_the_quadratic_dp_does(batch, rnd):
+    # Each member equals the O(N^2) oracle and its own solve as a batch of
+    # one, whatever the batch's order and other members.
+    paths, models = batch
+    sols = offline_optimal_many(paths, models)
+    for arr, model, sol in zip(paths, models, sols):
+        assert sol == quadratic_offline_dp(arr, model)
+        assert sol == offline_optimal(arr, model)
+    order = list(range(len(paths)))
+    rnd.shuffle(order)
+    assert offline_optimal_many([paths[k] for k in order], [models[k] for k in order]) == [sols[k] for k in order]
+    assert offline_optimal_many(paths[:1] * 2 + paths, models[:1] * 2 + models)[2:] == sols
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_penalty_kind_batches_with_a_wide_path(kind, data):
+    paths, models = data.draw(dp_batch(kind))
+    assert offline_optimal_many(paths, models) == [quadratic_offline_dp(a, m) for a, m in zip(paths, models)]
+
+
+def test_a_batch_refuses_mixed_penalties_and_mismatched_lengths():
+    arr = ArrivalSequence.from_slots([1, 4])
+    with pytest.raises(ValueError, match="share one staleness function"):
+        offline_optimal_many([arr, arr], [CostModel(LINEAR, 2.0), CostModel(StalenessFn.quadratic(), 2.0)])
+    with pytest.raises(ValueError, match="2 paths but 1 cost models"):
+        offline_optimal_many([arr, arr], [CostModel(LINEAR, 2.0)])
+    assert offline_optimal_many([], []) == []
+
+
+@pytest.mark.parametrize("offset", [0, 2**16 - 40, 2**32, 2**40])
+def test_a_batch_holds_slots_and_counts_of_any_width(offset):
+    # Slots and counts are stored in the narrowest type that holds them:
+    # these cross the 16- and 32-bit bounds, and counts pass 255.
+    rng = np.random.default_rng(offset % 97)
+    paths = []
+    for n in (30, 45):
+        slots = offset + np.cumsum(rng.integers(1, 5, size=n))
+        paths.append(ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 400, size=n)))
+    models = [CostModel(LINEAR, p) for p in (300.0, 2500.0)]
+    assert offline_optimal_many(paths, models) == [quadratic_offline_dp(a, m) for a, m in zip(paths, models)]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agecost import BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn, load_trace
+from agecost.cli import main
 
 
 def cost_spec(**kw):
@@ -122,8 +123,10 @@ _FIELDS = {
         "direct": lambda v: load_trace(v, 1.0),
     }),
 }
-# 2.5 is a number, so only the integer fields refuse it.
-_BAD = {"an integer": (True, "3", 2.5, None), "a number": (True, "3", None), "a finite number": (True, "3", 10**400),
+# 2.5 is a number, so only the integer fields refuse it. An integer past
+# int64 is refused too: numpy holds slots, ages and counts as int64.
+_BAD = {"an integer": (True, "3", 2.5, None, 2**63, 10**400), "a number": (True, "3", None),
+        "a finite number": (True, "3", 10**400),
         "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}),
         "an object": (None, "linear", ["linear"], 5), "'error' or 'skip'": ("bogus",),
         "a string or os.PathLike": (7, 0, True, None, b"t.csv")}
@@ -136,17 +139,44 @@ def refusal(rule, value):
     """The end of the message that refuses ``value`` for a field that must be ``rule``."""
     if rule.endswith(" number") and type(value) is int and value in _OUT_OF_RANGE:
         return _OUT_OF_RANGE[value]
+    if rule == "an integer" and type(value) is int and value >= 2**63:
+        return f"must fit in int64, got an integer of {value.bit_length()} bits"
     return f"must be {'a number' if rule.endswith(' number') else rule}, got {value!r}"
 
 
 @pytest.mark.parametrize("field,entry,value", [(field, entry, value) for field, (_, rule, entries) in _FIELDS.items()
                                                for entry in entries for value in _BAD[rule]],
-                         ids=lambda v: "10**400" if v == 10**400 else None)
+                         ids=lambda v: {10**400: "10**400", 2**63: "2**63"}.get(v) if type(v) is int else None)
 def test_a_bad_value_is_refused_naming_its_field_at_every_entry_point(field, entry, value):
     name, rule, entries = _FIELDS[field]
     with pytest.raises(ValueError, match=rf"\b{name} {re.escape(refusal(rule, value))}$") as exc:
         entries[entry](value)
     assert isinstance(exc.value, ConfigError) == entry.startswith("spec")
+
+
+# Spec fields and grid values that must fit in int64, per command: the
+# fields set and the name the refusal gives. n_runs = 10**20 used to run
+# until killed, and 10**400 exited 2 with "Maximum allowed size exceeded".
+_PAST_INT64 = {
+    "n_runs": ("compare", {"n_runs": 10**20}, "n_runs:"),
+    "n_requests": ("compare", {"n_requests": 10**400}, "n_requests:"),
+    "offline_request_cap": ("compare", {"offline_request_cap": 2**63}, "offline_request_cap:"),
+    "threshold grid": ("sweep-threshold", {"grid": [3, 10**400]}, "grid[1]: tau"),
+    "tau": ("compare", {"policies": [{"kind": "threshold", "tau": 10**400}]}, "policies[0]: tau"),
+    "d": ("compare", {"policies": [{"kind": "naive"}, {"kind": "periodic", "d": 2**63}]}, "policies[1]: d"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_PAST_INT64))
+def test_an_integer_past_int64_exits_1_naming_its_field(field, tmp_path, capsys):
+    command, fields, name = _PAST_INT64[field]
+    cfg, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"arrival": {"kind": "bernoulli", "rate": 0.3}, **fields}))
+    argv = [command, "--config", str(cfg), "--out", str(out)] + (["--sweep", "cost"] if command == "compare" else [])
+    assert main(argv) == 1
+    assert re.fullmatch(rf"configuration error: {re.escape(name)} must fit in int64, got an integer of \d+ bits\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
 
 
 # Per kind: its record, a direct call giving it another kind's payload and
