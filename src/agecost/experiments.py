@@ -32,7 +32,7 @@ from .arrivals import (
 )
 from .core import CostModel, as_int, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, simulate, simulate_many
-from .offline import OfflineSolution, offline_optimal_many
+from .offline import OfflineSolution, offline_optimal, offline_optimal_many
 from .policies import Policy
 
 COLUMNS = (
@@ -446,7 +446,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     rate_hat = empirical_rate(seq)
     policies, info = _resolve_policies(spec, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
-    sol = offline_optimal_many([seq], [model])[0] if offline_on else None
+    sol = offline_optimal(seq, model) if offline_on else None
     replays = _replay(policies, seq, model, sol)
     offline_meta = {} if sol is None else {
         "offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}

@@ -5,8 +5,8 @@ Both restrict candidate update times to request slots, which loses nothing
 (any off-request update can be postponed to the next request at no extra
 cost). The DP also never serves a request at an age whose penalty exceeds
 the update cost, so each update looks back over at most W requests and a
-solve costs O(N·W). ``offline_optimal_many`` steps a batch of K such
-solves together, one Python step per target for the whole batch, and
+solve costs O(N·W). ``offline_optimal_many`` steps K such solves
+together, one Python step per target for a group of paths of like W, and
 holds O(K·(N + B·W)) floats for blocks of B targets; ``offline_optimal``
 is a batch of one. The brute-force search prices every subset with array
 operations, independently of the DP and of the replay engine, and is the
@@ -32,12 +32,15 @@ _BLOCK_MASKS = 1 << 11
 # Targets per block of the windowed DP, halved down to 8 while a block's
 # charges exceed _BLOCK_CELLS or half a block holds every target: small
 # blocks pay more numpy calls per target, large ones sum more charges that
-# no target reads.
+# no target reads. Bounds of 2^13 to 2^15 cells ran alike; 2^12 made one
+# narrow path's solve ~12% slower, 2^17 a compare sweep's batch ~8%.
 _BLOCK_TARGETS = 64
 _BLOCK_CELLS = 1 << 13
-# Above this many columns a block's charges are summed one row at a time:
-# np.add.accumulate down axis 0 pays per column, a row add per row.
-_SUM_BY_ROWS = 256
+# Charges per target that a group's narrower paths may sum beyond their own
+# windows before the next path starts a new group, which pays its Python
+# steps again: a lambda sweep at one p (289 spare) stays one group, and a
+# path whose window spans every request leaves the narrow ones.
+_SPARE_CELLS = 1 << 10
 
 
 class TooLarge(ValueError):
@@ -91,24 +94,17 @@ def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolut
 
 
 def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[CostModel]) -> list[OfflineSolution]:
-    """``offline_optimal`` of each path under its own model, all K paths
-    solved by one loop; the models must share one staleness function.
+    """``offline_optimal`` of each path under its own model; the models must
+    share one staleness function.
 
-    The loop makes one Python step per target index for the whole batch,
-    not one per path. Each path keeps its own update cost and its own
-    ``_reach``, and the batch shares one window of D update points, the
-    widest any path needs. A point out of a path's reach stays in the
-    window: ``_reach``'s margin makes its candidate strictly worse than one
-    in reach, so it is never a minimum nor the first of one. Targets go in
-    blocks of B, 8 to 64: a block sums its charges down the columns of one
-    (B + 1) x (D + B) x K array, carried from block to block, so a batch
-    holds O(K·(N + B·D)) floats. A target's minimum over the points before
-    its block is one array reduction; each step then turns the next
-    target's minimum into its V and pushes V + charge to every later target
-    of the block, and the first candidate that reaches each minimum is
-    found once the block is done. Candidate values, charge sums and
-    first-index ties are those of each path's own solve, so every schedule
-    and total is the same bits whatever else is in the batch.
+    Each path keeps its own update cost and its own ``_reach``, whose window
+    W is the most update points any of its targets has in reach. The paths
+    go by W into groups, and one loop solves each group: one Python step per
+    target index for the whole group, not one per path (see ``_solve``). A
+    group shares its widest window, so its narrower paths sum charges no
+    target reads; a group grows while those spare charges stay within
+    ``_SPARE_CELLS`` per target. Every schedule and total is the same bits
+    whatever else is in the batch.
     """
     k_paths = len(paths)
     if len(models) != k_paths:
@@ -120,30 +116,71 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
         raise ValueError("the paths of a batch must share one staleness function")
     if any(a.slots.size == 0 for a in paths):
         raise ValueError("arrival sequence has no requests")
-    sizes = [a.slots.size for a in paths]
-    n = max(sizes)
     reach = [_reach(m, a.slots.size, int(a.slots[-1])) for a, m in zip(paths, models)]
-    d, tail_lo = 1, []  # the window, and the first point in reach of each tail
+    windows, tail_lo = [], []  # each path's W, and its tail's first point in reach
     for a, r in zip(paths, reach):
         lo = _first_in_reach(a, r)
-        d = max(d, int((np.arange(lo.size) - lo).max()))
+        windows.append(int((np.arange(lo.size) - lo).max()))
         tail_lo.append(int(lo[-1]))
+    order = sorted(range(k_paths), key=windows.__getitem__)
+    groups, spare = [[order[0]]], 0
+    for k in order[1:]:
+        group = groups[-1]
+        spare += len(group) * (windows[k] - windows[group[-1]])
+        if spare > _SPARE_CELLS:
+            groups.append([k])
+            spare = 0
+        else:
+            group.append(k)
+    solutions = [None] * k_paths
+    for group in groups:
+        sols = _solve([paths[k] for k in group], [models[k].update_cost for k in group], f,
+                      [reach[k] for k in group], [tail_lo[k] for k in group], max(1, windows[group[-1]]))
+        for k, sol in zip(group, sols):
+            solutions[k] = sol
+    return solutions
+
+
+def _solve(
+    paths: list[ArrivalSequence], costs: list[float], f, reach: list[int], tail_lo: list[int], d: int
+) -> list[OfflineSolution]:
+    """The DP of K paths under penalty f, one Python step per target index.
+
+    Path k has reach ``reach[k]``, its tail's first point in reach is
+    ``tail_lo[k]``, and d is the window D, at least as wide as any path's.
+    A point out of a path's reach stays in the window: ``_reach``'s margin
+    makes its candidate strictly worse than one in reach, so it is never a
+    minimum nor the first of one. Targets go in blocks of B, 8 to 64: a
+    block sums its charges down the columns of one (B + 1) x K x (D + B)
+    array, one row add per target, carried from block to block, so a group
+    holds O(K·(N + B·D)) floats. A target's minimum over the points before
+    its block is one array reduction; each step then turns the next
+    target's minimum into its V and pushes V + charge to every later target
+    of the block, and the first candidate that reaches each minimum is
+    found once the block is done. Candidate values, charge sums and
+    first-index ties are those of each path's own solve.
+    """
+    k_paths = len(paths)
+    sizes = [a.slots.size for a in paths]
+    n = max(sizes)
     b = _BLOCK_TARGETS
     while b > 8 and ((b + 1) * k_paths * (d + b) > _BLOCK_CELLS or b // 2 > n):
         b //= 2
     width = d + b
 
-    # Every array carries the paths on its last axis, and a batch of one
-    # drops that axis, so its steps add numpy scalars, not 1-vectors. The
-    # views named *_k always have it, for per-path access.
+    # Every array carries the paths on its last axis, but for the charges,
+    # which carry them before the window's axis so that a window's minimum
+    # runs along contiguous memory. A batch of one drops that axis, so its
+    # steps add numpy scalars, not 1-vectors. The views named *_k always
+    # have it, for per-path access.
     paths_axis = (k_paths,) if k_paths > 1 else ()
     # Row D + i holds base[i], the slot ages run from after update point i,
     # and so row D + j the slot of request j. Past a path's end its last slot
-    # repeats, at zero weight; before point 0 a slot beyond every other makes
+    # repeats, at zero weight; before point 0 a slot no earlier than any makes
     # every age clamp to 0. Slots and counts take the narrowest type that
     # holds them: the batch's largest arrays are these two.
     top = max(int(a.slots[-1]) for a in paths)
-    slot_type = next(t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max > top)
+    slot_type = next(t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= top)
     slot = np.empty((n + 1 + b + d, *paths_axis), slot_type)
     slot[:d] = np.iinfo(slot.dtype).max
     slot[d] = 0
@@ -155,7 +192,7 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
         slot_k[d + 1 + m :, k] = a.slots[-1]
         weights_k[:m, k] = a.counts
 
-    p = np.array([m.update_cost for m in models]).reshape(paths_axis)[()]
+    p = np.array(costs).reshape(paths_axis)[()]
     # In the block from j0, row c holds U[i] and V[i] = U[i] + p, the price
     # of the next update after i, for i = j0 - D + c; the rows of points
     # before 0 and of the points the block has not reached are +inf.
@@ -165,69 +202,73 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
     V[d - 1] = p
     U_k = U.reshape(-1, k_paths)
     # V_window[q]: V over target j0 + q's window, the points j0+q-D..j0+q-1.
-    V_window = as_strided(V, (b + 1, d, *paths_axis), (V.strides[0], *V.strides), writeable=False)
+    V_window = as_strided(V, (b + 1, *paths_axis, d), (V.strides[0], *V.strides[1:], V.strides[0]), writeable=False)
     parent = np.empty((n + 2, *paths_axis), np.int32)  # argmin within target j's window
-    C = np.zeros((b + 1, width, *paths_axis))
-    C_k = C.reshape(b + 1, width, k_paths)
+    C = np.zeros((b + 1, *paths_axis, width))
+    C_k = C.reshape(b + 1, k_paths, width)
     # window[q]: C[q] over target j0 + q's window.
-    window = as_strided(C, (b, d, *paths_axis), (C.strides[0] + C.strides[1], *C.strides[1:]), writeable=False)
+    window = as_strided(C, (b, *paths_axis, d), (C.strides[0] + C.strides[-1], *C.strides[1:]), writeable=False)
     # pushes[q]: the charges from update point j0 + q to each later target
     # of the block, copied out of C; +inf for the targets at or before it.
     pushes = np.full((b, b, *paths_axis), np.inf)
+    from_block = np.moveaxis(C[:b, ..., d:], -1, 0)
     later = (np.arange(b)[:, None] < np.arange(b)).reshape((b, b) + (1,) * len(paths_axis))
-    cand = np.empty((b, d, *paths_axis))
+    cand = np.empty((b, *paths_axis, d))
     best = np.empty((b, *paths_axis))
     push = np.empty((b, *paths_axis))
-    ages = np.empty((b, width, *paths_axis), np.int64)
+    ages = np.empty((b, *paths_axis, width), np.int64)
     best_total = np.empty(k_paths)
     best_end = np.empty(k_paths, np.int64)
     tails = sorted(range(k_paths), key=sizes.__getitem__)
-    tail_from = sizes[tails[0]] + 1
     add, minimum = np.add, np.minimum
+    views_from = -1
     for j0 in range(1, n + 2, b):
         j1 = min(j0 + b, n + 2)
         nb = j1 - j0
+        # The block skips the columns before c0, whose points precede 0 for
+        # each of its targets: while the window is wider than the points
+        # so far, that is most of it.
+        c0 = max(0, d - j0 - b + 1)
+        if c0 != views_from:
+            views_from = c0
+            sums = [(C[q - 1, ..., c0:], C[q, ..., c0:]) for q in range(1, b + 1)]
+            block_ages, V_win, C_win, cand_win = ages[..., c0:], V_window[..., c0:], window[..., c0:], cand[..., c0:]
+            carry, carried, block_charges = C[0, ..., c0:d], C[b, ..., b + c0 :], C[1:, ..., c0:]
         # C[0]: the carry, the charge of requests i+1..j0-1 from base[i]; a
         # point from j0 - 1 on has none yet. C[1 + q] charges request j0 + q.
-        C[0, :d] = C[b, b:]
+        carry[...] = carried
         # Ages before an update point clamp to 0, where f is 0, so each
         # column's sum starts at its own update point.
-        np.subtract(slot[d + j0 : d + j0 + b, None], slot[j0 : j0 + width], out=ages, dtype=np.int64)
-        np.maximum(ages, 0, out=ages)
-        np.multiply(weights[j0 - 1 : j0 - 1 + b, None], f.eval_array(ages), out=C[1:])
-        # C[q, c]: the charge of requests i+1..j0+q-1 from base[i], with
+        np.subtract(slot[d + j0 : d + j0 + b, ..., None], slot[j0 + c0 : j0 + width].T, out=block_ages, dtype=np.int64)
+        np.maximum(block_ages, 0, out=block_ages)
+        np.multiply(weights[j0 - 1 : j0 - 1 + b, ..., None], f.eval_array(block_ages), out=block_charges)
+        # C[q, ..., c]: the charge of requests i+1..j0+q-1 from base[i], with
         # i = j0 - D + c, summed in request order down each column.
-        if k_paths * width > _SUM_BY_ROWS:
-            for q in range(1, b + 1):
-                add(C[q - 1], C[q], C[q])
-        else:
-            add.accumulate(C, axis=0, out=C)
-        np.copyto(pushes, C[:b, d:].swapaxes(0, 1), where=later)
+        for prev, row in sums:
+            add(prev, row, row)
+        np.copyto(pushes, from_block, where=later)
         # best[q]: the cheapest candidate of target j0 + q so far, first
         # from the points before the block, whose V is known (a target D or
         # more into the block has none) ...
         old = min(nb, d)
-        minimum.reduce(add(V_window[:old], window[:old], cand[:old]), axis=1, out=best[:old])
+        minimum.reduce(add(V_win[:old], C_win[:old], cand_win[:old]), axis=-1, out=best[:old])
         best[old:] = np.inf
         # ... then, one step per target, from each point of the block once
         # its V is known: U[j] is complete when the step reaches j.
         for c, (u, charges) in enumerate(zip(best[:nb], pushes), d):
             v = V[c] = u + p
             minimum(best, add(v, charges, push), out=best)
-        near_tail = j1 + d > tail_from  # U is read only by a tail's window
-        if near_tail:
-            U[d : d + nb] = best[:nb]
+        U[d : d + nb] = best[:nb]
         # The first candidate that reaches each minimum, in window order.
-        parent[j0:j1] = add(V_window[:nb], window[:nb], cand[:nb]).argmin(1)
+        parent[j0:j1] = c0 + add(V_win[:nb], C_win[:nb], cand_win[:nb]).argmin(-1)
         while tails and sizes[tails[0]] + 1 < j1:
             k = tails.pop(0)
             j, a = sizes[k] + 1, tail_lo[k]
-            tail = U_k[a - j0 + d : j - j0 + d, k] + C_k[j - j0, a - j0 + d : j - j0 + d, k]
+            tail = U_k[a - j0 + d : j - j0 + d, k] + C_k[j - j0, k, a - j0 + d : j - j0 + d]
             t = int(tail.argmin())
             best_total[k], best_end[k] = tail[t], a + t
         # The next block's window starts b points on.
-        if near_tail:
-            U[:d] = U[b:]
+        U[:d] = U[b:]
         V[:d] = V[b:]
         V[d:] = np.inf
 

@@ -265,6 +265,26 @@ def test_dp_memory_is_bounded_in_a_mixed_batch():
     assert sols[1] == offline_optimal(wide, models[1])
 
 
+
+def test_a_much_wider_path_is_solved_apart_and_a_rate_sweep_together(monkeypatch):
+    # A batch shares its widest window, so a path that reaches back over
+    # every request would make the narrow ones sum charges nothing reads;
+    # the paths of a rate sweep at one p differ too little to be worth a
+    # second loop.
+    groups = []
+    solve = agecost.offline._solve
+    monkeypatch.setattr(agecost.offline, "_solve", lambda paths, *rest: groups.append(len(paths)) or solve(paths, *rest))
+    wide = generate_bernoulli(BernoulliSource(0.3, 9), n_requests=600)
+    narrow = [generate_bernoulli(BernoulliSource(0.3, seed), n_requests=600) for seed in (1, 2, 3)]
+    paths, models = [narrow[0], wide, *narrow[1:]], [CostModel(LINEAR, p) for p in (5.0, 1e5, 3.0, 6.0)]
+    sols = offline_optimal_many(paths, models)
+    assert groups == [3, 1]
+    assert sols == [offline_optimal(a, m) for a, m in zip(paths, models)]
+    groups.clear()
+    sweep = [generate_bernoulli(BernoulliSource(rate / 10, rate), n_requests=600) for rate in range(1, 10)]
+    offline_optimal_many(sweep, [CostModel(LINEAR, 50.0)] * 9)
+    assert groups == [9]
+
 _KINDS = ("linear", "quadratic", "table", "piecewise")
 
 
@@ -343,14 +363,18 @@ def test_a_batch_refuses_mixed_penalties_and_mismatched_lengths():
     assert offline_optimal_many([], []) == []
 
 
-@pytest.mark.parametrize("offset", [0, 2**16 - 40, 2**32, 2**40])
-def test_a_batch_holds_slots_and_counts_of_any_width(offset):
+@pytest.mark.parametrize("top", [200, 2**16 + 40, 2**32 + 40, 2**40, 2**16 - 1, 2**32 - 1, 2**63 - 1])
+def test_a_batch_holds_slots_and_counts_of_any_width(top):
     # Slots and counts are stored in the narrowest type that holds them:
-    # these cross the 16- and 32-bit bounds, and counts pass 255.
-    rng = np.random.default_rng(offset % 97)
+    # these cross the 16- and 32-bit bounds or end at the largest slot of a
+    # type, where the slot before point 0 equals the last slot; counts pass
+    # 255.
+    rng = np.random.default_rng(top % 97)
     paths = []
-    for n in (30, 45):
-        slots = offset + np.cumsum(rng.integers(1, 5, size=n))
+    for n, short in ((30, 7), (45, 0)):
+        slots = np.cumsum(rng.integers(1, 5, size=n))
+        slots += top - short - slots[-1]
         paths.append(ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 400, size=n)))
     models = [CostModel(LINEAR, p) for p in (300.0, 2500.0)]
     assert offline_optimal_many(paths, models) == [quadratic_offline_dp(a, m) for a, m in zip(paths, models)]
+
