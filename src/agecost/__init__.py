@@ -64,7 +64,6 @@ from .experiments import (
     ResultTable,
     emit,
     run_policy_comparison,
-    run_threshold_sweep,
     run_trace_compare,
     truncate_requests,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "ExperimentSpec",
     "ResultTable",
     "ConfigError",
-    "run_threshold_sweep",
     "run_policy_comparison",
     "run_trace_compare",
     "truncate_requests",

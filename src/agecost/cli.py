@@ -18,7 +18,6 @@ from .experiments import (
     ExperimentSpec,
     emit,
     run_policy_comparison,
-    run_threshold_sweep,
     run_trace_compare,
 )
 from .mdp import MdpConfig, solve_average, write_policy_csv
@@ -75,11 +74,11 @@ def _build_parser() -> _Parser:
 def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
     data: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:  # a missing file, bytes that are not UTF-8, bad JSON, too deep a nesting or too long an integer
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: {exc}") from None
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: must be a JSON object, got {data!r}")
     data.setdefault("name", name)
@@ -106,16 +105,14 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
 
 
 def _run_experiment(args) -> int:
-    if args.command == "sweep-threshold":
-        spec = _spec_from_args(args, "threshold_sweep", "threshold-sweep")
-        table = run_threshold_sweep(spec)
-    elif args.command == "compare":
-        kind = "lambda_sweep" if args.sweep == "lambda" else "cost_sweep"
-        spec = _spec_from_args(args, kind, f"compare-{args.sweep}")
-        table = run_policy_comparison(spec)
-    else:
+    if args.command == "trace-compare":
         spec = _spec_from_args(args, "trace_compare", "trace-compare")
         table = run_trace_compare(spec)
+    else:
+        sweep = getattr(args, "sweep", None)  # compare's --sweep: lambda or cost
+        kind, name = (f"{sweep}_sweep", f"compare-{sweep}") if sweep else ("threshold_sweep", "threshold-sweep")
+        spec = _spec_from_args(args, kind, name)
+        table = run_policy_comparison(spec)
     out = spec.output_path or f"{spec.name}.csv"
     emit(table, out)
     print(f"wrote {len(table.rows)} rows to {out} (+ {out}.meta.json)")

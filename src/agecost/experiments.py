@@ -1,9 +1,12 @@
 """Config-driven experiment runners with CSV output and JSON sidecar metadata.
 
 Every emitted number is a deterministic function of the experiment spec and
-its base seed: grid point i derives its seeds from (base_seed, i, run), and
-policy comparisons replay all policies on the same sample paths (paired
-comparisons via common random numbers).
+its base seed. Run r of grid point i draws its Bernoulli path from
+derive_seed(base_seed, i, r) in a rate or update-cost sweep, and from
+derive_seed(derive_seed(base_seed, i), r) in a threshold sweep, as
+``simulate_many`` would from the row's seed cell. A comparison replays all
+its policies on the same sample paths (paired comparisons via common random
+numbers).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .arrivals import (
     load_trace,
 )
 from .core import CostModel, as_int, cap_threshold, check_fields, check_rate
-from .engine import SimResult, SweepResult, simulate, simulate_many
+from .engine import SimResult, SweepResult, simulate
 from .offline import OfflineSolution, offline_optimal, offline_optimal_many
 from .policies import Policy
 
@@ -100,10 +103,15 @@ class ExperimentSpec:
                      kind, path, slot_duration and on_malformed
 
     A field its kind does not read must hold its default; ``to_dict`` leaves
-    it out. The runners replay what the checks build, kept outside the fields
-    and so outside ``to_dict``: the ``CostModel`` as ``_model``, one (x, rate,
-    model) per grid point as ``_points`` and the configured policies as
-    ``_policies`` (None for "auto").
+    it out and the runners ignore it, so a threshold sweep has no offline row
+    although ``include_offline`` defaults to true. The three Bernoulli kinds
+    run through ``run_policy_comparison``: a threshold sweep replays
+    threshold(x) alone at grid point x, on paths seeded from the row's seed
+    cell as ``simulate_many`` seeds them. trace_compare runs through
+    ``run_trace_compare``. The runners replay what the checks build, kept
+    outside the fields and so outside ``to_dict``: the ``CostModel`` as
+    ``_model``, one (x, rate, model) per grid point as ``_points`` and the
+    configured policies as ``_policies`` (None for "auto").
     """
 
     name: str
@@ -258,47 +266,13 @@ class ResultTable:
         return _Rows(self.columns, len(self.columns[COLUMNS[0]]))
 
 
-def run_threshold_sweep(spec: ExperimentSpec) -> ResultTable:
-    """Simulated and closed-form average cost for each threshold in the grid."""
-    if spec.kind != "threshold_sweep":
-        raise ConfigError(f"kind: expected threshold_sweep, got {spec.kind}")
-    columns = {name: [] for name in COLUMNS}
-    outside = []
-    for point, (tau, rate, model) in enumerate(spec._points):
-        seed = derive_seed(spec.base_seed, point)
-        sweep = simulate_many(
-            Policy.threshold(tau), BernoulliSource(rate, seed), spec.n_runs, spec.n_requests, model
-        )
-        analytic = threshold_avg_cost(rate, model, tau)
-        if abs(sweep.mean_avg_total - analytic) > 3.0 * sweep.stderr:
-            outside.append(tau)
-        _add_summary_row(columns, spec, tau, f"threshold({tau})", sweep, analytic, seed)
-    meta = {
-        "spec": spec.to_dict(),
-        "rate": rate,
-        "mc_within_3_stderr": not outside,
-        "mc_outside_taus": outside,
-    }
-    return ResultTable(columns, meta)
-
-
-def _add_summary_row(columns: dict, spec: ExperimentSpec, x, label: str, sweep: SweepResult,
-                     analytic, seed: int) -> None:
-    """Append one row summarizing the runs of one policy at one grid point;
-    ``x`` keeps the grid value's own type."""
-    row = (x, label, sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness,
-           sweep.mean_avg_update, analytic, spec.n_runs, spec.n_requests, seed)
-    for cells, value in zip(columns.values(), row):
-        cells.append(value)
-
-
-def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
-    """Label and price the policies of one grid point. "auto" picks the optimal
-    threshold, naive and the optimal period and fills ``info``; every policy is
-    then priced by the same call, so one policy gets one number on every path."""
+def _resolve_policies(policies: list[Policy] | None, rate: float, model: CostModel):
+    """Label and price the policies of one grid point. None ("auto") picks the
+    optimal threshold, naive and the optimal period and fills ``info``; every
+    policy is then priced by the same call, so one policy gets one number on
+    every path."""
     delta_star = cap_threshold(model)
     info = {}
-    policies = spec._policies
     if policies is None:
         ts = optimal_threshold(rate, model)
         ps = optimal_period(rate, model)
@@ -332,49 +306,68 @@ def _resolve_policies(spec: ExperimentSpec, rate: float, model: CostModel):
 
 
 def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
-    """Compare the auto (or configured) policies and the offline optimum on
-    shared Bernoulli sample paths across a rate or update-cost grid.
+    """Replay policies on shared Bernoulli sample paths across a grid: in a
+    threshold sweep, threshold(x) at grid point x, so that each row is
+    ``simulate_many`` from the row's seed cell; in a rate or update-cost
+    sweep, the auto (or configured) policies and, if ``include_offline``
+    holds and the runs fit ``offline_request_cap``, the offline optimum.
 
     Every grid point is resolved first. The (point, run) pairs then go in
     order, in batches of at most ``_BATCH_REQUESTS`` requests and
-    ``_BATCH_PATHS`` paths (one pair at least): a batch's paths are
-    generated, their offline optima solved by one ``offline_optimal_many``
-    call, and each path replayed as before. A point's rows are added once
-    its last run is replayed.
+    ``_BATCH_PATHS`` paths (one pair at least, and one pair alone with no
+    offline row): a batch's paths are generated, their offline optima
+    solved by one ``offline_optimal_many`` call, and each path replayed. A
+    point's rows are added once its last run is replayed.
     """
-    if spec.kind not in ("lambda_sweep", "cost_sweep"):
-        raise ConfigError(f"kind: expected lambda_sweep or cost_sweep, got {spec.kind}")
+    if spec.kind not in ("threshold_sweep", "lambda_sweep", "cost_sweep"):
+        raise ConfigError(f"kind: expected threshold_sweep, lambda_sweep or cost_sweep, got {spec.kind}")
+    threshold_sweep = spec.kind == "threshold_sweep"
+    offline_on = ("include_offline" in KINDS[spec.kind][1] and spec.include_offline
+                  and spec.n_requests <= spec.offline_request_cap)
     columns = {name: [] for name in COLUMNS}
     resolutions = {}
-    offline_on = spec.include_offline and spec.n_requests <= spec.offline_request_cap
     points = []
-    for x, rate, model in spec._points:
-        policies, info = _resolve_policies(spec, rate, model)
+    for i, (x, rate, model) in enumerate(spec._points):
+        policies, info = _resolve_policies([Policy.threshold(x)] if threshold_sweep else spec._policies,
+                                           rate, model)
         if info:
             resolutions[str(x)] = info
-        points.append((x, rate, model, policies))
+        point_seed = derive_seed(spec.base_seed, i)  # the rows' seed cell
+        # Run r's path seed is derive_seed(*stem, r): simulate_many's rule from
+        # the seed cell in a threshold sweep, derive_seed(base_seed, i, r) else.
+        stem = (point_seed,) if threshold_sweep else (spec.base_seed, i)
+        points.append((x, rate, model, policies, point_seed, stem))
     pairs = ((point, run) for point in range(len(points)) for run in range(spec.n_runs))
-    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests))
+    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests)) if offline_on else 1
     # Per-run averages only: each run's replays are dropped once summarized.
     averages: dict[str, list[tuple[float, float, float]]] = {}
+    outside = []
     while batch := list(itertools.islice(pairs, per_batch)):
-        paths = [generate_bernoulli(BernoulliSource(points[point][1], derive_seed(spec.base_seed, point, run)),
+        paths = [generate_bernoulli(BernoulliSource(points[point][1], derive_seed(*points[point][5], run)),
                                     n_requests=spec.n_requests) for point, run in batch]
         models = [points[point][2] for point, _ in batch]
         solutions = offline_optimal_many(paths, models) if offline_on else [None] * len(batch)
         for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions):
             for label, res in _replay(points[point][3], arrivals, model, sol):
                 averages.setdefault(label, []).append((res.avg_total, res.avg_staleness, res.avg_update))
-            if run == spec.n_runs - 1:
-                x, _, _, policies = points[point]
-                analytic = {label: value for label, _, value in policies} | {"offline": None}
-                point_seed = derive_seed(spec.base_seed, point)
-                for label, runs in averages.items():
-                    sweep = SweepResult(*np.array(runs).T)
-                    _add_summary_row(columns, spec, x, label, sweep, analytic[label], point_seed)
-                averages = {}
-    meta = {"spec": spec.to_dict(), "auto_policies": resolutions, "offline_included": offline_on}
-    return ResultTable(columns, meta)
+            if run < spec.n_runs - 1:
+                continue
+            x, _, _, policies, point_seed, _ = points[point]
+            analytic = {label: value for label, _, value in policies} | {"offline": None}
+            for label, runs in averages.items():
+                sweep = SweepResult(*np.array(runs).T)
+                if threshold_sweep and abs(sweep.mean_avg_total - analytic[label]) > 3.0 * sweep.stderr:
+                    outside.append(x)
+                row = (x, label, sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness,
+                       sweep.mean_avg_update, analytic[label], spec.n_runs, spec.n_requests, point_seed)
+                for cells, value in zip(columns.values(), row):
+                    cells.append(value)
+            averages = {}
+    if threshold_sweep:
+        meta = {"rate": points[-1][1], "mc_within_3_stderr": not outside, "mc_outside_taus": outside}
+    else:
+        meta = {"auto_policies": resolutions, "offline_included": offline_on}
+    return ResultTable(columns, {"spec": spec.to_dict(), **meta})
 
 
 def _replay(policies: list[tuple[str, Policy, float | None]], arrivals: ArrivalSequence, model: CostModel,
@@ -444,7 +437,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         raise ConfigError(f"arrival.path: cannot read {spec.arrival['path']!r}: {exc.strerror or exc}") from None
     seq = truncate_requests(trace, spec.n_requests)
     rate_hat = empirical_rate(seq)
-    policies, info = _resolve_policies(spec, rate_hat, model)
+    policies, info = _resolve_policies(spec._policies, rate_hat, model)
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
     sol = offline_optimal(seq, model) if offline_on else None
     replays = _replay(policies, seq, model, sol)

@@ -15,10 +15,21 @@ from agecost import (
     StalenessFn,
     emit,
     run_policy_comparison,
-    run_threshold_sweep,
     run_trace_compare,
 )
-from agecost import ArrivalSequence, ResultTable, experiments
+from agecost import (
+    ArrivalSequence,
+    BernoulliSource,
+    Policy,
+    ResultTable,
+    SweepResult,
+    experiments,
+    generate_bernoulli,
+    offline_optimal,
+    simulate,
+    simulate_many,
+)
+from agecost.arrivals import derive_seed
 from agecost.cli import main
 from agecost.experiments import COLUMNS, truncate_requests
 
@@ -41,7 +52,7 @@ def sweep_spec(**kw):
 
 
 def test_threshold_sweep_analytic_minimum():
-    table = run_threshold_sweep(sweep_spec())
+    table = run_policy_comparison(sweep_spec())
     assert len(table.rows) == 100
     best = min(table.rows, key=lambda r: r["analytic_cost"])
     assert best["x_value"] == 37
@@ -49,7 +60,7 @@ def test_threshold_sweep_analytic_minimum():
 
 
 def test_threshold_sweep_tau_one_is_update_cost():
-    table = run_threshold_sweep(sweep_spec(grid=[1], n_runs=3))
+    table = run_policy_comparison(sweep_spec(grid=[1], n_runs=3))
     (row,) = table.rows
     assert row["analytic_cost"] == 100.0
     assert row["mean_cost"] == 100.0
@@ -57,7 +68,7 @@ def test_threshold_sweep_tau_one_is_update_cost():
 
 
 def test_threshold_sweep_consistency_flag():
-    table = run_threshold_sweep(sweep_spec(grid=[5, 20, 37], n_runs=30, n_requests=2000))
+    table = run_policy_comparison(sweep_spec(grid=[5, 20, 37], n_runs=30, n_requests=2000))
     assert table.meta["mc_within_3_stderr"], table.meta["mc_outside_taus"]
 
 
@@ -127,10 +138,8 @@ def test_spec_validation_messages():
          r"policies: must be 'auto' or a list of policy records"),
         (lambda: ExperimentSpec.from_dict({"name": "x", "kind": "threshold_sweep"}),
          r"missing 2 required positional arguments: 'model' and 'arrival'"),
-        (lambda: run_threshold_sweep(comparison_spec("cost_sweep", [10])),
-         r"kind: expected threshold_sweep, got cost_sweep"),
-        (lambda: run_policy_comparison(sweep_spec()),
-         r"kind: expected lambda_sweep or cost_sweep, got threshold_sweep"),
+        (lambda: run_policy_comparison(ExperimentSpec.from_dict(kind_data("trace_compare"))),
+         r"kind: expected threshold_sweep, lambda_sweep or cost_sweep, got trace_compare"),
         (lambda: run_trace_compare(sweep_spec()), r"kind: expected trace_compare, got threshold_sweep"),
     ):
         with pytest.raises(ConfigError, match=message):
@@ -316,6 +325,35 @@ def test_cost_sweep_overrides_update_cost():
     assert naive_rows[10]["analytic_cost"] < naive_rows[40]["analytic_cost"]
 
 
+def test_each_bernoulli_kind_draws_its_paths_by_its_own_seed_rule():
+    # Old sidecars reproduce their CSVs only while each kind keeps its rule.
+    # A threshold sweep's row is simulate_many from the row's seed cell, so
+    # run r of point i draws at derive_seed(derive_seed(base_seed, i), r),
+    # and it has no offline row.
+    spec = sweep_spec(grid=[3, 8], n_runs=3, n_requests=200)
+    rows = run_policy_comparison(spec).rows
+    assert [r["policy_label"] for r in rows] == ["threshold(3)", "threshold(8)"]
+    for i, row in enumerate(rows):
+        assert row["seed"] == derive_seed(spec.base_seed, i)
+        sweep = simulate_many(Policy.threshold(row["x_value"]), BernoulliSource(0.1, row["seed"]), 3, 200,
+                              spec._model)
+        assert (row["mean_cost"], row["stderr"]) == (sweep.mean_avg_total, sweep.stderr)
+    # A comparison's run r of point i draws at derive_seed(base_seed, i, r).
+    configured = [{"kind": "threshold", "tau": 3}, {"kind": "naive"}, {"kind": "periodic", "d": 4}]
+    spec = comparison_spec("cost_sweep", [10, 40], policies=configured)
+    rows = run_policy_comparison(spec).rows
+    for i, (x, rate, model) in enumerate(spec._points):
+        paths = [generate_bernoulli(BernoulliSource(rate, derive_seed(spec.base_seed, i, r)), n_requests=300)
+                 for r in range(spec.n_runs)]
+        schedules = [[Policy.from_config(c)] * len(paths) for c in configured]
+        schedules.append([Policy.scheduled(offline_optimal(p, model).update_slots) for p in paths])
+        expected = [SweepResult.of(map(simulate, pols, paths, [model] * len(paths))) for pols in schedules]
+        got = [r for r in rows if r["x_value"] == x]
+        assert [r["policy_label"] for r in got] == ["threshold(3)", "naive", "periodic(4)", "offline"]
+        assert [(r["mean_cost"], r["stderr"], r["mean_staleness"], r["mean_update"]) for r in got] == [
+            (e.mean_avg_total, e.stderr, e.mean_avg_staleness, e.mean_avg_update) for e in expected]
+
+
 # Per kind: an arrival it accepts, a grid, and the spec fields it reads
 # besides name, kind, model, arrival, n_requests and output_path.
 _KIND_INPUTS = {
@@ -484,7 +522,7 @@ def test_trace_compare_end_to_end(tmp_path):
 
 def test_emit_roundtrip(tmp_path):
     spec = sweep_spec(grid=[3, 9], n_runs=2, n_requests=200)
-    table = run_threshold_sweep(spec)
+    table = run_policy_comparison(spec)
     out = tmp_path / "out.csv"
     emit(table, out)
     text = out.read_text().splitlines()
@@ -494,10 +532,22 @@ def test_emit_roundtrip(tmp_path):
     assert meta["rng"] == "numpy-pcg64-seedsequence"
     # re-running the spec recovered from the sidecar reproduces the CSV bytes
     spec2 = ExperimentSpec.from_dict(meta["spec"])
-    table2 = run_threshold_sweep(spec2)
+    table2 = run_policy_comparison(spec2)
     out2 = tmp_path / "out2.csv"
     emit(table2, out2)
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv,kind_keys", [
+    (["sweep-threshold", "--lambda", "0.3", "--tau", "4"], {"rate", "mc_within_3_stderr", "mc_outside_taus"}),
+    (["compare", "--sweep", "lambda"], {"auto_policies", "offline_included"}),
+    (["compare", "--sweep", "cost", "--lambda", "0.3"], {"auto_policies", "offline_included"}),
+])
+def test_sidecar_keys_per_kind(argv, kind_keys, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--p", "20", "--runs", "2", "--requests", "100", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert set(sidecar) == {"artifact_version", "rng", "created_unix", "spec"} | kind_keys
 
 
 def test_emit_refuses_empty(tmp_path):
@@ -653,7 +703,7 @@ def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
     trace = tmp_path / "trace.csv"
     make_trace(trace, n_requests=150, horizon=400, seed=19)
     tables = (
-        run_threshold_sweep(sweep_spec(grid=[1, 3, 8], n_runs=3, n_requests=200)),
+        run_policy_comparison(sweep_spec(grid=[1, 3, 8], n_runs=3, n_requests=200)),
         run_policy_comparison(comparison_spec("lambda_sweep", [0.3, 0.7])),
         run_policy_comparison(comparison_spec("cost_sweep", [7.5, 40])),
         run_trace_compare(ExperimentSpec.from_dict({
@@ -739,6 +789,23 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     # validation failure: unknown flag
     assert main(["sweep-threshold", "--frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    (b'{"n_runs": 3\xff}', "'utf-8' codec can't decode byte 0xff"),
+    (b'{"n_runs": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["missing", "not-utf-8", "5000-digit-integer", "nested-too-deep"])
+def test_an_unreadable_config_file_exits_1(content, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "never.csv"
+    assert main(["sweep-threshold", "--lambda", "0.5", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}: ") and message in err, err
+    assert not out.exists()
 
 
 def test_missing_trace_file_exits_1_naming_the_path(tmp_path, capsys):
