@@ -159,7 +159,9 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
 
     Each line is ``timestamp[,ignored...]``; timestamps are shifted so the
     earliest lands in slot 1, then floor-divided by ``slot_duration``.
-    Multiple requests may share a slot. A line whose timestamp is not a
+    Multiple requests may share a slot. Whitespace around the timestamp is
+    ignored and a blank line is skipped, as ``str.strip`` reads them, whatever
+    the line ends (LF, CRLF or CR). A line whose timestamp is not a
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
     Both options are checked first (``check_trace_options``), and ``path``
@@ -174,18 +176,23 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     skipped = 0
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            field = text.split(",", 1)[0].strip()
+            # float() strips the whitespace str.strip() does, but for
+            # \x1c-\x1f; a line it refuses is read by the stripped rule.
             try:
-                stamp = float(field)
+                stamp = float(line.partition(",")[0])
             except ValueError:
-                stamp = math.nan
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    stamp = float(text.partition(",")[0].strip())
+                except ValueError:
+                    stamp = math.nan
             # nan and +-inf parse as floats but cannot be placed in a slot.
             if math.isfinite(stamp):
                 stamps.append(stamp)
                 continue
+            text = line.strip()
             if on_malformed == "error":
                 raise ParseError(line_no, text)
             skipped += 1

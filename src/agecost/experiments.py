@@ -11,6 +11,7 @@ numbers).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -213,6 +214,41 @@ class ExperimentSpec:
         return {name: value for name, value in asdict(self).items() if name in read}
 
 
+class Runs(Sequence):
+    """A run-length column: ``values[i]`` repeated ``counts[i]`` times, in
+    order. Indexing gives the value at a row; a slice of step 1 gives the
+    ``Runs`` of those rows."""
+
+    def __init__(self, values, counts):
+        self.values = list(values)
+        self.counts = [operator.index(c) for c in counts]
+        if len(self.values) != len(self.counts) or any(c < 0 for c in self.counts):
+            raise ValueError(f"runs need one count >= 0 per value, got {len(self.values)} values "
+                             f"and counts {self.counts}")
+        self._ends = list(itertools.accumulate(self.counts))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step != 1:
+                raise ValueError(f"a slice of runs takes step 1, got {step}")
+            if stop <= start:
+                return Runs([], [])
+            first = bisect.bisect_right(self._ends, start)
+            last = bisect.bisect_left(self._ends, stop, first)  # the run of row stop - 1
+            ends, counts = self._ends[first:last + 1], self.counts[first:last + 1]
+            return Runs(self.values[first:last + 1],
+                        [min(e, stop) - max(e - c, start) for e, c in zip(ends, counts)])
+        i = range(len(self))[i]  # negative indices, IndexError past the end
+        return self.values[bisect.bisect_right(self._ends, i)]
+
+    def __repr__(self) -> str:
+        return f"Runs({self.values!r}, {self.counts!r})"
+
+
 class _Rows(Sequence):
     """Read-only row view of a ``ResultTable``: one dict per row, built on demand."""
 
@@ -239,15 +275,17 @@ class ResultTable:
     """One experiment's results, one column per CSV column, plus the metadata
     that reproduces them.
 
-    ``columns`` maps every name in ``COLUMNS`` to a numpy array or a list,
-    all of one length. In the CSV that ``emit`` writes, a cell of a float64
-    array reads ``format(v, ".10g")`` and one of an integer array ``str(v)``,
-    both made by numpy from the array. Any other column keeps each value's
-    own type: its cells read empty for ``None`` or ``""``, ``format(v,
-    ".10g")`` for a Python float and ``str(v)`` otherwise, in UTF-8, and a
-    cell whose text holds a NUL character is refused. ``rows`` is a
-    read-only view with one dict per row, made on demand, in which numpy
-    scalars come back as Python numbers.
+    ``columns`` maps every name in ``COLUMNS`` to a numpy array, a list or
+    a ``Runs``, all of one length. In the CSV that ``emit`` writes, a cell
+    of a float64 array reads ``format(v, ".10g")`` and one of an integer
+    array ``str(v)``, both made by numpy from the array. Any other column,
+    a ``Runs`` included, keeps each value's own type: its cells read empty
+    for ``None`` or ``""``, ``format(v, ".10g")`` for a Python float and
+    ``str(v)`` otherwise, in UTF-8, and a cell whose text holds a NUL
+    character is refused. A ``Runs`` stores a column that holds one value
+    per block of rows as one value and one count per block, so it keeps no
+    Python object per row. ``rows`` is a read-only view with one dict per
+    row, made on demand, in which numpy scalars come back as Python numbers.
     """
 
     columns: dict
@@ -356,6 +394,9 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
             analytic = {label: value for label, _, value in policies} | {"offline": None}
             for label, runs in averages.items():
                 sweep = SweepResult(*np.array(runs).T)
+                if not np.isfinite([sweep.mean_avg_total, sweep.stderr]).all():
+                    raise ConfigError(f"grid[{point}]: {label} has mean cost {sweep.mean_avg_total!r} and stderr "
+                                      f"{sweep.stderr!r}: the model's costs pass the float range")
                 if threshold_sweep and abs(sweep.mean_avg_total - analytic[label]) > 3.0 * sweep.stderr:
                     outside.append(x)
                 row = (x, label, sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness,
@@ -399,25 +440,25 @@ def _cumulative_columns(replays: list[tuple[str, SimResult]], arrivals: ArrivalS
     n, k = arrivals.n_requests, len(replays)
     index = np.arange(1, n + 1, dtype=np.int64)
     denom = index.astype(np.float64)
-    total, staleness, update = [], [], []
-    for _, res in replays:
+    total, staleness, update = (np.empty((k, n)) for _ in range(3))
+    for (_, res), total_k, staleness_k, update_k in zip(replays, total, staleness, update):
         cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
         cum_update = model.update_cost * np.repeat(res.updates_through, arrivals.counts)
-        total.append((cum_stale + cum_update) / denom)
-        staleness.append(cum_stale / denom)
-        update.append(cum_update / denom)
+        np.divide(cum_stale + cum_update, denom, out=total_k)
+        np.divide(cum_stale, denom, out=staleness_k)
+        np.divide(cum_update, denom, out=update_k)
     requests = np.tile(index, k)
     return {
         "x_value": requests,
-        "policy_label": np.repeat(np.array([label for label, _ in replays], dtype=object), n),
-        "mean_cost": np.concatenate(total),
-        "stderr": np.zeros(k * n),
-        "mean_staleness": np.concatenate(staleness),
-        "mean_update": np.concatenate(update),
-        "analytic_cost": [None] * (k * n),
-        "n_runs": np.ones(k * n, dtype=np.int64),
+        "policy_label": Runs([label for label, _ in replays], [n] * k),
+        "mean_cost": total.ravel(),
+        "stderr": Runs([0.0], [k * n]),
+        "mean_staleness": staleness.ravel(),
+        "mean_update": update.ravel(),
+        "analytic_cost": Runs([None], [k * n]),
+        "n_runs": Runs([1], [k * n]),
         "n_requests": requests,
-        "seed": [""] * (k * n),
+        "seed": Runs([""], [k * n]),
     }
 
 
@@ -608,11 +649,13 @@ def _text_cells(cells, end: int) -> np.ndarray:
 def _cells(chunk, end: int) -> np.ndarray:
     """Field of one column's cells in a chunk: one row of bytes per cell,
     ending in the byte ``end``, in which NUL bytes are padding."""
-    if isinstance(chunk, np.ndarray) and (chunk.dtype == np.float64 or chunk.dtype.kind in "iu"):
-        bits = chunk.view(np.int64) if chunk.dtype == np.float64 else chunk
-        if (bits == bits[0]).all():  # bitwise, so 0.0 and -0.0 stay apart
-            return _packed([_format_cell(chunk[0]).encode()], np.zeros(len(chunk), np.intp), end)
-        return _float_cells(chunk, end) if chunk.dtype == np.float64 else _int_cells(chunk, end)
+    if isinstance(chunk, Runs):
+        texts = [_format_cell(value).encode() for value in chunk.values]
+        return _packed(texts, np.repeat(np.arange(len(texts)), chunk.counts), end)
+    if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
+        return _float_cells(chunk, end)
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
+        return _int_cells(chunk, end)
     return _text_cells(chunk, end)
 
 
@@ -625,23 +668,29 @@ def emit(table: ResultTable, path) -> None:
     ``_EMIT_CHUNK`` rows at a time. A float64 or integer column's chunk is
     turned into bytes by numpy, with no Python object per cell: a float cell
     the kernel cannot place exactly (near a rounding tie, not finite, or in
-    exponent notation) is formatted in Python. Other columns format each run
-    of the same object once. Each column gives a byte matrix, one row per
-    cell, padded with NUL bytes; a chunk's matrices are joined, the padding
-    dropped, and the chunk written with one call. Rerunning the same spec
-    reproduces the CSV byte for byte; ``created_unix`` is the only
-    non-deterministic field of the sidecar.
+    exponent notation) is formatted in Python. A ``Runs`` chunk formats
+    each of its values once and repeats the bytes over the value's rows;
+    other columns format each run of the same object once. A column object
+    that appears under two names is formatted once per chunk. Each column
+    gives a byte matrix, one row per cell, padded with NUL bytes; a chunk's
+    matrices are joined, the padding dropped, and the chunk written with
+    one call. Rerunning the same spec reproduces the CSV byte for byte;
+    ``created_unix`` is the only non-deterministic field of the sidecar.
     """
     n = len(table.rows)
     if not n:
         raise ValueError("refusing to emit an empty table")
     path = str(path)
     ends = b"," * (len(COLUMNS) - 1) + b"\n"
+    columns = [(column, id(column), end) for column, end in zip(table.columns.values(), ends)]
     with open(path, "wb") as fh:
         fh.write((",".join(COLUMNS) + "\n").encode())
         for lo in range(0, n, _EMIT_CHUNK):
-            rows = np.hstack([_cells(column[lo:lo + _EMIT_CHUNK], end)
-                              for column, end in zip(table.columns.values(), ends)])
+            fields = {}  # a column object that appears twice is formatted once
+            for column, key, end in columns:
+                if (key, end) not in fields:
+                    fields[key, end] = _cells(column[lo:lo + _EMIT_CHUNK], end)
+            rows = np.hstack([fields[key, end] for _, key, end in columns])
             fh.write(rows.tobytes().translate(None, b"\0"))
     sidecar = {
         "artifact_version": __version__,

@@ -16,7 +16,9 @@ dense_value_iteration solves the chain from scratch. replay_every_schedule
 is the exhaustive offline search done the slow way, one engine replay per
 subset of request slots; quadratic_offline_dp is the offline DP with every
 earlier request as a candidate last update. reference_csv is the CSV writer
-of the dict-per-row result table, one formatted cell at a time. cost_models
+of the dict-per-row result table, one formatted cell at a time, and
+reference_load_trace the trace reader that strips every line before it
+parses the first field. cost_models
 draws the cost models the property tests share, and alarm bounds the wall
 time of a call that must not hang or grow with its input.
 """
@@ -34,7 +36,8 @@ from itertools import accumulate, product
 import numpy as np
 from hypothesis import strategies as st
 
-from agecost import ArrivalSequence, CostModel, OfflineSolution, Policy, StalenessFn, simulate
+from agecost import (ArrivalSequence, CostModel, EmptyTrace, OfflineSolution, ParseError, Policy,
+                     StalenessFn, simulate)
 from agecost.experiments import COLUMNS
 
 # Slots and ages are plain ints in the oracles.
@@ -308,6 +311,39 @@ def reference_csv(rows) -> str:
     for row in rows:
         lines.append(",".join(_format_cell(row.get(c)) for c in COLUMNS) + "\n")
     return "".join(lines)
+
+
+def reference_load_trace(path, slot_duration, on_malformed, skipped):
+    """The trace reader line by line: strip the line, skip it if blank,
+    strip its first field and parse that as a float; a timestamp that is
+    not a finite number raises ParseError or, with on_malformed "skip", has
+    its (line number, stripped line) appended to ``skipped``."""
+    stamps = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            field = text.split(",", 1)[0].strip()
+            try:
+                stamp = float(field)
+            except ValueError:
+                stamp = math.nan
+            if math.isfinite(stamp):
+                stamps.append(stamp)
+                continue
+            if on_malformed == "error":
+                raise ParseError(line_no, text)
+            skipped.append((line_no, text))
+    if not stamps:
+        raise EmptyTrace(f"no usable timestamps in {path}")
+    lo, hi = min(stamps), max(stamps)
+    if not (hi - lo) / slot_duration < 2**63:
+        raise ValueError(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
+                         "needs more slots than int64 holds")
+    slot_ids = np.floor((np.asarray(stamps) - lo) / slot_duration).astype(np.int64) + 1
+    slots, counts = np.unique(slot_ids, return_counts=True)
+    return ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=counts.astype(np.int64))
 
 
 def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):

@@ -1,7 +1,9 @@
+import locale
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecost import (
     ArrivalSequence,
@@ -15,7 +17,7 @@ from agecost import (
 )
 
 from agecost.arrivals import _DRAW_CHUNK, make_rng
-from oracles import make_trace
+from oracles import make_trace, reference_load_trace
 
 
 def test_rate_one_fills_every_slot():
@@ -146,3 +148,71 @@ def test_sequence_validation():
         ArrivalSequence(horizon=5, slots=np.array([3, 3]), counts=np.array([1, 1]))
     with pytest.raises(ValueError):
         ArrivalSequence(horizon=5, slots=np.array([3]), counts=np.array([0]))
+
+
+# Whitespace that float() strips ("\x85", "\xa0", "\u2028", "\u3000", ...)
+# and that only str.strip() strips ("\x1c" to "\x1f"); "\r" and "\n" end lines.
+_SPACE = [c for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+          if c.encode(locale.getpreferredencoding(False), "ignore")]
+_SPACES = st.text(st.sampled_from(_SPACE), max_size=3)
+_FIELDS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["1_0", "1__0", "_1", "nan", "inf", "-inf", "+2.5", ".5", "5.", "1e3", "0x10", "1.2.3",
+                     "abc", "key7", "", "١٢", "1e400"]),
+)
+
+
+@st.composite
+def _trace_lines(draw):
+    """Trace lines with CRLF, LF and lone CR ends: blank and whitespace-only
+    lines, spaces around the first field, numbers with underscores, nan and
+    +-inf, non-numeric fields and extra columns."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            text = draw(_SPACES)
+        else:
+            extra = draw(st.sampled_from(["", ",key1", ",key2,get", ", 3", ","]))
+            text = draw(_SPACES) + draw(_FIELDS) + draw(_SPACES) + extra + draw(_SPACES)
+        lines.append(text + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def _outcome(read, *args):
+    try:
+        seq = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return seq.horizon, seq.slots.tolist(), seq.counts.tolist()
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_trace_lines(), slot_duration=st.sampled_from([1.0, 0.25, 1e-300]))
+def test_load_trace_matches_the_line_by_line_reader(tmp_path_factory, text, slot_duration):
+    path = tmp_path_factory.getbasetemp() / "trace.csv"
+    path.write_text(text, encoding=locale.getpreferredencoding(False), newline="")
+    logger = logging.getLogger("agecost.arrivals")
+    for mode in ("error", "skip"):
+        skipped = []
+        want = _outcome(reference_load_trace, path, slot_duration, mode, skipped)
+        handler = _Warnings()
+        logger.addHandler(handler)
+        try:
+            assert _outcome(load_trace, path, slot_duration, mode) == want, mode
+        finally:
+            logger.removeHandler(handler)
+        assert [r.args for r in handler.records if r.msg.startswith("skipping")] == skipped
+        totals = [r.args[0] for r in handler.records if r.msg.startswith("skipped")]
+        assert totals == ([len(skipped)] if skipped and want[0] is not EmptyTrace else [])

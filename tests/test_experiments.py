@@ -31,7 +31,7 @@ from agecost import (
 )
 from agecost.arrivals import derive_seed
 from agecost.cli import main
-from agecost.experiments import COLUMNS, truncate_requests
+from agecost.experiments import COLUMNS, Runs, truncate_requests
 
 from oracles import alarm, make_trace, reference_csv
 
@@ -555,19 +555,42 @@ def test_emit_refuses_empty(tmp_path):
         emit(ResultTable({name: [] for name in COLUMNS}, meta={}), tmp_path / "never.csv")
 
 
-def test_result_table_checks_its_columns():
-    columns = {name: [1, 2] for name in COLUMNS}
+@pytest.mark.parametrize("column", [list, np.array, lambda values: Runs([values[0], "none", *values[1:]],
+                                                                   [1, 0, *[1] * (len(values) - 1)])],
+                         ids=["list", "array", "runs"])
+def test_result_table_checks_its_columns(column):
+    columns = {name: column([1, 2]) for name in COLUMNS}
     with pytest.raises(ValueError, match="columns must be exactly"):
         ResultTable({k: v for k, v in columns.items() if k != "seed"}, meta={})
     with pytest.raises(ValueError, match=r"columns differ in length: \[2, 3\]"):
-        ResultTable({**columns, "seed": np.arange(3)}, meta={})
+        ResultTable({**columns, "seed": column([0, 1, 2])}, meta={})
     rows = ResultTable({**columns, "mean_cost": np.array([0.5, -0.0])}, meta={}).rows
     assert len(rows) == 2
     assert rows[-1] == {**dict.fromkeys(COLUMNS, 2), "mean_cost": -0.0}
-    assert type(rows[1]["mean_cost"]) is float
+    assert type(rows[1]["mean_cost"]) is float and type(rows[-1]["seed"]) is int
     assert rows[:1] == [{**dict.fromkeys(COLUMNS, 1), "mean_cost": 0.5}]
     with pytest.raises(IndexError):
         rows[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(), st.integers(0, 4)), max_size=6),
+       start=st.integers(-25, 25), stop=st.integers(-25, 25) | st.none())
+def test_runs_index_and_slice_as_the_list_they_stand_for(runs, start, stop):
+    column = Runs([v for v, _ in runs], [c for _, c in runs])
+    cells = [v for v, c in runs for _ in range(c)]
+    assert len(column) == len(cells)
+    assert [column[i] for i in range(-len(cells), len(cells))] == cells + cells
+    for i in (len(cells), -len(cells) - 1):
+        with pytest.raises(IndexError):
+            column[i]
+    part = column[start:stop]
+    assert isinstance(part, Runs) and list(part) == cells[start:stop]
+    with pytest.raises(ValueError, match="step 1"):
+        column[::2]
+    for values, counts in (([1], [1, 2]), ([1, 2], [3, -1])):
+        with pytest.raises(ValueError, match="one count >= 0 per value"):
+            Runs(values, counts)
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-7, 1e16, 3.0, 1e10, 123456789012.0]))
@@ -578,17 +601,37 @@ _CELLS = st.one_of(
 )
 
 
+_ALIKE = [(0, 0.0, -0.0, False), (1, 1.0, True), (10**16, 1e16)]  # equal values that print differently
+
+
+def _runs(draw, n, cuts, values):
+    """A ``Runs`` of n rows cut at ``cuts`` (any points in [0, n], so runs
+    straddle chunk boundaries and some are empty), one drawn value a run."""
+    counts = np.diff([0, *sorted(cuts), n])
+    return Runs(draw(st.lists(values, min_size=len(counts), max_size=len(counts))), counts)
+
+
+def _expanded(column):
+    """A ``Runs`` as the list of cells it stands for; any other column as it is."""
+    if isinstance(column, Runs):
+        return [value for value, count in zip(column.values, column.counts) for _ in range(count)]
+    return column
+
+
 @st.composite
 def _columns(draw):
     n = draw(st.integers(1, 12))
     columns = {}
     for name in COLUMNS:
-        kind = draw(st.sampled_from(("float64", "int64", "cells", "alike")))
+        kind = draw(st.sampled_from(("float64", "int64", "cells", "alike", "runs")))
         if kind == "cells":
             columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
-        elif kind == "alike":  # equal values that print differently
-            group = draw(st.sampled_from([(0, 0.0, -0.0, False), (1, 1.0, True), (10**16, 1e16)]))
+        elif kind == "alike":
+            group = draw(st.sampled_from(_ALIKE))
             columns[name] = draw(st.lists(st.sampled_from(group), min_size=n, max_size=n))
+        elif kind == "runs":
+            cuts = draw(st.lists(st.integers(0, n), max_size=6))
+            columns[name] = _runs(draw, n, cuts, _CELLS | st.sampled_from(draw(st.sampled_from(_ALIKE))))
         else:
             columns[name] = np.array(draw(st.lists(_FLOATS if kind == "float64" else _INTS,
                                                    min_size=n, max_size=n)), dtype=kind)
@@ -599,10 +642,14 @@ def _columns(draw):
 @given(columns=_columns(), chunk=st.sampled_from([1, 2, 3, 5, 64]))
 def test_emit_matches_the_reference_writer(tmp_path_factory, columns, chunk):
     table = ResultTable(columns, meta={})
+    cells = ResultTable({name: _expanded(column) for name, column in columns.items()}, meta={})
     out = tmp_path_factory.getbasetemp() / "emit.csv"
     with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
         emit(table, out)
-    assert out.read_bytes() == reference_csv(table.rows).encode()
+    assert out.read_bytes() == reference_csv(cells.rows).encode()
+    # repr tells 0, 0.0, -0.0 and False apart
+    assert [list(map(repr, row.values())) for row in table.rows] == \
+        [list(map(repr, row.values())) for row in cells.rows]
 
 
 def _edge_floats():
@@ -631,12 +678,13 @@ def _long_columns(draw):
     magnitude with both signs, values of fewer than ten digits, integers,
     the edge floats and hypothesis floats; an integer column spans int64 or
     uint64 with their extremes; a cell column holds runs of the same object,
-    text with "%", NUL or non-ASCII among them."""
+    text with "%", NUL or non-ASCII among them, and a ``Runs`` column such
+    values or an alike group, cut anywhere and at the chunk edges."""
     n = draw(st.integers(2_000, 2_500))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for name in COLUMNS:
-        kind = draw(st.sampled_from(("float64", "int64", "uint64", "cells", "object")))
+        kind = draw(st.sampled_from(("float64", "int64", "uint64", "cells", "object", "runs")))
         if kind == "float64":
             pool = np.concatenate([
                 np.cumsum(rng.uniform(0, 50, n)) / np.arange(1, n + 1),
@@ -653,6 +701,10 @@ def _long_columns(draw):
             column[rng.random(n) < 0.5] %= 1000
             column[rng.integers(0, n, 3)] = [info.min, info.max, 0]
             columns[name] = column
+        elif kind == "runs":
+            edges = [e + d for e in (999, 1998, 2048) for d in (-1, 0, 1) if e + d <= n]
+            cuts = [*rng.integers(0, n + 1, rng.integers(0, 8)), *draw(st.lists(st.sampled_from(edges), max_size=3))]
+            columns[name] = _runs(draw, n, cuts, _TEXT_CELLS | st.sampled_from(draw(st.sampled_from(_ALIKE))))
         else:
             values = draw(st.lists(_TEXT_CELLS, min_size=1, max_size=5))
             cells = [values[i] for i in np.sort(rng.integers(0, len(values), n))]
@@ -665,7 +717,8 @@ def _long_columns(draw):
 def test_emit_matches_the_reference_writer_on_long_columns(tmp_path_factory, columns, chunk):
     table = ResultTable(columns, meta={})
     out = tmp_path_factory.getbasetemp() / "emit-long.csv"
-    expected = reference_csv(table.rows)
+    expected = reference_csv(ResultTable({name: _expanded(column) for name, column in columns.items()},
+                                         meta={}).rows)
     with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
         if "\0" in expected:  # NUL pads the kernel's byte rows, so a cell holding one is refused
             with pytest.raises(ValueError, match="NUL"):
@@ -724,7 +777,9 @@ def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
 
 def test_trace_compare_memory_is_columnar(tmp_path):
     # 150,000 rows: with a dict per row the build and write peaked at ~64 MiB
-    # of Python allocations; with one array per column, at ~22 MiB.
+    # of Python allocations; with one array per column, at ~18.5 MiB; with
+    # the block-constant columns as runs and the means written in place,
+    # at ~9.4 MiB.
     trace = tmp_path / "trace.csv"
     make_trace(trace, n_requests=50_000, horizon=125_000, seed=5)
     spec = ExperimentSpec.from_dict({
@@ -735,11 +790,14 @@ def test_trace_compare_memory_is_columnar(tmp_path):
     })
     tracemalloc.start()
     try:
-        emit(run_trace_compare(spec), tmp_path / "out.csv")
+        table = run_trace_compare(spec)
+        emit(table, tmp_path / "out.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20
+    for name, column in table.columns.items():  # no Python object per row
+        assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
 
 
 def test_cli_optimal_threshold(capsys):
@@ -845,6 +903,21 @@ def test_non_finite_costs_exit_1(tmp_path, capsys):
         assert main(argv) == 1, staleness
         assert capsys.readouterr().err.startswith(f"configuration error: model: {message}"), staleness
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_costs_past_the_float_range_exit_1(tmp_path, capsys):
+    # Every sum is finite at p = 5; at p = 1e308 the replays overflow to
+    # inf, which used to be written as inf and nan rows.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"staleness": {"kind": "table", "values": [0, 1, 1e308]}, "update_cost": 5},
+                               "grid": [5, 1e308], "n_runs": 2, "n_requests": 200}))
+    out = tmp_path / "never.csv"
+    assert main(["compare", "--sweep", "cost", "--lambda", "0.3", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid[1]: threshold(2) has mean cost inf and stderr nan"), err
+    assert not out.exists()
 
 
 def test_non_integral_piecewise_age_exits_1(tmp_path, capsys):
