@@ -482,6 +482,12 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     offline_on = spec.include_offline and seq.n_requests <= spec.offline_request_cap
     sol = offline_optimal(seq, model) if offline_on else None
     replays = _replay(policies, seq, model, sol)
+    for label, res in replays:
+        # Every row is a running sum of these totals' terms, so one that
+        # overflows would write inf rows.
+        if not np.isfinite(res.total):
+            raise ConfigError(f"model: {label} has total cost {res.total!r} over {seq.n_requests} requests: "
+                              "the model's costs pass the float range")
     offline_meta = {} if sol is None else {
         "offline_total_cost": sol.total_cost, "offline_n_updates": len(sol.update_slots)}
     tau_c = info.get("tau_continuous")

@@ -8,9 +8,10 @@ the update cost, so each update looks back over at most W requests and a
 solve costs O(N·W). ``offline_optimal_many`` steps K such solves
 together, one Python step per target for a group of paths of like W, and
 holds O(K·(N + B·W)) floats for blocks of B targets; ``offline_optimal``
-is a batch of one. The brute-force search prices every subset with array
-operations, independently of the DP and of the replay engine, and is the
-ground truth the DP is validated against.
+is a batch of one. The brute-force search prices each subset from its
+prefix's sums, O(2^n) array work in a few MiB at its bound of 22 requests,
+independently of the DP and of the replay engine, and is the ground truth
+the DP is validated against.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .arrivals import ArrivalSequence
 from .core import CostModel
 
 BRUTE_FORCE_LIMIT = 22
-# Masks priced per array pass. Larger blocks are no faster and raise the
-# peak memory of the search.
-_BLOCK_MASKS = 1 << 11
+# Requests whose choices the exhaustive search holds as arrays over every
+# mask: 2^16 prefixes, three arrays of 0.5 MiB each. Each choice of the
+# bits past them (at most 6) extends that prefix as one block, so the
+# search holds a few MiB at its bound.
+_PREFIX_REQUESTS = 16
 # Targets per block of the windowed DP, halved down to 8 while a block's
 # charges exceed _BLOCK_CELLS or half a block holds every target: small
 # blocks pay more numpy calls per target, large ones sum more charges that
@@ -307,45 +310,64 @@ def _first_in_reach(arrivals: ArrivalSequence, reach: int) -> np.ndarray:
 def brute_force_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:
     """Exhaustive search over every subset of request slots; exact but exponential.
 
-    Prices the 2^n schedules as arrays, one block of masks at a time: bit k
-    of a mask updates at the k-th request slot, each request is charged at
-    its age since the last update at or before its slot, and the charges are
-    summed in request order, so every total is bit-identical to the replayed
-    cost. Shares no code with the DP or the replay engine. Ties break toward
-    fewer updates, then the lexicographically earliest schedule (tie means
-    bit-identical cost).
+    Bit k of a mask updates at the k-th request slot, and each request is
+    charged at its age since the last update at or before its slot. The
+    schedules are built by extending prefixes: after request k, three arrays
+    indexed by the mask of requests 0..k hold each prefix's staleness sum,
+    last update slot and update count. Skipping the next request adds its
+    charge to the sum and updating adds nothing, so the work is O(2^n) and
+    every sum adds its charges in request order: each total is bit-identical
+    to the replayed cost. The arrays stop at ``_PREFIX_REQUESTS`` requests;
+    the later ones are decided depth first, and each choice of their bits
+    extends the shared prefix as one block. Shares no code with the DP or
+    the replay engine. Ties break toward fewer updates, then the
+    lexicographically earliest schedule (tie means bit-identical cost).
     """
     n = arrivals.slots.size
     if n == 0:
         raise ValueError("arrival sequence has no requests")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{n} occupied slots exceeds the enumeration bound {BRUTE_FORCE_LIMIT}")
-    slots = arrivals.slots
+    slots, counts = arrivals.slots, arrivals.counts
     f = model.staleness
     p = model.update_cost
+    low = min(n, _PREFIX_REQUESTS)
+    stale, last, n_up = np.zeros(1 << low), np.zeros(1 << low, slots.dtype), np.zeros(1 << low, np.int64)
+    for k in range(low):
+        # Mask m < 2^k skips request k, mask m + 2^k updates at it.
+        skip, update = slice(0, 1 << k), slice(1 << k, 2 << k)
+        stale[update] = stale[skip]
+        last[update] = slots[k]
+        np.add(n_up[skip], 1, out=n_up[update])
+        stale[skip] += counts[k] * f.eval_array(slots[k] - last[skip])
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     # Of two schedules with equally many updates, the lexicographically
     # earlier one has the lowest bit where they differ set: it is the larger
     # mask when read with bit 0 as the most significant digit.
     lex_weight = bits[::-1]
-    best_key = (np.inf, 0, 0)
-    best_sched: tuple[int, ...] = ()
-    for start in range(0, 1 << n, _BLOCK_MASKS):
-        masks = np.arange(start, min(start + _BLOCK_MASKS, 1 << n), dtype=np.int64)
-        on = (masks[:, None] & bits) != 0
-        last = np.maximum.accumulate(np.where(on, slots, 0), axis=1)
-        # cumsum adds along each row in request order, like the replay does.
-        stale = np.cumsum(arrivals.counts * f.eval_array(slots - last), axis=1)[:, -1]
-        n_up = on.sum(axis=1)
-        cost = stale + p * n_up
+    best_key, best_sched = (np.inf, 0, 0), ()
+
+    def blocks(k: int, stale: np.ndarray, last, high: int, high_ups: int):
+        """Each block of masks whose bits from ``low`` on are ``high``, with
+        its staleness sums and its updates past the prefix, for the choices
+        at requests k..n-1; ``last`` is one slot once the block updates."""
+        if k == n:
+            yield stale, high, high_ups
+            return
+        yield from blocks(k + 1, stale + counts[k] * f.eval_array(slots[k] - last), last, high, high_ups)
+        yield from blocks(k + 1, stale, slots[k], high | 1 << k, high_ups + 1)
+
+    for sums, high, high_ups in blocks(low, stale, last, 0, 0):
+        ups = n_up + high_ups
+        cost = sums + p * ups
         tied = np.flatnonzero(cost == cost.min())
-        tied = tied[n_up[tied] == n_up[tied].min()]
-        lex = (on[tied] * lex_weight).sum(axis=1)
-        j = tied[lex.argmax()]
-        key = (float(cost[j]), int(n_up[j]), -int(lex.max()))
+        tied = tied[ups[tied] == ups[tied].min()]
+        on = ((tied | high)[:, None] & bits) != 0
+        lex = (on * lex_weight).sum(axis=1)
+        j = lex.argmax()
+        key = (float(cost[tied[j]]), int(ups[tied[j]]), -int(lex[j]))
         if key < best_key:
-            best_key = key
-            best_sched = tuple(slots[on[j]].tolist())
+            best_key, best_sched = key, tuple(slots[on[j]].tolist())
     best_cost = best_key[0]
     return OfflineSolution(
         update_slots=best_sched,

@@ -920,6 +920,29 @@ def test_costs_past_the_float_range_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_trace_costs_past_the_float_range_exit_1(tmp_path, capsys):
+    # At p = 1e308 every replay of the trace, the offline one included,
+    # overflows to inf, which used to be written as inf rows.
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=300, horizon=900, seed=7)
+    cfg = tmp_path / "cfg.json"
+    for p in (5, 1e308):
+        cfg.write_text(json.dumps({"model": {"staleness": {"kind": "table", "values": [0, 1, 1e308]}, "update_cost": p},
+                                   "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0}}))
+        out = tmp_path / f"{p}.csv"
+        code = main(["trace-compare", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if p == 5:
+            assert code == 0, err
+            assert "inf" not in out.read_text()
+    assert code == 1
+    assert re.match(r"configuration error: model: threshold\(\d+\) has total cost inf over 300 requests: "
+                    "the model's costs pass the float range", err), err
+    assert not out.exists()
+
+
 def test_non_integral_piecewise_age_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for breakpoints, message in (

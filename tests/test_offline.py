@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,35 @@ def small_instance(draw):
 def test_brute_force_equals_replaying_every_schedule(case):
     arr, model = case
     assert brute_force_optimal(arr, model) == replay_every_schedule(arr, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instance())
+# (5,) and (10,) tie at cost 14 in different blocks: the earlier one wins.
+@example((ArrivalSequence.from_slots([2, 5, 10]), CostModel(LINEAR, 7.0)))
+def test_brute_force_blocks_past_the_prefix_equal_replaying_every_schedule(case):
+    # With a prefix of 2 requests, each of up to 6 later requests doubles
+    # the blocks, and each block's best is compared with the others'.
+    arr, model = case
+    with mock.patch.object(agecost.offline, "_PREFIX_REQUESTS", 2):
+        assert brute_force_optimal(arr, model) == replay_every_schedule(arr, model)
+
+
+def test_brute_force_memory_is_bounded_at_its_limit():
+    # 2^22 schedules: the prefix arrays hold 2^16 masks, and the blocks past
+    # them one staleness sum per later request.
+    rng = np.random.default_rng(22)
+    slots = np.sort(rng.choice(np.arange(1, 90), size=22, replace=False))
+    arr = ArrivalSequence.from_counts({int(s): int(rng.integers(1, 4)) for s in slots})
+    model = CostModel(LINEAR, 7.5)
+    tracemalloc.start()
+    try:
+        sol = brute_force_optimal(arr, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert sol.total_cost == pytest.approx(offline_optimal(arr, model).total_cost, rel=1e-9)
 
 
 def test_brute_force_size_limit():
@@ -289,17 +319,17 @@ _KINDS = ("linear", "quadratic", "table", "piecewise")
 
 
 @st.composite
-def dp_batch(draw, kind=None):
-    """1-6 paths of up to 120 occupied slots, 1-12 slots apart, with 1-3
-    requests each, under one penalty of the given (or a drawn) kind and an
-    update cost per path. Half the time one path's window covers every
+def dp_batch(draw, kind=None, requests=(1, 120)):
+    """1-6 paths of ``requests`` occupied slots (a range), 1-12 slots apart,
+    with 1-3 requests each, under one penalty of the given (or a drawn) kind
+    and an update cost per path. Half the time one path's window covers every
     earlier request: its cost is the penalty at the longest horizon, or
     the held value of a table or piecewise penalty."""
     kind = kind or draw(st.sampled_from(_KINDS))
     size = draw(st.integers(min_value=1, max_value=6))
     paths = []
     for _ in range(size):
-        n = draw(st.integers(min_value=1, max_value=120))
+        n = draw(st.integers(*requests))
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
         slots = np.cumsum(rng.integers(1, 13, size=n))
         paths.append(ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 4, size=n)))
@@ -352,6 +382,20 @@ def test_a_batch_solves_each_path_as_the_quadratic_dp_does(batch, rnd):
 def test_every_penalty_kind_batches_with_a_wide_path(kind, data):
     paths, models = data.draw(dp_batch(kind))
     assert offline_optimal_many(paths, models) == [quadratic_offline_dp(a, m) for a, m in zip(paths, models)]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dp_totals_equal_the_exhaustive_oracle_up_to_18_requests(kind, data):
+    # On an exact tie the DP takes the earliest update point and the oracle
+    # the fewest updates, so only the totals must agree.
+    paths, models = data.draw(dp_batch(kind, requests=(13, 18)))
+    batch = offline_optimal_many(paths, models)
+    for arr, model, sol in zip(paths, models, batch):
+        exact = brute_force_optimal(arr, model).total_cost
+        assert sol.total_cost == pytest.approx(exact, rel=1e-9)
+        assert offline_optimal(arr, model).total_cost == pytest.approx(exact, rel=1e-9)
 
 
 def test_a_batch_refuses_mixed_penalties_and_mismatched_lengths():
