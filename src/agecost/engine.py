@@ -10,7 +10,11 @@ starts with age 1 at slot 1, as if an update had completed at slot 0.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable
+import collections
+import contextvars
+import itertools
+import os
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +65,11 @@ class SimResult:
     def avg_update(self) -> float:
         return self.total_update / self.n_requests
 
+    @property
+    def averages(self) -> tuple[float, float, float]:
+        """(avg_total, avg_staleness, avg_update): what a sweep keeps of a run."""
+        return self.avg_total, self.avg_staleness, self.avg_update
+
 
 @dataclass(frozen=True)
 class RenewalStats:
@@ -79,7 +88,12 @@ class SweepResult:
     @classmethod
     def of(cls, results: Iterable[SimResult]) -> "SweepResult":
         """Summarize replays one at a time, keeping only their three averages."""
-        avgs = np.array([(r.avg_total, r.avg_staleness, r.avg_update) for r in results], dtype=np.float64)
+        return cls.of_averages([r.averages for r in results])
+
+    @classmethod
+    def of_averages(cls, averages: list[tuple[float, float, float]]) -> "SweepResult":
+        """The sweep of runs given by their ``SimResult.averages``, in run order."""
+        avgs = np.array(averages, dtype=np.float64)
         if not avgs.size:
             raise ValueError("a sweep needs at least one run")
         return cls(*avgs.T)
@@ -224,6 +238,55 @@ def _walk(jump: np.ndarray, start: int, n: int) -> np.ndarray:
     return np.fromiter(path, dtype=np.intp, count=len(path))
 
 
+# Most worker threads of ``ordered_map``. Each run of a sweep draws from its
+# own generator, and numpy releases the GIL in the generation, search and
+# cumsum that take most of a replay, so threads use the cores; the cap keeps
+# the 2 × workers tasks in flight, each up to one batch of paths, small.
+_MAX_WORKERS = 4
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def ordered_map(fn: Callable, items: Iterable) -> Iterator:
+    """Yield ``fn(item)`` for each item, in input order, from a pool of
+    min(4, usable CPUs) threads.
+
+    Items are pulled lazily: at most 2 × workers calls are running, queued
+    or waiting for their result to be taken. Each call runs in a copy of
+    the caller's context, so numpy's ``errstate`` holds in it. With one
+    usable CPU, or one item, every call runs inline in the caller's thread.
+    An exception of item i is raised after the results of the items before
+    it. The calls not yet started are then cancelled, and the pool is shut
+    down; so it is when the generator is closed or exhausted, and no worker
+    thread outlives it.
+    """
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    workers = min(_MAX_WORKERS, _usable_cpus())
+    if workers == 1 or len(head) < 2:
+        yield from map(fn, itertools.chain(head, items))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported by the runs that start a pool only
+
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for item in itertools.chain(head, items):
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def simulate_many(
     policy: Policy,
     source: BernoulliSource,
@@ -235,13 +298,17 @@ def simulate_many(
 
     Run i draws its arrivals from a child seed derived from
     (source.seed, i), so the sweep is reproducible and runs are independent.
-    Each replay is dropped once its three averages are taken.
+    One run is one task of ``ordered_map``: it generates its path, replays
+    it and returns only its three averages, so the result does not depend
+    on the number of threads.
     """
-    paths = (
-        generate_bernoulli(BernoulliSource(source.rate, derive_seed(source.seed, i)), n_requests=n_requests_per_run)
-        for i in range(n_runs)
-    )
-    return SweepResult.of(simulate(policy, arrivals, model) for arrivals in paths)
+
+    def run(i: int) -> tuple[float, float, float]:
+        seed = derive_seed(source.seed, i)
+        arrivals = generate_bernoulli(BernoulliSource(source.rate, seed), n_requests=n_requests_per_run)
+        return simulate(policy, arrivals, model).averages
+
+    return SweepResult.of_averages(list(ordered_map(run, range(n_runs))))
 
 
 def renewal_stats(result: SimResult) -> RenewalStats:

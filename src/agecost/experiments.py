@@ -6,7 +6,9 @@ derive_seed(base_seed, i, r) in a rate or update-cost sweep, and from
 derive_seed(derive_seed(base_seed, i), r) in a threshold sweep, as
 ``simulate_many`` would from the row's seed cell. A comparison replays all
 its policies on the same sample paths (paired comparisons via common random
-numbers).
+numbers). The runs of a sweep are replayed on up to min(4, usable CPUs)
+threads by ``engine.ordered_map``, and their averages are taken back in run
+order, so the output does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .arrivals import (
     load_trace,
 )
 from .core import CostModel, as_int, cap_threshold, check_fields, check_rate
-from .engine import SimResult, SweepResult, simulate
+from .engine import SimResult, SweepResult, ordered_map, simulate
 from .offline import OfflineSolution, offline_optimal, offline_optimal_many
 from .policies import Policy
 
@@ -59,6 +61,9 @@ _EMIT_CHUNK = 1 << 13
 # path cap bounds the DP's per-path block arrays when paths are short.
 _BATCH_REQUESTS = 1 << 16
 _BATCH_PATHS = 64
+# The runners refuse a cost past the float range once it reaches a row or a
+# total, with no numpy warning before the refusal.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
 def _threshold_point(tau, rate: float, model: CostModel) -> tuple[float, CostModel]:
@@ -343,6 +348,7 @@ def _resolve_policies(policies: list[Policy] | None, rate: float, model: CostMod
     return resolved, info
 
 
+@_QUIET_OVERFLOW
 def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     """Replay policies on shared Bernoulli sample paths across a grid: in a
     threshold sweep, threshold(x) at grid point x, so that each row is
@@ -353,9 +359,12 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     Every grid point is resolved first. The (point, run) pairs then go in
     order, in batches of at most ``_BATCH_REQUESTS`` requests and
     ``_BATCH_PATHS`` paths (one pair at least, and one pair alone with no
-    offline row): a batch's paths are generated, their offline optima
-    solved by one ``offline_optimal_many`` call, and each path replayed. A
-    point's rows are added once its last run is replayed.
+    offline row). A batch is one task of ``ordered_map``: its paths are
+    generated, their offline optima solved by one ``offline_optimal_many``
+    call, each path replayed, and only the per-run averages returned. This
+    thread takes the batches' averages in order and adds a point's rows
+    once its last run is in, so the table does not depend on the number of
+    threads.
     """
     if spec.kind not in ("threshold_sweep", "lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected threshold_sweep, lambda_sweep or cost_sweep, got {spec.kind}")
@@ -375,25 +384,31 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
         # the seed cell in a threshold sweep, derive_seed(base_seed, i, r) else.
         stem = (point_seed,) if threshold_sweep else (spec.base_seed, i)
         points.append((x, rate, model, policies, point_seed, stem))
-    pairs = ((point, run) for point in range(len(points)) for run in range(spec.n_runs))
-    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests)) if offline_on else 1
-    # Per-run averages only: each run's replays are dropped once summarized.
-    averages: dict[str, list[tuple[float, float, float]]] = {}
-    outside = []
-    while batch := list(itertools.islice(pairs, per_batch)):
+
+    def batch_averages(batch):
         paths = [generate_bernoulli(BernoulliSource(points[point][1], derive_seed(*points[point][5], run)),
                                     n_requests=spec.n_requests) for point, run in batch]
         models = [points[point][2] for point, _ in batch]
         solutions = offline_optimal_many(paths, models) if offline_on else [None] * len(batch)
-        for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions):
-            for label, res in _replay(points[point][3], arrivals, model, sol):
-                averages.setdefault(label, []).append((res.avg_total, res.avg_staleness, res.avg_update))
+        return [(point, run, [(label, res.averages) for label, res in _replay(points[point][3], arrivals, model, sol)])
+                for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions)]
+
+    pairs = ((point, run) for point in range(len(points)) for run in range(spec.n_runs))
+    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests)) if offline_on else 1
+    batches = iter(lambda: list(itertools.islice(pairs, per_batch)), [])
+    # Per-run averages only: each run's replays are dropped once summarized.
+    averages: dict[str, list[tuple[float, float, float]]] = {}
+    outside = []
+    for results in ordered_map(batch_averages, batches):
+        for point, run, replays in results:
+            for label, avgs in replays:
+                averages.setdefault(label, []).append(avgs)
             if run < spec.n_runs - 1:
                 continue
             x, _, _, policies, point_seed, _ = points[point]
             analytic = {label: value for label, _, value in policies} | {"offline": None}
             for label, runs in averages.items():
-                sweep = SweepResult(*np.array(runs).T)
+                sweep = SweepResult.of_averages(runs)
                 if not np.isfinite([sweep.mean_avg_total, sweep.stderr]).all():
                     raise ConfigError(f"grid[{point}]: {label} has mean cost {sweep.mean_avg_total!r} and stderr "
                                       f"{sweep.stderr!r}: the model's costs pass the float range")
@@ -462,6 +477,7 @@ def _cumulative_columns(replays: list[tuple[str, SimResult]], arrivals: ArrivalS
     }
 
 
+@_QUIET_OVERFLOW
 def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
     """Replay threshold, naive, periodic, and the offline optimum on a trace.
 
@@ -656,7 +672,8 @@ def _cells(chunk, end: int) -> np.ndarray:
     """Field of one column's cells in a chunk: one row of bytes per cell,
     ending in the byte ``end``, in which NUL bytes are padding."""
     if isinstance(chunk, Runs):
-        texts = [_format_cell(value).encode() for value in chunk.values]
+        # A value of no row is not a cell: it is neither formatted nor checked.
+        texts = [_format_cell(value).encode() if count else b"" for value, count in zip(chunk.values, chunk.counts)]
         return _packed(texts, np.repeat(np.arange(len(texts)), chunk.counts), end)
     if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
         return _float_cells(chunk, end)

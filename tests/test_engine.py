@@ -1,4 +1,7 @@
 import bisect
+import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,8 +24,9 @@ from agecost import (
     simulate_many,
     threshold_avg_cost,
 )
+from agecost import engine
 from agecost.arrivals import derive_seed
-from agecost.engine import _DOUBLE_BELOW, _doubling_levels, _follow, _update_schedule
+from agecost.engine import _DOUBLE_BELOW, _doubling_levels, _follow, _update_schedule, ordered_map
 
 from oracles import alarm, bisect_threshold_schedule, cost_models, reference_replay
 
@@ -414,3 +418,128 @@ def test_sweep_needs_a_run():
         SweepResult.of([])
     with pytest.raises(ValueError):
         simulate_many(Policy.threshold(2), BernoulliSource(0.5, 1), 0, 100, CostModel(LINEAR, 5.0))
+
+
+def _force_cpus(monkeypatch, n):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: n)
+    return min(engine._MAX_WORKERS, n)
+
+
+def test_ordered_map_keeps_input_order_when_tasks_finish_out_of_order(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+    finished = []
+
+    def late_first(x):
+        time.sleep(0.02 * (7 - x))
+        finished.append(x)
+        return x * x
+
+    assert list(ordered_map(late_first, range(8))) == [x * x for x in range(8)]
+    assert finished != sorted(finished)
+
+
+def test_ordered_map_pulls_input_lazily(monkeypatch):
+    workers = _force_cpus(monkeypatch, 4)
+    calls = []
+
+    def record(x):
+        calls.append(x)
+        return x
+
+    def endless(pulled, limit):
+        for x in itertools.count():
+            pulled.append(x)
+            assert x < limit, "pulled far ahead of the results taken"  # fails fast, not out of memory
+            yield x
+
+    for k in (1, 5, 20):
+        calls.clear()
+        pulled = []
+        results = ordered_map(record, endless(pulled, 1000))
+        assert list(itertools.islice(results, k)) == list(range(k))
+        results.close()
+        assert len(calls) <= len(pulled) <= k + 2 * workers
+
+
+def test_ordered_map_raises_in_order_and_cancels_pending_tasks(monkeypatch):
+    _force_cpus(monkeypatch, 2)  # four tasks in flight at most
+    calls = []
+
+    def fail_at_two(x):
+        calls.append(x)
+        if x == 2:
+            raise ValueError("item 2")
+        if x > 2:
+            time.sleep(0.2)
+        return x
+
+    start = threading.active_count()
+    results = ordered_map(fail_at_two, itertools.count())
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(ValueError, match="item 2"):
+        next(results)
+    # Items 3 to 5 were in flight when item 2 failed. Two workers were free
+    # for 3 and 4 at most, which sleep; the pool is shut down well before
+    # either wakes, so 5 was cancelled, not started.
+    assert {0, 1, 2} <= set(calls) <= {0, 1, 2, 3, 4}
+    assert threading.active_count() == start
+
+
+def test_ordered_map_tasks_see_the_callers_errstate(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+    main = threading.get_ident()
+    with np.errstate(over="ignore", invalid="raise"):
+        seen = list(ordered_map(lambda _: (np.geterr()["over"], np.geterr()["invalid"], threading.get_ident()),
+                                range(16)))
+    assert {(over, invalid) for over, invalid, _ in seen} == {("ignore", "raise")}
+    assert {ident for _, _, ident in seen} - {main}  # the pool ran them
+
+
+def test_ordered_map_leaves_no_thread_running(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+    start = threading.active_count()
+    assert list(ordered_map(abs, range(-50, 50))) == [abs(x) for x in range(-50, 50)]
+    assert threading.active_count() == start
+
+    def fail(x):
+        if x == 30:
+            raise RuntimeError("boom")
+        return x
+
+    with pytest.raises(RuntimeError):
+        list(ordered_map(fail, range(100)))
+    assert threading.active_count() == start
+    half_read = ordered_map(abs, range(100))
+    assert list(itertools.islice(half_read, 50)) == list(range(50))
+    assert threading.active_count() > start
+    half_read.close()
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("cpus,items", [(1, range(10)), (4, [7]), (4, [])])
+def test_ordered_map_runs_inline_on_one_cpu_or_one_item(monkeypatch, cpus, items):
+    _force_cpus(monkeypatch, cpus)
+    start = threading.active_count()
+    results = ordered_map(lambda x: (x, threading.get_ident(), threading.active_count()), items)
+    assert list(results) == [(x, threading.get_ident(), start) for x in items]
+
+
+def test_simulate_many_is_the_same_on_any_number_of_threads(monkeypatch):
+    m = CostModel(LINEAR, 40.0)
+    sweeps = {}
+    for cpus in (1, 4):
+        _force_cpus(monkeypatch, cpus)
+        threads = set()
+        real_simulate = engine.simulate
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return real_simulate(*args)
+
+        monkeypatch.setattr(engine, "simulate", spy)
+        sweeps[cpus] = simulate_many(Policy.threshold(6), BernoulliSource(0.3, 17), 40, 2_000, m)
+        monkeypatch.setattr(engine, "simulate", real_simulate)
+        assert (threads == {threading.get_ident()}) == (cpus == 1)
+    for field in ("avg_total", "avg_staleness", "avg_update"):
+        assert np.array_equal(getattr(sweeps[1], field), getattr(sweeps[4], field))
+    assert (sweeps[1].mean_avg_total, sweeps[1].stderr) == (sweeps[4].mean_avg_total, sweeps[4].stderr)

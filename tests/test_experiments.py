@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -29,6 +31,7 @@ from agecost import (
     simulate,
     simulate_many,
 )
+from agecost import engine
 from agecost.arrivals import derive_seed
 from agecost.cli import main
 from agecost.experiments import COLUMNS, Runs, truncate_requests
@@ -750,6 +753,11 @@ def test_emit_refuses_a_nul_in_a_text_cell(tmp_path):
     columns = {name: [1, 2] for name in COLUMNS}
     with pytest.raises(ValueError, match="may not hold a NUL character"):
         emit(ResultTable({**columns, "policy_label": ["naive", "a\0b"]}, meta={}), tmp_path / "nul.csv")
+    # A run of no rows holds no cell, so its value is neither written nor refused.
+    emit(ResultTable({**columns, "policy_label": Runs(["naive", "a\0b", "x"], [1, 0, 1])}, meta={}),
+         tmp_path / "empty-run.csv")
+    assert (tmp_path / "empty-run.csv").read_text().splitlines()[1:] == ["1,naive,1,1,1,1,1,1,1,1",
+                                                                        "2,x,2,2,2,2,2,2,2,2"]
 
 
 def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
@@ -905,8 +913,6 @@ def test_non_finite_costs_exit_1(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_costs_past_the_float_range_exit_1(tmp_path, capsys):
     # Every sum is finite at p = 5; at p = 1e308 the replays overflow to
     # inf, which used to be written as inf and nan rows.
@@ -918,10 +924,16 @@ def test_costs_past_the_float_range_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: grid[1]: threshold(2) has mean cost inf and stderr nan"), err
     assert not out.exists()
+    # RuntimeWarnings are errors in this suite, so a warning before the
+    # refusal would exit 2: np.std warned on these runs' inf averages.
+    model = {"staleness": {"kind": "table", "values": [0, 1, 1e308]}, "update_cost": 1e308}
+    cfg.write_text(json.dumps({"model": model, "grid": [2, 3], "n_runs": 3, "n_requests": 200}))
+    assert main(["sweep-threshold", "--lambda", "0.3", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid[0]: threshold(2) has mean cost inf and stderr nan"), err
+    assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_trace_costs_past_the_float_range_exit_1(tmp_path, capsys):
     # At p = 1e308 every replay of the trace, the offline one included,
     # overflows to inf, which used to be written as inf rows.
@@ -941,6 +953,61 @@ def test_trace_costs_past_the_float_range_exit_1(tmp_path, capsys):
     assert re.match(r"configuration error: model: threshold\(\d+\) has total cost inf over 300 requests: "
                     "the model's costs pass the float range", err), err
     assert not out.exists()
+
+
+def _spy_on_tasks(monkeypatch, cpus):
+    """Force the usable CPU count and record the thread of every task of
+    the runners' ``ordered_map``."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    threads = []
+
+    def spied(fn, items):
+        def task(item):
+            threads.append(threading.get_ident())
+            return fn(item)
+        return engine.ordered_map(task, items)
+
+    monkeypatch.setattr(experiments, "ordered_map", spied)
+    return threads
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-threshold", "--lambda", "0.1", "--p", "100", "--runs", "3", "--requests", "500"],
+    # 20 cost points x 2 runs of 2,000 requests: two batches of offline optima.
+    ["compare", "--sweep", "cost", "--lambda", "0.3", "--p", "50", "--runs", "2", "--requests", "2000"],
+])
+def test_csv_bytes_do_not_depend_on_the_thread_count(argv, tmp_path, monkeypatch, capsys):
+    start = threading.active_count()
+    csv = {}
+    for cpus in (1, 4):
+        threads = _spy_on_tasks(monkeypatch, cpus)
+        out = tmp_path / f"{cpus}.csv"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that a race between tasks would show
+        try:
+            assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        finally:
+            sys.setswitchinterval(interval)
+        csv[cpus] = out.read_bytes()
+        assert len(threads) > 1
+        assert (set(threads) == {threading.get_ident()}) == (cpus == 1)
+        assert threading.active_count() == start
+    assert csv[1] == csv[4]
+    if argv[0] == "compare":
+        assert b",offline," in csv[1]
+
+
+def test_a_refusal_leaves_no_worker_thread(tmp_path, monkeypatch, capsys):
+    # The refusal is raised at a point's end while later batches are in flight.
+    threads = _spy_on_tasks(monkeypatch, 4)
+    start = threading.active_count()
+    cfg = tmp_path / "cfg.json"
+    model = {"staleness": {"kind": "table", "values": [0, 1, 1e308]}, "update_cost": 1e308}
+    cfg.write_text(json.dumps({"model": model, "grid": [2, 3, 4, 5], "n_runs": 5, "n_requests": 200}))
+    assert main(["sweep-threshold", "--lambda", "0.3", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "grid[0]: threshold(2) has mean cost inf" in capsys.readouterr().err
+    assert set(threads) - {threading.get_ident()}
+    assert threading.active_count() == start
 
 
 def test_non_integral_piecewise_age_exits_1(tmp_path, capsys):
