@@ -21,6 +21,7 @@ from .arrivals import (
     BernoulliSource,
     EmptyTrace,
     ParseError,
+    SlotOverflow,
     empirical_rate,
     generate_bernoulli,
     load_trace,
@@ -38,7 +39,6 @@ from .engine import (
     SweepResult,
     renewal_stats,
     simulate,
-    simulate_many,
 )
 from .analysis import (
     PeriodSolution,
@@ -65,6 +65,7 @@ from .experiments import (
     emit,
     run_policy_comparison,
     run_trace_compare,
+    simulate_many,
     truncate_requests,
 )
 
@@ -79,6 +80,7 @@ __all__ = [
     "BernoulliSource",
     "ParseError",
     "EmptyTrace",
+    "SlotOverflow",
     "generate_bernoulli",
     "load_trace",
     "empirical_rate",

@@ -70,13 +70,10 @@ def _periodic_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
 
 
 def threshold_avg_cost(rate: float, model: CostModel, tau: int) -> float:
-    """Average cost per request of the threshold-tau policy under Bernoulli(rate);
-    ``tau`` is read through ``as_int``."""
-    check_rate(rate)
-    tau = as_int(tau, "tau")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return float(_threshold_costs(rate, model, tau)[-1])
+    """Average cost per request of the threshold-tau policy under Bernoulli(rate):
+    the ratio of its ``renewal_expectations``; ``tau`` is read through ``as_int``."""
+    e = renewal_expectations(rate, model, tau)
+    return e.e_cost / e.e_requests
 
 
 def _linear_tau_continuous(rate: float, p: float) -> float:
@@ -209,8 +206,7 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
 def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpectations:
     """Expected requests and cost per update interval of the threshold-tau policy.
 
-    Their ratio equals threshold_avg_cost exactly; ``tau`` is read through
-    ``as_int``.
+    Their ratio is ``threshold_avg_cost``; ``tau`` is read through ``as_int``.
     """
     check_rate(rate)
     tau = as_int(tau, "tau")

@@ -35,6 +35,10 @@ class EmptyTrace(ValueError):
     """The trace file contained no usable timestamps."""
 
 
+class SlotOverflow(ValueError):
+    """A Bernoulli path or a trace needs slots past the int64 range."""
+
+
 def make_rng(*entropy: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([e & _SEED_MASK for e in entropy])))
@@ -62,7 +66,8 @@ class ArrivalSequence:
         if self.slots.size:
             if self.slots[0] < 1 or self.slots[-1] > self.horizon:
                 raise ValueError("occupied slots must lie in [1, horizon]")
-            if np.any(np.diff(self.slots) <= 0):
+            # Compared, not subtracted: a difference could wrap in int64.
+            if np.any(self.slots[1:] <= self.slots[:-1]):
                 raise ValueError("slots must be strictly increasing")
             if np.any(self.counts < 1):
                 raise ValueError("occupied slots need at least one request")
@@ -112,7 +117,8 @@ def generate_bernoulli(
     """Draw a Bernoulli arrival sequence, stopping by horizon or by count.
 
     Identical (source, stop) inputs yield bit-identical sequences. With
-    ``n_requests`` the horizon is the slot of the last request.
+    ``n_requests`` the horizon is the slot of the last request; a path whose
+    slots pass the int64 range (a rate near 0) raises ``SlotOverflow``.
     """
     if (horizon is None) == (n_requests is None):
         raise ValueError("pass exactly one of horizon= or n_requests=")
@@ -134,12 +140,16 @@ def generate_bernoulli(
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
     gaps = rng.geometric(source.rate, size=n_requests)
+    # A cumsum past 2^63 - 1 wraps, which the sequence's order check refuses.
     slots = np.cumsum(gaps, dtype=np.int64)
-    return ArrivalSequence(
-        horizon=int(slots[-1]),
-        slots=slots,
-        counts=np.ones(n_requests, dtype=np.int64),
-    )
+    try:
+        return ArrivalSequence(
+            horizon=int(slots[-1]),
+            slots=slots,
+            counts=np.ones(n_requests, dtype=np.int64),
+        )
+    except ValueError:
+        raise SlotOverflow(f"{n_requests} requests at rate {source.rate!r} pass the last int64 slot") from None
 
 
 def check_trace_options(slot_duration, on_malformed: str = "error") -> float:
@@ -167,7 +177,7 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     Both options are checked first (``check_trace_options``), and ``path``
     must be a str or os.PathLike: ``open`` would read an int as a file
     descriptor. A span too long for int64 slot ids at this ``slot_duration``
-    raises ValueError.
+    raises ``SlotOverflow``.
     """
     slot_duration = check_trace_options(slot_duration, on_malformed)
     if not isinstance(path, (str, os.PathLike)):
@@ -205,8 +215,8 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     # Python floats overflow to inf without a warning, so this check runs
     # before numpy could overflow the subtraction or wrap the int64 cast.
     if not (hi - lo) / slot_duration < 2**63:
-        raise ValueError(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
-                         "needs more slots than int64 holds")
+        raise SlotOverflow(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
+                           "needs more slots than int64 holds")
     ts = np.asarray(stamps, dtype=np.float64)
     rel = (ts - lo) / slot_duration
     slot_ids = np.floor(rel).astype(np.int64) + 1

@@ -5,6 +5,9 @@ age, the policy decides, an update (if any) completes before the replies go
 out, so requests in an update slot are served fresh at zero staleness, and
 the age then steps (resets to 0 on update, otherwise grows by 1). The run
 starts with age 1 at slot 1, as if an update had completed at slot 0.
+
+``ordered_map`` runs independent tasks on a few threads; the Monte Carlo
+loop that uses it, ``simulate_many`` included, is in ``experiments``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import ArrivalSequence, BernoulliSource, derive_seed, generate_bernoulli
+from .arrivals import ArrivalSequence
 from .core import CostModel, cap_threshold
 from .policies import Policy
 
@@ -285,30 +288,6 @@ def ordered_map(fn: Callable, items: Iterable) -> Iterator:
             yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def simulate_many(
-    policy: Policy,
-    source: BernoulliSource,
-    n_runs: int,
-    n_requests_per_run: int,
-    model: CostModel,
-) -> SweepResult:
-    """Independent replays on fresh Bernoulli sample paths.
-
-    Run i draws its arrivals from a child seed derived from
-    (source.seed, i), so the sweep is reproducible and runs are independent.
-    One run is one task of ``ordered_map``: it generates its path, replays
-    it and returns only its three averages, so the result does not depend
-    on the number of threads.
-    """
-
-    def run(i: int) -> tuple[float, float, float]:
-        seed = derive_seed(source.seed, i)
-        arrivals = generate_bernoulli(BernoulliSource(source.rate, seed), n_requests=n_requests_per_run)
-        return simulate(policy, arrivals, model).averages
-
-    return SweepResult.of_averages(list(ordered_map(run, range(n_runs))))
 
 
 def renewal_stats(result: SimResult) -> RenewalStats:

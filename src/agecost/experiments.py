@@ -6,9 +6,11 @@ derive_seed(base_seed, i, r) in a rate or update-cost sweep, and from
 derive_seed(derive_seed(base_seed, i), r) in a threshold sweep, as
 ``simulate_many`` would from the row's seed cell. A comparison replays all
 its policies on the same sample paths (paired comparisons via common random
-numbers). The runs of a sweep are replayed on up to min(4, usable CPUs)
-threads by ``engine.ordered_map``, and their averages are taken back in run
-order, so the output does not depend on the number of threads.
+numbers). One Monte Carlo loop, ``_monte_carlo``, runs the Bernoulli sweeps,
+and ``simulate_many`` is that loop on one point. It replays the runs on up
+to min(4, usable CPUs) threads by ``engine.ordered_map`` and takes their
+averages back in run order, so the output does not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .arrivals import (
     RNG_ALGORITHM,
     ArrivalSequence,
     BernoulliSource,
+    EmptyTrace,
+    ParseError,
+    SlotOverflow,
     check_trace_options,
     derive_seed,
     empirical_rate,
@@ -348,6 +353,71 @@ def _resolve_policies(policies: list[Policy] | None, rate: float, model: CostMod
     return resolved, info
 
 
+def _monte_carlo(points, n_runs: int, n_requests: int, offline_on: bool):
+    """Yield (i, {label: SweepResult}) for each point i in order, once its last run is in.
+
+    A point is (rate, model, resolved policies, seed stem): its run r replays
+    the policies, and the offline optimum last if ``offline_on``, on the path
+    of ``n_requests`` requests drawn at derive_seed(*stem, r). The (point,
+    run) pairs go in order, one per batch without the offline row, and with
+    it at most ``_BATCH_REQUESTS`` requests and ``_BATCH_PATHS`` paths (one
+    at least). A batch is one task of ``ordered_map``: it generates its
+    paths, solves their optima by one ``offline_optimal_many`` call and
+    returns only each replay's averages, which this thread takes in order,
+    so no sweep depends on the number of threads. A ``SlotOverflow`` of a
+    path is raised with ``point`` set to its point's index.
+    """
+    if n_runs < 1:
+        raise ValueError("a sweep needs at least one run")
+
+    def path(point, run):
+        rate, _, _, stem = points[point]
+        try:
+            return generate_bernoulli(BernoulliSource(rate, derive_seed(*stem, run)), n_requests=n_requests)
+        except SlotOverflow as exc:
+            exc.point = point
+            raise
+
+    def batch_averages(batch):
+        paths = [path(point, run) for point, run in batch]
+        models = [points[point][1] for point, _ in batch]
+        solutions = offline_optimal_many(paths, models) if offline_on else [None] * len(batch)
+        return [(point, run, [(label, res.averages) for label, res in _replay(points[point][2], arrivals, model, sol)])
+                for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions)]
+
+    pairs = ((point, run) for point in range(len(points)) for run in range(n_runs))
+    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // n_requests)) if offline_on else 1
+    batches = iter(lambda: list(itertools.islice(pairs, per_batch)), [])
+    # Per-run averages only: each run's replays are dropped once summarized.
+    averages: dict[str, list[tuple[float, float, float]]] = {}
+    for results in ordered_map(batch_averages, batches):
+        for point, run, replays in results:
+            for label, avgs in replays:
+                averages.setdefault(label, []).append(avgs)
+            if run == n_runs - 1:
+                yield point, {label: SweepResult.of_averages(runs) for label, runs in averages.items()}
+                averages = {}
+
+
+def simulate_many(
+    policy: Policy,
+    source: BernoulliSource,
+    n_runs: int,
+    n_requests_per_run: int,
+    model: CostModel,
+) -> SweepResult:
+    """Independent replays on fresh Bernoulli sample paths: ``_monte_carlo``
+    on one point with no offline row, so one run is one task.
+
+    Run i draws its arrivals from a child seed derived from (source.seed, i),
+    so the sweep is reproducible, its runs are independent and it does not
+    depend on the number of threads.
+    """
+    [(_, sweeps)] = _monte_carlo([(source.rate, model, [("", policy, None)], (source.seed,))],
+                                 n_runs, n_requests_per_run, offline_on=False)
+    return sweeps[""]
+
+
 @_QUIET_OVERFLOW
 def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     """Replay policies on shared Bernoulli sample paths across a grid: in a
@@ -356,22 +426,18 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     sweep, the auto (or configured) policies and, if ``include_offline``
     holds and the runs fit ``offline_request_cap``, the offline optimum.
 
-    Every grid point is resolved first. The (point, run) pairs then go in
-    order, in batches of at most ``_BATCH_REQUESTS`` requests and
-    ``_BATCH_PATHS`` paths (one pair at least, and one pair alone with no
-    offline row). A batch is one task of ``ordered_map``: its paths are
-    generated, their offline optima solved by one ``offline_optimal_many``
-    call, each path replayed, and only the per-run averages returned. This
-    thread takes the batches' averages in order and adds a point's rows
-    once its last run is in, so the table does not depend on the number of
-    threads.
+    Every grid point is resolved first; ``_monte_carlo`` then replays the
+    runs of every point, and a point's rows are added once its sweeps are
+    in. A cost past the float range is refused, and so is a rate at which
+    a path passes the int64 slots: ``arrival.rate``, or ``grid[i]`` in a
+    rate sweep.
     """
     if spec.kind not in ("threshold_sweep", "lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected threshold_sweep, lambda_sweep or cost_sweep, got {spec.kind}")
     threshold_sweep = spec.kind == "threshold_sweep"
     offline_on = ("include_offline" in KINDS[spec.kind][1] and spec.include_offline
                   and spec.n_requests <= spec.offline_request_cap)
-    columns = {name: [] for name in COLUMNS}
+    seeds = [derive_seed(spec.base_seed, i) for i in range(len(spec._points))]  # the rows' seed cells
     resolutions = {}
     points = []
     for i, (x, rate, model) in enumerate(spec._points):
@@ -379,48 +445,30 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
                                            rate, model)
         if info:
             resolutions[str(x)] = info
-        point_seed = derive_seed(spec.base_seed, i)  # the rows' seed cell
         # Run r's path seed is derive_seed(*stem, r): simulate_many's rule from
         # the seed cell in a threshold sweep, derive_seed(base_seed, i, r) else.
-        stem = (point_seed,) if threshold_sweep else (spec.base_seed, i)
-        points.append((x, rate, model, policies, point_seed, stem))
-
-    def batch_averages(batch):
-        paths = [generate_bernoulli(BernoulliSource(points[point][1], derive_seed(*points[point][5], run)),
-                                    n_requests=spec.n_requests) for point, run in batch]
-        models = [points[point][2] for point, _ in batch]
-        solutions = offline_optimal_many(paths, models) if offline_on else [None] * len(batch)
-        return [(point, run, [(label, res.averages) for label, res in _replay(points[point][3], arrivals, model, sol)])
-                for (point, run), arrivals, model, sol in zip(batch, paths, models, solutions)]
-
-    pairs = ((point, run) for point in range(len(points)) for run in range(spec.n_runs))
-    per_batch = max(1, min(_BATCH_PATHS, _BATCH_REQUESTS // spec.n_requests)) if offline_on else 1
-    batches = iter(lambda: list(itertools.islice(pairs, per_batch)), [])
-    # Per-run averages only: each run's replays are dropped once summarized.
-    averages: dict[str, list[tuple[float, float, float]]] = {}
+        points.append((rate, model, policies, (seeds[i],) if threshold_sweep else (spec.base_seed, i)))
+    columns = {name: [] for name in COLUMNS}
     outside = []
-    for results in ordered_map(batch_averages, batches):
-        for point, run, replays in results:
-            for label, avgs in replays:
-                averages.setdefault(label, []).append(avgs)
-            if run < spec.n_runs - 1:
-                continue
-            x, _, _, policies, point_seed, _ = points[point]
-            analytic = {label: value for label, _, value in policies} | {"offline": None}
-            for label, runs in averages.items():
-                sweep = SweepResult.of_averages(runs)
+    try:
+        for i, sweeps in _monte_carlo(points, spec.n_runs, spec.n_requests, offline_on):
+            x = spec._points[i][0]
+            analytic = {label: value for label, _, value in points[i][2]} | {"offline": None}
+            for label, sweep in sweeps.items():
                 if not np.isfinite([sweep.mean_avg_total, sweep.stderr]).all():
-                    raise ConfigError(f"grid[{point}]: {label} has mean cost {sweep.mean_avg_total!r} and stderr "
+                    raise ConfigError(f"grid[{i}]: {label} has mean cost {sweep.mean_avg_total!r} and stderr "
                                       f"{sweep.stderr!r}: the model's costs pass the float range")
                 if threshold_sweep and abs(sweep.mean_avg_total - analytic[label]) > 3.0 * sweep.stderr:
                     outside.append(x)
                 row = (x, label, sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness,
-                       sweep.mean_avg_update, analytic[label], spec.n_runs, spec.n_requests, point_seed)
+                       sweep.mean_avg_update, analytic[label], spec.n_runs, spec.n_requests, seeds[i])
                 for cells, value in zip(columns.values(), row):
                     cells.append(value)
-            averages = {}
+    except SlotOverflow as exc:  # a lambda sweep's rates are its grid
+        field = f"grid[{exc.point}]" if spec.kind == "lambda_sweep" else "arrival.rate"
+        raise ConfigError(f"{field}: {exc}") from None
     if threshold_sweep:
-        meta = {"rate": points[-1][1], "mc_within_3_stderr": not outside, "mc_outside_taus": outside}
+        meta = {"rate": spec._points[-1][1], "mc_within_3_stderr": not outside, "mc_outside_taus": outside}
     else:
         meta = {"auto_policies": resolutions, "offline_included": offline_on}
     return ResultTable(columns, {"spec": spec.to_dict(), **meta})
@@ -492,6 +540,10 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         trace = load_trace(**{k: v for k, v in spec.arrival.items() if k != "kind"})
     except OSError as exc:  # a missing or unreadable file is bad input, like a bad field
         raise ConfigError(f"arrival.path: cannot read {spec.arrival['path']!r}: {exc.strerror or exc}") from None
+    except (ParseError, EmptyTrace) as exc:
+        raise ConfigError(f"arrival.path: {exc}") from None
+    except SlotOverflow as exc:
+        raise ConfigError(f"arrival.slot_duration: {exc}") from None
     seq = truncate_requests(trace, spec.n_requests)
     rate_hat = empirical_rate(seq)
     policies, info = _resolve_policies(spec._policies, rate_hat, model)
@@ -658,28 +710,19 @@ def _int_cells(v: np.ndarray, end: int) -> np.ndarray:
     return words.view(np.uint8)[:, 4 * col:25]
 
 
-def _text_cells(cells, end: int) -> np.ndarray:
-    """Field of cells formatted by ``_format_cell``, once per run of the
-    same object."""
-    n = len(cells)
-    new = np.ones(n, bool)
-    new[1:] = ~np.frombuffer(bytes(map(operator.is_, cells[1:], cells[:-1])), bool)
-    texts = [_format_cell(cells[i]).encode() for i in np.flatnonzero(new).tolist()]
-    return _packed(texts, np.cumsum(new) - 1, end)
-
-
 def _cells(chunk, end: int) -> np.ndarray:
     """Field of one column's cells in a chunk: one row of bytes per cell,
-    ending in the byte ``end``, in which NUL bytes are padding."""
-    if isinstance(chunk, Runs):
-        # A value of no row is not a cell: it is neither formatted nor checked.
-        texts = [_format_cell(value).encode() if count else b"" for value, count in zip(chunk.values, chunk.counts)]
-        return _packed(texts, np.repeat(np.arange(len(texts)), chunk.counts), end)
+    ending in the byte ``end``, in which NUL bytes are padding. A chunk of
+    any other column is formatted as the ``Runs`` of one row per cell."""
     if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
         return _float_cells(chunk, end)
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         return _int_cells(chunk, end)
-    return _text_cells(chunk, end)
+    if not isinstance(chunk, Runs):
+        chunk = Runs(chunk, [1] * len(chunk))
+    # A value of no row is not a cell: it is neither formatted nor checked.
+    texts = [_format_cell(value).encode() if count else b"" for value, count in zip(chunk.values, chunk.counts)]
+    return _packed(texts, np.repeat(np.arange(len(texts)), chunk.counts), end)
 
 
 def emit(table: ResultTable, path) -> None:
@@ -693,7 +736,7 @@ def emit(table: ResultTable, path) -> None:
     the kernel cannot place exactly (near a rounding tie, not finite, or in
     exponent notation) is formatted in Python. A ``Runs`` chunk formats
     each of its values once and repeats the bytes over the value's rows;
-    other columns format each run of the same object once. A column object
+    any other column formats each of its cells. A column object
     that appears under two names is formatted once per chunk. Each column
     gives a byte matrix, one row per cell, padded with NUL bytes; a chunk's
     matrices are joined, the padding dropped, and the chunk written with

@@ -37,7 +37,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from agecost import (ArrivalSequence, CostModel, EmptyTrace, OfflineSolution, ParseError, Policy,
-                     StalenessFn, simulate)
+                     SlotOverflow, StalenessFn, simulate)
 from agecost.experiments import COLUMNS
 
 # Slots and ages are plain ints in the oracles.
@@ -339,8 +339,8 @@ def reference_load_trace(path, slot_duration, on_malformed, skipped):
         raise EmptyTrace(f"no usable timestamps in {path}")
     lo, hi = min(stamps), max(stamps)
     if not (hi - lo) / slot_duration < 2**63:
-        raise ValueError(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
-                         "needs more slots than int64 holds")
+        raise SlotOverflow(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
+                           "needs more slots than int64 holds")
     slot_ids = np.floor((np.asarray(stamps) - lo) / slot_duration).astype(np.int64) + 1
     slots, counts = np.unique(slot_ids, return_counts=True)
     return ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=counts.astype(np.int64))

@@ -1,5 +1,6 @@
 import locale
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from agecost import (
     EmptyTrace,
     InvalidRate,
     ParseError,
+    SlotOverflow,
     empirical_rate,
     generate_bernoulli,
     load_trace,
@@ -119,7 +121,7 @@ def test_load_trace_span_beyond_int64(tmp_path):
     path = tmp_path / "t.csv"
     for lines, slot_duration in ((("1e308", "-1e308"), 1.0), (("0", "9e18"), 1e-3)):
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="span .*slot_duration") as err:
+        with pytest.raises(SlotOverflow, match="span .*slot_duration") as err:
             load_trace(path, slot_duration)
         assert not isinstance(err.value, ParseError)
         assert repr(slot_duration) in str(err.value)
@@ -148,6 +150,18 @@ def test_sequence_validation():
         ArrivalSequence(horizon=5, slots=np.array([3, 3]), counts=np.array([1, 1]))
     with pytest.raises(ValueError):
         ArrivalSequence(horizon=5, slots=np.array([3]), counts=np.array([0]))
+    # -2 - (2^63 - 1) wraps to a positive int64, so an order check by
+    # differences passed these slots.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ArrivalSequence(horizon=10, slots=np.array([2**63 - 1, -2, 3]), counts=np.ones(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-16])
+def test_a_path_past_the_int64_slots_is_refused(rate):
+    # The cumsum of the gaps wraps in int64: at 1e-16 the slots ran from
+    # -9.2e18 to 9.2e18 and the horizon was -8.3e18.
+    with pytest.raises(SlotOverflow, match=re.escape(f"1000 requests at rate {rate!r} pass the last int64 slot")):
+        generate_bernoulli(BernoulliSource(rate, 3), n_requests=1000)
 
 
 # Whitespace that float() strips ("\x85", "\xa0", "\u2028", "\u3000", ...)

@@ -24,7 +24,7 @@ from agecost import (
     simulate_many,
     threshold_avg_cost,
 )
-from agecost import engine
+from agecost import engine, experiments
 from agecost.arrivals import derive_seed
 from agecost.engine import _DOUBLE_BELOW, _doubling_levels, _follow, _update_schedule, ordered_map
 
@@ -530,15 +530,15 @@ def test_simulate_many_is_the_same_on_any_number_of_threads(monkeypatch):
     for cpus in (1, 4):
         _force_cpus(monkeypatch, cpus)
         threads = set()
-        real_simulate = engine.simulate
+        real_simulate = experiments.simulate
 
         def spy(*args):
             threads.add(threading.get_ident())
             return real_simulate(*args)
 
-        monkeypatch.setattr(engine, "simulate", spy)
+        monkeypatch.setattr(experiments, "simulate", spy)
         sweeps[cpus] = simulate_many(Policy.threshold(6), BernoulliSource(0.3, 17), 40, 2_000, m)
-        monkeypatch.setattr(engine, "simulate", real_simulate)
+        monkeypatch.setattr(experiments, "simulate", real_simulate)
         assert (threads == {threading.get_ident()}) == (cpus == 1)
     for field in ("avg_total", "avg_staleness", "avg_update"):
         assert np.array_equal(getattr(sweeps[1], field), getattr(sweeps[4], field))

@@ -29,7 +29,6 @@ from agecost import (
     generate_bernoulli,
     offline_optimal,
     simulate,
-    simulate_many,
 )
 from agecost import engine
 from agecost.arrivals import derive_seed
@@ -332,15 +331,18 @@ def test_each_bernoulli_kind_draws_its_paths_by_its_own_seed_rule():
     # Old sidecars reproduce their CSVs only while each kind keeps its rule.
     # A threshold sweep's row is simulate_many from the row's seed cell, so
     # run r of point i draws at derive_seed(derive_seed(base_seed, i), r),
-    # and it has no offline row.
+    # and it has no offline row. Both run the same loop, so the rows are
+    # rebuilt here path by path.
     spec = sweep_spec(grid=[3, 8], n_runs=3, n_requests=200)
     rows = run_policy_comparison(spec).rows
     assert [r["policy_label"] for r in rows] == ["threshold(3)", "threshold(8)"]
     for i, row in enumerate(rows):
         assert row["seed"] == derive_seed(spec.base_seed, i)
-        sweep = simulate_many(Policy.threshold(row["x_value"]), BernoulliSource(0.1, row["seed"]), 3, 200,
-                              spec._model)
-        assert (row["mean_cost"], row["stderr"]) == (sweep.mean_avg_total, sweep.stderr)
+        paths = [generate_bernoulli(BernoulliSource(0.1, derive_seed(row["seed"], r)), n_requests=200)
+                 for r in range(3)]
+        sweep = SweepResult.of(simulate(Policy.threshold(row["x_value"]), p, spec._model) for p in paths)
+        assert (row["mean_cost"], row["stderr"], row["mean_staleness"], row["mean_update"]) == (
+            sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness, sweep.mean_avg_update)
     # A comparison's run r of point i draws at derive_seed(base_seed, i, r).
     configured = [{"kind": "threshold", "tau": 3}, {"kind": "naive"}, {"kind": "periodic", "d": 4}]
     spec = comparison_spec("cost_sweep", [10, 40], policies=configured)
@@ -886,6 +888,46 @@ def test_missing_trace_file_exits_1_naming_the_path(tmp_path, capsys):
         assert capsys.readouterr().err == (f"configuration error: arrival.path: cannot read {str(missing)!r}: "
                                            "No such file or directory\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,grid,field", [
+    (["sweep-threshold", "--tau", "5"], None, "arrival.rate"),
+    (["compare", "--sweep", "cost"], [50], "arrival.rate"),
+    # Both points' paths are in one batch; the second's pass the last slot.
+    (["compare", "--sweep", "lambda"], [0.5, 1e-16], "grid[1]"),
+], ids=["threshold", "cost", "lambda"])
+def test_a_rate_whose_paths_pass_the_int64_slots_exits_1(argv, grid, field, tmp_path, capsys):
+    # The slots of 1000 requests at rate 1e-16 wrap in int64; they used to
+    # be replayed into a mean cost of 4e18 against an analytic cost of 100.
+    spec = {"n_runs": 2, "n_requests": 1000, "model": {"staleness": {"kind": "linear"}, "update_cost": 100}}
+    if grid is None:
+        spec["arrival"] = {"kind": "bernoulli", "rate": 1e-16}
+    else:  # a configured policy: the auto period at this rate would be priced over ~1e9 ages
+        spec.update(grid=grid, policies=[{"kind": "threshold", "tau": 5}],
+                    arrival={"kind": "bernoulli"} if argv[-1] == "lambda" else {"kind": "bernoulli", "rate": 1e-16})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    out = tmp_path / "never.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"configuration error: {field}: 1000 requests at rate 1e-16 "
+                                       "pass the last int64 slot\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,slot_duration,message", [
+    ("1.0\nabc\n2.0\n", "1.0", "arrival.path: line 2: cannot parse timestamp from 'abc'"),
+    ("\n \n\n", "1.0", "arrival.path: no usable timestamps in {path}"),
+    ("0\n1\n", "1e-300", "arrival.slot_duration: timestamps span 0.0 to 1.0, which at slot_duration=1e-300 "
+                          "needs more slots than int64 holds"),
+], ids=["malformed-line", "blank-lines", "span"])
+def test_trace_content_errors_exit_1_naming_the_field(text, slot_duration, message, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    out = tmp_path / "never.csv"
+    argv = ["trace-compare", "--trace", str(trace), "--slot-duration", slot_duration, "--p", "25", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: {message.format(path=trace)}\n"
+    assert not out.exists()
 
 
 def test_non_finite_costs_exit_1(tmp_path, capsys):
