@@ -113,11 +113,9 @@ def _first_reach(margins, level: float, stop: int | None) -> int | None:
         n *= 2
 
 
-def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
-    """Cost-minimizing integer threshold, never above the cap threshold.
-
-    ``tau_star`` is the first minimizer of the closed form c over [1, cap],
-    bit for bit as if every tau were priced. With D(k) = rate·k + 1,
+def _first_minimizer(rate: float, model: CostModel, delta_star: int) -> tuple[int, float]:
+    """(tau*, c(tau*)): the first minimizer of the closed form c over [1, cap]
+    and its price, bit for bit as if every tau were priced. With D(k) = rate·k + 1,
     c(k + 2) - c(k + 1) = rate·(f(k + 1) - c(k + 1)) / D(k + 1), and
     f(k + 1) - c(k + 1) = (g(k) - p) / D(k) with g(k) = D(k)·f(k + 1) -
     rate·F(k) non-decreasing: c falls up to the first k where g(k) >= p and
@@ -127,13 +125,8 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     relative (j + 6)·2^-53 at most (cap <= 2^50), which half of 2R covers;
     the rest lifts every later c(k' + 1) above the minimum by at least
     rate·(k' - k)·R·c(k + 1) / D(k') >= (k' + k + 12)·2^-52·c(k + 1), more
-    than the rounding of both prices. The continuous minimizer is reported
-    beside it: in closed form (linear penalty), by root-finding (quadratic),
-    else ``tau_star`` itself.
+    than the rounding of both prices.
     """
-    check_rate(rate)
-    p = model.update_cost
-    delta_star = cap_threshold(model)
 
     def margins(n: int) -> np.ndarray:
         n = min(n, delta_star)
@@ -143,6 +136,21 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     end = _first_reach(margins, 0.0, delta_star)
     costs = _threshold_costs(rate, model, delta_star if end is None else end + 1)
     tau_star = int(np.argmin(costs)) + 1
+    return tau_star, float(costs[tau_star - 1])
+
+
+def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
+    """Cost-minimizing integer threshold, never above the cap threshold.
+
+    ``tau_star`` is the first minimizer of the closed form over [1, cap]
+    (``_first_minimizer``). The continuous minimizer is reported beside it:
+    in closed form (linear penalty), by root-finding (quadratic), else
+    ``tau_star`` itself.
+    """
+    check_rate(rate)
+    p = model.update_cost
+    delta_star = cap_threshold(model)
+    tau_star, cost = _first_minimizer(rate, model, delta_star)
 
     kind = model.staleness.kind
     if kind == "linear":
@@ -155,7 +163,7 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
     return ThresholdSolution(
         tau_star=tau_star,
         tau_continuous=tau_c,
-        cost_at_tau_star=float(costs[tau_star - 1]),
+        cost_at_tau_star=cost,
         clamped_to_cap=math.ceil(tau_c) > delta_star,
     )
 

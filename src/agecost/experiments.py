@@ -188,6 +188,8 @@ class ExperimentSpec:
             # An int would open that file descriptor (0 reads stdin).
             if not isinstance(self.arrival["path"], str):
                 raise ConfigError(f"arrival.path: must be a string, got {self.arrival['path']!r}")
+            if "\0" in self.arrival["path"]:  # open() would refuse it with a bare ValueError
+                raise ConfigError(f"arrival.path: must not hold a NUL character, got {self.arrival['path']!r}")
             try:  # the options are named as load_trace's parameters
                 check_trace_options(**{k: v for k, v in self.arrival.items() if k not in ("kind", "path")})
             except ValueError as exc:
@@ -540,6 +542,8 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         trace = load_trace(**{k: v for k, v in spec.arrival.items() if k != "kind"})
     except OSError as exc:  # a missing or unreadable file is bad input, like a bad field
         raise ConfigError(f"arrival.path: cannot read {spec.arrival['path']!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"arrival.path: cannot read {spec.arrival['path']!r}: {exc}") from None
     except (ParseError, EmptyTrace) as exc:
         raise ConfigError(f"arrival.path: {exc}") from None
     except SlotOverflow as exc:

@@ -10,7 +10,13 @@ many ages a solution reports.
 
 Both criteria are solved exactly by policy iteration (Howard 1960; Puterman
 1994, sections 6.4 and 8.6): evaluate the policy with one backward scan, then
-switch every action the other one strictly beats, until none switches.
+switch every action the other one strictly beats, until none switches. The
+search starts at the paper's threshold policy, which updates at every age
+>= the closed-form tau* of ``analysis``. Under the average criterion that
+policy is optimal, so one evaluation usually ends the search. The closed
+form is only where the search starts: the step at which no action switches
+is the Bellman optimality check, and a start that is not optimal (the
+discounted optimum can sit at another threshold) is switched away.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _first_minimizer
 from .core import CostModel, as_int, cap_threshold, check_rate
 
 
@@ -120,26 +127,30 @@ def _evaluate(updates: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray
 
 
 def _solve(config: MdpConfig, average: bool) -> MdpSolution:
-    """Policy iteration from the policy that skips at every age below the cap.
+    """Policy iteration from the threshold policy at the closed-form tau*.
 
     An action switches only where the other one is strictly better, and the
     loop stops when none does. The optimal policy is a threshold and a few
     evaluations reach it; more than Delta* + 2 mean rounding made it cycle at
     a near-tie, an error, not a tuning matter.
     """
-    f = config.model.staleness.eval_array(np.arange(config.delta_star + 1))
+    ds = config.delta_star
+    f = config.model.staleness.eval_array(np.arange(ds + 1))
     f[-1] = np.inf  # the lumped state must update
     disc = 1.0 if average else config.discount
-    updates = np.isinf(f)
-    for iterations in range(1, config.delta_star + 3):
+    # tau* <= Delta*, so the lumped state updates from the start.
+    updates = np.arange(ds + 1) >= _first_minimizer(config.rate, config.model, ds)[0]
+    for iterations in range(1, ds + 3):
         values, gain = _evaluate(updates, config, disc, f, average)
         update_val, skip_val = _backup(values, config, disc, f)
         switch = np.where(updates, skip_val < update_val, update_val < skip_val)
-        if not switch.any():  # report ages 0..state_cap
-            pad = config.state_cap - config.delta_star
-            actions = np.pad((update_val < skip_val).astype(np.int8), (0, pad), constant_values=1)
+        if not switch.any():  # report ages 0..state_cap; the lumped state's from Delta* up
+            actions = np.ones(config.state_cap + 1, dtype=np.int8)
+            actions[:ds] = skip_val[:ds] > update_val
+            reported = np.full(config.state_cap + 1, values[ds])
+            reported[:ds] = values[:ds]
             return MdpSolution(
-                values=np.pad(values, (0, pad), mode="edge"),
+                values=reported,
                 gain=gain if average else None,
                 # The lumped state always updates, so some action is 1.
                 threshold=int(np.argmax(actions[1:])) + 1,
@@ -148,7 +159,7 @@ def _solve(config: MdpConfig, average: bool) -> MdpSolution:
                 residual=float(np.max(np.abs(np.minimum(update_val, skip_val) - gain - values))),
             )
         updates ^= switch
-    raise RuntimeError(f"policy iteration did not settle within {config.delta_star + 2} steps")
+    raise RuntimeError(f"policy iteration did not settle within {ds + 2} steps")
 
 
 def solve_discounted(config: MdpConfig) -> MdpSolution:

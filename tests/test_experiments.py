@@ -286,6 +286,11 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
         cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": path}}))
         assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1, path
         assert capsys.readouterr().err.startswith(f"configuration error: arrival.path: must be a string, got {path}")
+    # open() refuses a NUL with a ValueError of its own, which used to exit 2.
+    cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": "a\u0000b"}}))
+    assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err == "configuration error: arrival.path: must not hold a NUL character, got 'a\\x00b'\n"
+    assert not (tmp_path / "never.csv").exists()
     # A trace arrival with no slot length is refused as incomplete; it used
     # to read as slot_duration 0, a value nobody gave.
     assert main(["trace-compare", "--trace", str(trace), "--p", "25", "--out", str(tmp_path / "never.csv")]) == 1
@@ -919,10 +924,12 @@ def test_a_rate_whose_paths_pass_the_int64_slots_exits_1(argv, grid, field, tmp_
     ("\n \n\n", "1.0", "arrival.path: no usable timestamps in {path}"),
     ("0\n1\n", "1e-300", "arrival.slot_duration: timestamps span 0.0 to 1.0, which at slot_duration=1e-300 "
                           "needs more slots than int64 holds"),
-], ids=["malformed-line", "blank-lines", "span"])
+    ("1.0\n\xff\n", "1.0", "arrival.path: cannot read '{path}': 'utf-8' codec can't decode byte 0xff in "
+                           "position 4: invalid start byte"),
+], ids=["malformed-line", "blank-lines", "span", "not-utf-8"])
 def test_trace_content_errors_exit_1_naming_the_field(text, slot_duration, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    trace.write_text(text)
+    trace.write_bytes(text.encode("latin-1"))  # "\xff" is the one byte 0xff, which is not UTF-8
     out = tmp_path / "never.csv"
     argv = ["trace-compare", "--trace", str(trace), "--slot-duration", slot_duration, "--p", "25", "--out", str(out)]
     assert main(argv) == 1

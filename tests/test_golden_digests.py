@@ -119,3 +119,21 @@ def test_mixed_window_cost_sweep_csv_digest_is_pinned(tmp_path, capsys):
     assert main(["compare", "--sweep", "cost", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "0979e4127e1386ac22a0e9e70bca6711a6b92eb21e840305c9ac4fa9e3aaee96"
+
+
+@pytest.mark.parametrize("staleness, digest, stdout", [
+    ("linear", "f2e7e50d145591cba313f020d45cf1e4bb7dbf90aa081e49f484b88296dd89d4", "gain=36.2173913 threshold=37"),
+    ("quadratic", "4652ddd1006ab014039cf268d2d4d3643dda65a3831f283603043dda75ebd4b5", "gain=66.88888889 threshold=9"),
+])
+def test_solve_mdp_dump_digest_is_pinned(staleness, digest, stdout, tmp_path, capsys):
+    # The README `solve-mdp` and its quadratic twin: the relative values,
+    # actions, gain and threshold. The iteration count is not pinned; it
+    # depends on where policy iteration starts, not on what it reaches.
+    out = tmp_path / "policy.csv"
+    argv = ["solve-mdp", "--lambda", "0.1", "--p", "100", "--staleness", staleness, "--out", str(out)]
+    assert main(argv) == 0
+    gain, threshold = capsys.readouterr().out.split()[:2]
+    assert f"{gain} {threshold}" == stdout
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1026
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -19,7 +19,8 @@ from agecost import (
     write_policy_csv,
 )
 
-from agecost.mdp import _scan, _skip_continuation
+from agecost import mdp
+from agecost.mdp import _backup, _scan, _skip_continuation
 
 from oracles import dense_continuation, dense_value_iteration, extract_threshold
 
@@ -221,17 +222,22 @@ def test_scan_matches_sequential_backward_loop(data):
 @st.composite
 def mdp_case(draw):
     rate = draw(st.floats(min_value=0.05, max_value=0.97))
-    kind = draw(st.sampled_from(["linear", "quadratic", "table"]))
+    kind = draw(st.sampled_from(["linear", "quadratic", "table", "piecewise"]))
     if kind == "linear":
         model = CostModel(LINEAR, draw(st.floats(min_value=0.2, max_value=60.0)))
     elif kind == "quadratic":
         model = CostModel(StalenessFn.quadratic(), draw(st.floats(min_value=0.2, max_value=3000.0)))
     else:
         steps = draw(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=40))
-        table = np.concatenate(([0.0], np.cumsum(steps)))
-        p = draw(st.floats(min_value=0.1, max_value=1.0)) * max(table[-1], 0.1)
-        assume(table[-1] >= p)
-        model = CostModel(StalenessFn.from_table(table), p)
+        values = np.cumsum(steps)
+        p = draw(st.floats(min_value=0.1, max_value=1.0)) * max(values[-1], 0.1)
+        assume(values[-1] >= p)
+        if kind == "table":
+            model = CostModel(StalenessFn.from_table(np.concatenate(([0.0], values))), p)
+        else:
+            starts = sorted(draw(st.sets(st.integers(min_value=1, max_value=80),
+                                         min_size=values.size, max_size=values.size)))
+            model = CostModel(StalenessFn.piecewise(zip(starts, values)), p)
     cap = draw(st.integers(min_value=cap_threshold(model) + 1, max_value=96))
     return MdpConfig(rate=rate, model=model, state_cap=cap, discount=draw(st.floats(0.5, 0.99)))
 
@@ -260,6 +266,29 @@ def test_solvers_match_dense_value_iteration(cfg):
             assert abs(sol.gain - gain) <= 1e-9
         else:
             assert sol.gain is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(mdp_case())
+def test_any_threshold_start_reaches_the_same_solution(cfg):
+    # Policy iteration starts at the closed-form tau*, but that is only a
+    # start: from 1, the cap or tau* +- 3 it must reach the same policy.
+    # Exact ties could settle either way, so near-ties are skipped.
+    ds = cfg.delta_star
+    tau = optimal_threshold(cfg.rate, cfg.model).tau_star
+    f = cfg.model.staleness.eval_array(np.arange(ds + 1))
+    f[-1] = np.inf
+    for solve, disc in ((solve_average, 1.0), (solve_discounted, cfg.discount)):
+        true = solve(cfg)
+        update_val, skip_val = _backup(true.values[: ds + 1], cfg, disc, f)
+        assume(np.all(np.abs(skip_val[:ds] - update_val) > 1e-7))
+        for start in {1, ds, max(tau - 3, 1), min(tau + 3, ds)}:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mdp, "_first_minimizer", lambda rate, model, delta_star: (start, np.nan))
+                sol = solve(cfg)
+            assert (sol.gain, sol.threshold) == (true.gain, true.threshold)
+            assert np.array_equal(sol.actions, true.actions)
+            assert np.allclose(sol.values, true.values, rtol=1e-12, atol=0.0)
 
 
 def test_import_needs_no_scipy():
