@@ -58,15 +58,29 @@ def _penalty_prefix(model: CostModel, n: int) -> np.ndarray:
     return np.cumsum(f, out=f)
 
 
-def _threshold_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
-    """threshold_avg_cost for tau = 1..hi."""
-    return (rate * _penalty_prefix(model, hi) + model.update_cost) / (rate * np.arange(hi, dtype=np.float64) + 1.0)
+def _periodic_costs(rate: float, p: float, prefix: np.ndarray) -> np.ndarray:
+    """periodic_avg_cost for d = 1..prefix.size, from F(0..d-1)."""
+    d = np.arange(1, prefix.size + 1, dtype=np.float64)
+    return (p + rate * prefix) / (rate * d)
 
 
-def _periodic_costs(rate: float, model: CostModel, hi: int) -> np.ndarray:
-    """periodic_avg_cost for d = 1..hi."""
-    d = np.arange(1, hi + 1, dtype=np.float64)
-    return (model.update_cost + rate * _penalty_prefix(model, hi)) / (rate * d)
+def _windows(model: CostModel, cap: int | None):
+    """Yield (n, f, F) for windows of n = 64, 128, ... ages, n never past
+    ``cap``: f holds f(0..n), each age evaluated once, and F = cumsum(f[:n])
+    holds F(0..n-1), the ``_penalty_prefix`` of n ages. A prefix of one
+    age-order cumsum is bit for bit a shorter one, so a price read off a
+    window is the price every other path gives. The first window has 64
+    ages, not 16: numpy's per-call cost dominates so small a window (one
+    window's pricing took 6.2 us at 16 ages and 6.4 us at 64 on a 2-core
+    Xeon), so a crossing below 64, such as the README's tau* = 37, takes one
+    window where it took three.
+    """
+    n = 64
+    while True:
+        n = n if cap is None else min(n, cap)
+        f = model.staleness.eval_array(np.arange(n + 1))
+        yield n, f, np.cumsum(f[:n])
+        n *= 2
 
 
 def threshold_avg_cost(rate: float, model: CostModel, tau: int) -> float:
@@ -100,41 +114,30 @@ def _quadratic_tau_continuous(rate: float, p: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _first_reach(margins, level: float, stop: int | None) -> int | None:
-    """Index of the first entry >= level in margins(n), for n = 16, 32, ...:
-    the first window that holds one; None once n passes ``stop``."""
-    n = 16
-    while True:
-        hits = np.flatnonzero(margins(n) >= level)
-        if hits.size:
-            return int(hits[0])
-        if stop is not None and n > stop:
-            return None
-        n *= 2
-
-
 def _first_minimizer(rate: float, model: CostModel, delta_star: int) -> tuple[int, float]:
     """(tau*, c(tau*)): the first minimizer of the closed form c over [1, cap]
     and its price, bit for bit as if every tau were priced. With D(k) = rate·k + 1,
     c(k + 2) - c(k + 1) = rate·(f(k + 1) - c(k + 1)) / D(k + 1), and
     f(k + 1) - c(k + 1) = (g(k) - p) / D(k) with g(k) = D(k)·f(k + 1) -
     rate·F(k) non-decreasing: c falls up to the first k where g(k) >= p and
-    never after. Prices stop, found by doubling and never past the cap, at
-    the first k where f(k + 1) >= c(k + 1)·(1 + 2R) in a window of n ages,
+    never after. Prices stop, found by doubling windows of n ages (never
+    past the cap), at the first k where f(k + 1) >= c(k + 1)·(1 + 2R),
     R = ((2n + 11)(n + 1/rate) + cap)·2^-52. A computed c(j + 1) is off by a
     relative (j + 6)·2^-53 at most (cap <= 2^50), which half of 2R covers;
     the rest lifts every later c(k' + 1) above the minimum by at least
     rate·(k' - k)·R·c(k + 1) / D(k') >= (k' + k + 12)·2^-52·c(k + 1), more
-    than the rounding of both prices.
+    than the rounding of both prices. Each window is priced once, and the
+    argmin is taken over the prices of the window that found the crossing.
     """
-
-    def margins(n: int) -> np.ndarray:
-        n = min(n, delta_star)
+    p = model.update_cost
+    for n, f, prefix in _windows(model, delta_star):
+        costs = (rate * prefix + p) / (rate * np.arange(n, dtype=np.float64) + 1.0)
         slack = 1.0 + 2.0**-51 * ((2.0 * n + 11.0) * (n + 1.0 / rate) + delta_star)
-        return model.staleness.eval_array(np.arange(1, n + 1)) - _threshold_costs(rate, model, n) * slack
-
-    end = _first_reach(margins, 0.0, delta_star)
-    costs = _threshold_costs(rate, model, delta_star if end is None else end + 1)
+        hits = np.flatnonzero(f[1:] >= costs * slack)
+        if hits.size or n == delta_star:
+            break
+    if hits.size:
+        costs = costs[: hits[0] + 1]
     tau_star = int(np.argmin(costs)) + 1
     return tau_star, float(costs[tau_star - 1])
 
@@ -175,7 +178,7 @@ def periodic_avg_cost(rate: float, model: CostModel, d: int) -> float:
     d = as_int(d, "d")
     if d < 1:
         raise ValueError("period must be >= 1")
-    return float(_periodic_costs(rate, model, d)[-1])
+    return float(_periodic_costs(rate, model.update_cost, _penalty_prefix(model, d))[-1])
 
 
 def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
@@ -188,25 +191,28 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
     >= 0, so the cost falls strictly up to the first d with h(d) >= p/rate
     (found by doubling) and never after; the smallest minimizer up to there
     is returned. A held penalty keeps h constant from where it is held; if h
-    is still below p/rate there, no finite period is optimal.
+    is still below p/rate there, no finite period is optimal. The doubling
+    windows are those of ``_first_minimizer``, never past the held age, and
+    each is priced once: the costs come from the prefix of the window that
+    found the crossing.
     """
     check_rate(rate)
-    d_c = math.sqrt(2.0 * model.update_cost / rate)
+    p = model.update_cost
+    d_c = math.sqrt(2.0 * p / rate)
     if model.staleness.kind == "linear":
         lo, hi = max(math.floor(d_c), 1), max(math.ceil(d_c), 1)
-        costs = _periodic_costs(rate, model, hi)
+        costs = _periodic_costs(rate, p, _penalty_prefix(model, hi))
         best = hi if costs[hi - 1] <= costs[lo - 1] else lo
         return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=float(costs[best - 1]))
     held = model.staleness.held_from
-
-    def margins(n: int) -> np.ndarray:
-        d = np.arange(1, n + 1)
-        return d * model.staleness.eval_array(d) - _penalty_prefix(model, n)
-
-    reached = _first_reach(margins, model.update_cost / rate, held)
-    if reached is None:
+    level = p / rate
+    for n, f, prefix in _windows(model, held):
+        hits = np.flatnonzero(np.arange(1, n + 1) * f[1:] - prefix >= level)
+        if hits.size or n == held:
+            break
+    if not hits.size:
         return PeriodSolution(d_star=None, d_continuous=None, cost_at_d_star=model.staleness(held))
-    costs = _periodic_costs(rate, model, reached + 1)
+    costs = _periodic_costs(rate, p, prefix[: hits[0] + 1])
     best = int(np.argmin(costs)) + 1
     return PeriodSolution(d_star=best, d_continuous=float(best), cost_at_d_star=float(costs[best - 1]))
 

@@ -29,11 +29,18 @@ from .analysis import _first_minimizer
 from .core import CostModel, as_int, cap_threshold, check_rate
 
 
+# Largest ``state_cap``: a solution reports one value and one action per age
+# up to it, so a larger cap only asks for arrays of that size.
+MAX_STATE_CAP = 2**24
+
+
 @dataclass(frozen=True)
 class MdpConfig:
     """Problem instance. ``state_cap`` is the largest age a solution reports,
-    read through ``as_int``; it must reach the lumped state Delta*, and it
-    changes no solved number."""
+    read through ``as_int``; it must reach the lumped state Delta*, must not
+    exceed ``MAX_STATE_CAP`` = 2^24 (checked before any array is built, so a
+    model with Delta* >= 2^24 has no config), and it changes no solved
+    number."""
 
     rate: float
     model: CostModel
@@ -44,6 +51,8 @@ class MdpConfig:
     def __post_init__(self) -> None:
         check_rate(self.rate, allow_one=False)
         object.__setattr__(self, "state_cap", as_int(self.state_cap, "state_cap"))
+        if self.state_cap > MAX_STATE_CAP:
+            raise ValueError(f"state_cap must be <= 2^24 = {MAX_STATE_CAP}, got {self.state_cap}")
         ds = cap_threshold(self.model)
         if self.state_cap < ds + 1:
             raise ValueError(f"state_cap must be >= cap threshold + 1 = {ds + 1}")
@@ -94,9 +103,12 @@ def _scan(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _skip_continuation(values: np.ndarray, rate: float) -> np.ndarray:
     """K[s] = E[values(next age) | skip at age s] = rate*values[s+1] +
     (1-rate)*K[s+1], K[S] = values[S] in the lumped state S: _scan with a
-    constant multiplier. K[0] is also the post-update continuation, since an
-    update restarts the age at 1."""
-    return _scan(np.append(rate * values[1:], values[-1]), np.full(values.size, 1.0 - rate))
+    constant multiplier, its right-hand side written into one array. K[0] is
+    also the post-update continuation, since an update restarts the age at 1."""
+    a = np.empty(values.size)
+    np.multiply(rate, values[1:], out=a[:-1])
+    a[-1] = values[-1]
+    return _scan(a, np.full(values.size, 1.0 - rate))
 
 
 def _backup(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray):
@@ -112,14 +124,22 @@ def _evaluate(updates: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray
     continuation and c = K[0]. Put into K's recurrence, they make one scan,
     affine in x = c for the discounted criterion (g = 0) or in x = g for the
     average one (c = 0 fixes the free constant of relative values, which are
-    then shifted to h(1) = 0); K[0] = c then gives x.
+    then shifted to h(1) = 0); K[0] = c then gives x. The scan's two
+    right-hand sides are filled into one (2, S) array: rate times the next
+    age's cost and rate times the coefficient of x, except in the lumped
+    state S, which pays p and maps to itself.
     """
     rate, p = config.rate, config.model.update_cost
     cost = np.where(updates, p, f)
-    nxt = np.append(updates[1:], True)  # the lumped state maps to itself
-    x_coef = np.full(f.size, -1.0) if average else disc * nxt
-    K0, K1 = _scan(np.append(np.full(f.size - 1, rate), 1.0) * np.array([np.append(cost[1:], p), x_coef]),
-                   np.where(nxt, 1.0 - rate, 1.0 - rate + rate * disc))
+    nxt = np.empty(f.size, dtype=bool)
+    nxt[:-1] = updates[1:]
+    nxt[-1] = True  # the lumped state maps to itself
+    a = np.empty((2, f.size))
+    a[0, :-1] = cost[1:]
+    a[0, -1] = p
+    a[1] = -1.0 if average else disc * nxt
+    a[:, :-1] *= rate
+    K0, K1 = _scan(a, np.where(nxt, 1.0 - rate, 1.0 - rate + rate * disc))
     x = float(-K0[0] / K1[0] if average else K0[0] / (1.0 - K1[0]))
     c, g = (0.0, x) if average else (x, 0.0)
     values = cost + disc * np.where(updates, c, K0 + K1 * x) - g

@@ -85,6 +85,11 @@ def test_optimal_threshold_trace_operating_point():
 @example(0.1, CostModel(LINEAR, 7.5))  # an exact tie that rounding gives to tau = 7 over 6
 @example(0.5, CostModel(StalenessFn.from_table([0, 1, 3, 3, 3, 3, 3, 10]), 4.0))  # tau = 2..7 all at 3.0
 @example(0.3, CostModel(StalenessFn.from_table([0, 5]), 5.0))  # g(k) = p for every k
+# The search prices windows of 64, 128, ... ages, never past Δ*.
+@example(0.001, CostModel(LINEAR, 64.0))  # Δ* = 64 is the first window
+@example(0.001, CostModel(LINEAR, 65.0))  # Δ* = 65, one past it; tau* = 64 ends the first window
+@example(0.0675, CostModel(LINEAR, 200.0))  # tau* = 64, the last age of the first window
+@example(0.5, CostModel(StalenessFn.from_table([0] + [1.0] * 63 + [100.0]), 100.0))  # tau* = Δ* = 64
 def test_optimal_threshold_exhaustive_over_cap_range(rate, m):
     # Bit for bit the first minimizer of the closed form priced over all of
     # [1, Δ*], though the search prices only a window past the crossing.
@@ -232,6 +237,10 @@ def test_every_path_prices_a_policy_identically(case):
 
 @settings(max_examples=150, deadline=None)
 @given(penalty_case())
+# h(d) reaches p/rate first at d = 64, the last period of the first window
+# of 64, and at d = 65, the first period of the next.
+@example((0.1, CostModel(StalenessFn.piecewise([(1, 0.5), (64, 60.0)]), 50.0)))
+@example((0.1, CostModel(StalenessFn.piecewise([(1, 0.5), (65, 60.0)]), 50.0)))
 def test_optimal_period_matches_scan_oracle(case):
     rate, m = case
     if m.staleness.kind == "linear":

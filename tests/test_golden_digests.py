@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from agecost import CostModel, MdpConfig, solve_average, solve_discounted
 from agecost.cli import main
 
 from oracles import make_trace
@@ -137,3 +138,66 @@ def test_solve_mdp_dump_digest_is_pinned(staleness, digest, stdout, tmp_path, ca
     data = out.read_bytes()
     assert data.count(b"\n") == 1026
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+MDP_MODELS = {
+    "linear": ({"kind": "linear"}, 100.0),
+    "quadratic": ({"kind": "quadratic"}, 100.0),
+    "table": (PENALTIES["table"], 40.0),
+    "piecewise": (PENALTIES["piecewise"], 40.0),
+}
+
+MDP_DIGESTS = {
+    "linear/average":
+        "efc274e1889364221a37c9f5337deb77196dca76d3143fdf0c034eecb898b715",
+    "linear/discounted=0.9":
+        "872a1246ae1f7702ff3eff75202ca41496471b2edc2ab29c5708e9f4589e5dc5",
+    "linear/discounted=0.999":
+        "d42ded54c712174e2b0e3884e5b7ea2e28d291512386244da19fa9bc8a3a992c",
+    "piecewise/average":
+        "55b337ce7b66da333b1cc70d0e47c158d32b80cf309580cb82535a5637e89867",
+    "piecewise/discounted=0.9":
+        "e25de03b3e429a83138bc2d3844d528271e7c401dad1ab93a4a4c30ebda922e0",
+    "piecewise/discounted=0.999":
+        "012edf2116d78f31a03ba196e599c52f4de275398e4311a4e1495976841cbb67",
+    "quadratic/average":
+        "a9aa4cf737e64dda1922be0c1a02a0d30467700fd2ab88bc13f9c567e05f97fb",
+    "quadratic/discounted=0.9":
+        "eca7512b838f61c1cd834bf74cfe02174045a5e50e8a2617f8bdba12da538bb1",
+    "quadratic/discounted=0.999":
+        "0beedac44e82b444a7c6712d0f621c725c49e047515f131a8733c5119fce0f44",
+    "table/average":
+        "29622a88598ecc114e6b0a14a646b2894356c272cd3f4959eb5298611603bfd1",
+    "table/discounted=0.9":
+        "9d653bfbce54c77d4cf20e88f69108d632c6204f6b8f4f62fc5405356f72309e",
+    "table/discounted=0.999":
+        "f2d3341e89886ce644cd871013c3ea93a54331cb0cc9d8f27826dbb5ccac28c8",
+}
+
+
+MDP_CRITERIA = {"average": None, "discounted=0.9": 0.9, "discounted=0.999": 0.999}
+
+
+def _mdp_digest(penalty, criterion):
+    staleness, p = MDP_MODELS[penalty]
+    model = CostModel.from_config({"staleness": staleness, "update_cost": p})
+    discount = MDP_CRITERIA[criterion]
+    h = hashlib.sha256()
+    for rate in (0.02, 0.1, 0.45):
+        if discount is None:
+            sol = solve_average(MdpConfig(rate=rate, model=model, state_cap=300))
+        else:
+            sol = solve_discounted(MdpConfig(rate=rate, model=model, state_cap=300, discount=discount))
+        h.update(sol.values.astype("<f8").tobytes())
+        h.update(sol.actions.astype("i1").tobytes())
+        h.update(repr((sol.gain, sol.threshold, sol.iterations_used)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("penalty", sorted(MDP_MODELS))
+def test_mdp_solution_digests_are_pinned(penalty):
+    # Every reported value and action, the gain, the threshold and the
+    # number of policy evaluations of both solvers, at three rates, under
+    # every penalty kind. Pinned before the scan inputs were built in place.
+    digests = {f"{penalty}/{c}": _mdp_digest(penalty, c) for c in MDP_CRITERIA}
+    assert digests == {k: v for k, v in MDP_DIGESTS.items() if k.startswith(f"{penalty}/")}

@@ -22,7 +22,9 @@ from agecost import (
 from agecost import mdp
 from agecost.mdp import _backup, _scan, _skip_continuation
 
-from oracles import dense_continuation, dense_value_iteration, extract_threshold
+from agecost.cli import main
+
+from oracles import alarm, dense_continuation, dense_value_iteration, extract_threshold
 
 LINEAR = StalenessFn.linear()
 
@@ -47,6 +49,22 @@ def test_config_validation():
     assert small_config(state_cap=64.0).state_cap == 64
     with pytest.raises(ValueError):
         small_config(discount=1.0)
+
+
+def test_huge_state_cap_is_refused_before_any_array(tmp_path, capsys, monkeypatch):
+    # 10^11 ages used to reach numpy, which failed to allocate 93 GiB and
+    # the CLI exited 2. A cap past 2^24 is now refused when the config is
+    # built, and no solve starts.
+    monkeypatch.setattr(mdp, "_solve", lambda config, average: pytest.fail("a solve started"))
+    with alarm(2.0):
+        with pytest.raises(ValueError, match=r"^state_cap must be <= 2\^24 = 16777216, got 100000000000$"):
+            small_config(state_cap=10**11)
+        out = tmp_path / "policy.csv"
+        argv = ["solve-mdp", "--lambda", "0.1", "--p", "100", "--state-cap", "100000000000", "--out", str(out)]
+        assert main(argv) == 1
+    assert "state_cap" in capsys.readouterr().err
+    assert not out.exists()
+    assert small_config(state_cap=mdp.MAX_STATE_CAP).state_cap == 2**24
 
 
 def test_zero_discount_collapses_to_one_step_cost():
