@@ -74,11 +74,10 @@ def _build_parser() -> _Parser:
 def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
     data: dict = {}
     if args.config:
-        try:  # a missing file, bytes that are not UTF-8, bad JSON, too deep a nesting or too long an integer
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"{args.config}: {exc}") from None
+        # a missing file, bytes that are not UTF-8, bad JSON, too deep a nesting or too long an integer
+        with (ConfigError.field(f"{args.config}: ", (OSError, ValueError, RecursionError)),
+              open(args.config, encoding="utf-8") as fh):
+            data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: must be a JSON object, got {data!r}")
     data.setdefault("name", name)
@@ -124,10 +123,8 @@ def _cli_model(args) -> CostModel:
 
 
 def _run_solve_mdp(args) -> int:
-    try:
+    with ConfigError.field():
         config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     sol = solve_average(config)
     print(f"gain={sol.gain:.10g} threshold={sol.threshold} "
           f"iterations={sol.iterations_used} residual={sol.residual:.3e}")
@@ -138,11 +135,9 @@ def _run_solve_mdp(args) -> int:
 
 
 def _run_optimal_threshold(args) -> int:
-    try:
+    with ConfigError.field():
         model = _cli_model(args)
         check_rate(args.rate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     ts = optimal_threshold(args.rate, model)
     ps = optimal_period(args.rate, model)
     print(json.dumps({

@@ -78,12 +78,13 @@ def as_list(value, what: str) -> tuple:
     return tuple(value)
 
 
-def check_fields(record: dict, known, prefix: str = "", error=ValueError) -> None:
-    """Raise ``error``, its message led by ``prefix``, if ``record`` holds a
-    key outside ``known``."""
+def check_fields(record: dict, known, prefix: str = "") -> None:
+    """Raise a ValueError, its message led by ``prefix``, if ``record`` holds
+    a key outside ``known``. A spec's records go through
+    ``ConfigError.field``, which makes it a configuration error."""
     extra = set(record) - set(known)
     if extra:
-        raise error(f"{prefix}unknown fields {sorted(extra)}")
+        raise ValueError(f"{prefix}unknown fields {sorted(extra)}")
 
 
 @dataclass(frozen=True)

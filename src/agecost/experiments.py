@@ -16,6 +16,7 @@ threads.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import json
@@ -98,6 +99,18 @@ KINDS = {
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
+    @staticmethod
+    @contextlib.contextmanager
+    def field(prefix: str = "", errors=(KeyError, TypeError, ValueError)):
+        """Re-raise any of ``errors`` raised in the body as a ConfigError
+        whose message is ``prefix`` (the field's name, where the message
+        lacks it) followed by the original message: the one way a record's,
+        a flag's or a file's error becomes a configuration error."""
+        try:
+            yield
+        except errors as exc:
+            raise ConfigError(f"{prefix}{exc}") from None
+
 
 @dataclass
 class ExperimentSpec:
@@ -156,10 +169,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name}: must be an integer >= 1, got {value!r}")
-            try:
+            with ConfigError.field():
                 as_int(value, f"{name}:")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if type(self.base_seed) is not int:
             raise ConfigError(f"base_seed: must be an integer, got {self.base_seed!r}")
         if not isinstance(self.include_offline, bool):
@@ -167,57 +178,47 @@ class ExperimentSpec:
         if not isinstance(self.grid, list):
             raise ConfigError(f"grid: must be a list, got {self.grid!r}")
         self.grid = self.grid or default_grid()
-        try:
+        for name in ("model", "arrival"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name}: must be an object, got {getattr(self, name)!r}")
+        with ConfigError.field("model: "):
             self._model = CostModel.from_config(self.model)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from None
-        if not isinstance(self.arrival, dict):
-            raise ConfigError(f"arrival: must be an object, got {self.arrival!r}")
         akind = self.arrival.get("kind", "bernoulli")
         if self.kind == "trace_compare":
             if akind != "trace" or not {"path", "slot_duration"} <= self.arrival.keys():
                 raise ConfigError("arrival: trace_compare needs {kind: 'trace', path, slot_duration}")
         elif akind != "bernoulli":
             raise ConfigError(f"arrival.kind: expected 'bernoulli' for {self.kind}")
-        check_fields(self.arrival, arrival_fields, "arrival: ", ConfigError)
-        try:
+        with ConfigError.field("arrival: "):
+            check_fields(self.arrival, arrival_fields)
+        with ConfigError.field("arrival.rate: "):
             rate = float(check_rate(self.arrival.get("rate"))) if "rate" in arrival_fields else None
-        except ValueError as exc:
-            raise ConfigError(f"arrival.rate: {exc}") from None
         if self.kind == "trace_compare":
             # An int would open that file descriptor (0 reads stdin).
             if not isinstance(self.arrival["path"], str):
                 raise ConfigError(f"arrival.path: must be a string, got {self.arrival['path']!r}")
             if "\0" in self.arrival["path"]:  # open() would refuse it with a bare ValueError
                 raise ConfigError(f"arrival.path: must not hold a NUL character, got {self.arrival['path']!r}")
-            try:  # the options are named as load_trace's parameters
+            with ConfigError.field("arrival."):  # the options are named as load_trace's parameters
                 check_trace_options(**{k: v for k, v in self.arrival.items() if k not in ("kind", "path")})
-            except ValueError as exc:
-                raise ConfigError(f"arrival.{exc}") from None
         self._points = []
         for i, x in enumerate(self.grid):
-            try:
+            with ConfigError.field(f"grid[{i}]: "):
                 self._points.append((x, *point(x, rate, self._model)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"grid[{i}]: {exc}") from None
         self._policies = None
         if self.policies != "auto":
             if not isinstance(self.policies, list):
                 raise ConfigError("policies: must be 'auto' or a list of policy records")
             self._policies = []
             for i, cfg in enumerate(self.policies):
-                try:
+                with ConfigError.field(f"policies[{i}]: "):
                     self._policies.append(Policy.from_config(cfg))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"policies[{i}]: {exc}") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        check_fields(data, cls.__dataclass_fields__, error=ConfigError)
-        try:
+        with ConfigError.field():  # an unknown field, or a missing one that has no default
+            check_fields(data, cls.__dataclass_fields__)
             return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
         """The fields this spec's kind reads; ``from_dict`` gives the rest
