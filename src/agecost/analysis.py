@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostModel, as_int, cap_threshold, check_rate
+from .core import MAX_CAP, CostModel, InvalidRate, as_int, cap_threshold, check_rate
 
 
 @dataclass(frozen=True)
@@ -186,20 +186,25 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
 
     Linear penalty: the continuous minimizer sqrt(2p/rate) is refined by
     comparing the closed form at its floor and ceil (ties go to the longer
-    period, i.e. fewer updates). Other penalties: cost(d+1) < cost(d) iff
-    h(d) = d*f(d) - F(d-1) < p/rate, and h(d+1) - h(d) = (d+1)(f(d+1) - f(d))
-    >= 0, so the cost falls strictly up to the first d with h(d) >= p/rate
-    (found by doubling) and never after; the smallest minimizer up to there
-    is returned. A held penalty keeps h constant from where it is held; if h
-    is still below p/rate there, no finite period is optimal. The doubling
-    windows are those of ``_first_minimizer``, never past the held age, and
-    each is priced once: the costs come from the prefix of the window that
-    found the crossing.
+    period, i.e. fewer updates); a rate so small that sqrt(2p/rate) passes
+    ``MAX_CAP`` is an InvalidRate, raised before any array is sized by it.
+    Other penalties: cost(d+1) < cost(d) iff h(d) = d*f(d) - F(d-1) <
+    p/rate, and h(d+1) - h(d) = (d+1)(f(d+1) - f(d)) >= 0, so the cost falls
+    strictly up to the first d with h(d) >= p/rate (found by doubling) and
+    never after; the smallest minimizer up to there is returned. A held
+    penalty keeps h constant from where it is held; if h is still below
+    p/rate there, no finite period is optimal. The doubling windows are
+    those of ``_first_minimizer``, never past the held age, and each is
+    priced once: the costs come from the prefix of the window that found
+    the crossing.
     """
     check_rate(rate)
     p = model.update_cost
     d_c = math.sqrt(2.0 * p / rate)
     if model.staleness.kind == "linear":
+        if not d_c <= MAX_CAP:  # inf at a subnormal rate
+            raise InvalidRate(f"arrival rate {rate} is too small at update cost {p}: the optimal "
+                              f"period sqrt(2p/rate) = {d_c} passes 2^50")
         lo, hi = max(math.floor(d_c), 1), max(math.ceil(d_c), 1)
         costs = _periodic_costs(rate, p, _penalty_prefix(model, hi))
         best = hi if costs[hi - 1] <= costs[lo - 1] else lo

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import optimal_period, optimal_threshold, threshold_avg_cost
-from .core import CostModel, cap_threshold, check_rate
+from .core import CostModel, InvalidRate, cap_threshold
 from .experiments import (
     ConfigError,
     ExperimentSpec,
@@ -103,16 +104,26 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
     return ExperimentSpec.from_dict(data)
 
 
+def _writable(path: str, name: str) -> str:
+    """``path``; a ConfigError naming ``name`` if it is a directory, its
+    directory does not exist or it holds a NUL, found before a run that
+    would write it."""
+    if "\0" in path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{name}: must name a file in an existing directory, got {path!r}")
+    return path
+
+
 def _run_experiment(args) -> int:
     if args.command == "trace-compare":
         spec = _spec_from_args(args, "trace_compare", "trace-compare")
-        table = run_trace_compare(spec)
+        run = run_trace_compare
     else:
         sweep = getattr(args, "sweep", None)  # compare's --sweep: lambda or cost
         kind, name = (f"{sweep}_sweep", f"compare-{sweep}") if sweep else ("threshold_sweep", "threshold-sweep")
         spec = _spec_from_args(args, kind, name)
-        table = run_policy_comparison(spec)
-    out = spec.output_path or f"{spec.name}.csv"
+        run = run_policy_comparison
+    out = _writable(spec.output_path or f"{spec.name}.csv", "output_path")
+    table = run(spec)
     emit(table, out)
     print(f"wrote {len(table.rows)} rows to {out} (+ {out}.meta.json)")
     return 0
@@ -125,6 +136,8 @@ def _cli_model(args) -> CostModel:
 def _run_solve_mdp(args) -> int:
     with ConfigError.field():
         config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap)
+    if args.out:
+        _writable(args.out, "--out")
     sol = solve_average(config)
     print(f"gain={sol.gain:.10g} threshold={sol.threshold} "
           f"iterations={sol.iterations_used} residual={sol.residual:.3e}")
@@ -137,9 +150,9 @@ def _run_solve_mdp(args) -> int:
 def _run_optimal_threshold(args) -> int:
     with ConfigError.field():
         model = _cli_model(args)
-        check_rate(args.rate)
-    ts = optimal_threshold(args.rate, model)
-    ps = optimal_period(args.rate, model)
+    with ConfigError.field(errors=(InvalidRate,)):  # out of (0, 1], or too small for a linear period
+        ts = optimal_threshold(args.rate, model)
+        ps = optimal_period(args.rate, model)
     print(json.dumps({
         "tau_star": ts.tau_star,
         "tau_continuous": ts.tau_continuous,

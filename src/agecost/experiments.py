@@ -42,7 +42,7 @@ from .arrivals import (
     generate_bernoulli,
     load_trace,
 )
-from .core import CostModel, as_int, cap_threshold, check_fields, check_rate
+from .core import CostModel, InvalidRate, as_int, cap_threshold, check_fields, check_rate
 from .engine import SimResult, SweepResult, ordered_map, simulate
 from .offline import OfflineSolution, offline_optimal, offline_optimal_many
 from .policies import Policy
@@ -432,8 +432,8 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     Every grid point is resolved first; ``_monte_carlo`` then replays the
     runs of every point, and a point's rows are added once its sweeps are
     in. A cost past the float range is refused, and so is a rate at which
-    a path passes the int64 slots: ``arrival.rate``, or ``grid[i]`` in a
-    rate sweep.
+    a path passes the int64 slots or the linear optimal period passes
+    ``MAX_CAP``: ``arrival.rate``, or ``grid[i]`` in a rate sweep.
     """
     if spec.kind not in ("threshold_sweep", "lambda_sweep", "cost_sweep"):
         raise ConfigError(f"kind: expected threshold_sweep, lambda_sweep or cost_sweep, got {spec.kind}")
@@ -443,9 +443,11 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
     seeds = [derive_seed(spec.base_seed, i) for i in range(len(spec._points))]  # the rows' seed cells
     resolutions = {}
     points = []
+    rate_field = "grid[{}]" if spec.kind == "lambda_sweep" else "arrival.rate"  # a lambda sweep's rates are its grid
     for i, (x, rate, model) in enumerate(spec._points):
-        policies, info = _resolve_policies([Policy.threshold(x)] if threshold_sweep else spec._policies,
-                                           rate, model)
+        with ConfigError.field(f"{rate_field.format(i)}: ", (InvalidRate,)):  # too small for a linear period
+            policies, info = _resolve_policies([Policy.threshold(x)] if threshold_sweep else spec._policies,
+                                               rate, model)
         if info:
             resolutions[str(x)] = info
         # Run r's path seed is derive_seed(*stem, r): simulate_many's rule from
@@ -467,9 +469,8 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
                        sweep.mean_avg_update, analytic[label], spec.n_runs, spec.n_requests, seeds[i])
                 for cells, value in zip(columns.values(), row):
                     cells.append(value)
-    except SlotOverflow as exc:  # a lambda sweep's rates are its grid
-        field = f"grid[{exc.point}]" if spec.kind == "lambda_sweep" else "arrival.rate"
-        raise ConfigError(f"{field}: {exc}") from None
+    except SlotOverflow as exc:
+        raise ConfigError(f"{rate_field.format(exc.point)}: {exc}") from None
     if threshold_sweep:
         meta = {"rate": spec._points[-1][1], "mc_within_3_stderr": not outside, "mc_outside_taus": outside}
     else:

@@ -54,6 +54,13 @@ def test_invalid_rate():
         optimal_threshold(-0.2, m)
 
 
+@pytest.mark.parametrize("rate", [1e-320, 1e-300, 10.0 / 2.0**100])  # the last: sqrt(2p/rate) = 2^50.5
+def test_a_linear_period_past_the_cap_is_an_invalid_rate(rate):
+    # sqrt(2p/rate) is inf or past 2^50: refused before any array is sized by it.
+    with pytest.raises(InvalidRate, match=rf"^arrival rate {rate} is too small at update cost 10.0: "):
+        optimal_period(rate, CostModel(LINEAR, 10.0))
+
+
 def test_optimal_threshold_reference_points():
     sol = optimal_threshold(0.1, CostModel(LINEAR, 100.0))
     assert sol.tau_star == 37

@@ -919,6 +919,75 @@ def test_a_rate_whose_paths_pass_the_int64_slots_exits_1(argv, grid, field, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,grid,field", [
+    (["optimal-threshold", "--lambda", "1e-320", "--p", "100"], None, ""),
+    (["compare", "--sweep", "cost", "--lambda", "1e-320"], None, "arrival.rate: "),
+    (["compare", "--sweep", "cost", "--lambda", "1e-300"], None, "arrival.rate: "),
+    (["compare", "--sweep", "lambda"], [0.5, 1e-300], "grid[1]: "),
+], ids=["optimal-threshold", "cost-subnormal", "cost", "lambda"])
+def test_a_rate_too_small_for_the_linear_period_exits_1(argv, grid, field, tmp_path, capsys):
+    # sqrt(2p/rate) past 2^50 used to size the period's prefix array: exit 2
+    # with "cannot convert float infinity to integer" or "Maximum allowed size
+    # exceeded".
+    out = tmp_path / "never.csv"
+    if argv[0] == "compare":
+        argv = argv + ["--p", "50", "--runs", "2", "--requests", "100", "--out", str(out)]
+    if grid is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arrival": {"kind": "bernoulli"}, "grid": grid}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}arrival rate 1e-3"), err
+    assert "the optimal period sqrt(2p/rate) = " in err and err.endswith(" passes 2^50\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-threshold", "--lambda", "0.3", "--p", "20", "--runs", "2", "--requests", "50", "--tau", "3"],
+    ["compare", "--sweep", "lambda", "--p", "50", "--runs", "2", "--requests", "200"],
+    ["compare", "--sweep", "cost", "--lambda", "0.3", "--runs", "2", "--requests", "50"],
+    ["trace-compare", "--slot-duration", "1.0", "--p", "25"],
+], ids=["sweep-threshold", "compare-lambda", "compare-cost", "trace-compare"])
+def test_an_output_path_that_cannot_be_written_exits_1_before_the_run(argv, tmp_path, monkeypatch, capsys):
+    # The run used to go ahead and then fail to write: exit 2 with [Errno 2]
+    # or [Errno 21]. Neither a path nor the trace is read now.
+    trace = tmp_path / "trace.csv"
+    make_trace(trace, n_requests=50, horizon=100, seed=1)
+    if argv[0] == "trace-compare":
+        argv = argv + ["--trace", str(trace)]
+    monkeypatch.setattr(experiments, "generate_bernoulli", None)
+    monkeypatch.setattr(experiments, "load_trace", None)
+    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: output_path: must name a file in an existing "
+                                           f"directory, got {str(out)!r}\n")
+    # A spec's output_path is checked the same way; open() would refuse a NUL.
+    cfg = tmp_path / "cfg.json"
+    for path in (str(tmp_path / "no-such-dir" / "y.csv"), "a\0b.csv"):
+        cfg.write_text(json.dumps({"output_path": path}))
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: output_path: must name a file")
+    assert list(tmp_path.rglob("*.csv*")) == [trace]
+
+
+def test_solve_mdp_out_that_cannot_be_written_exits_1_before_the_solve(tmp_path, capsys):
+    for out in (tmp_path / "no-such-dir" / "p.csv", tmp_path):
+        assert main(["solve-mdp", "--lambda", "0.1", "--p", "100", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no solve printed
+        assert captured.err == f"configuration error: --out: must name a file in an existing directory, got {str(out)!r}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_write_that_fails_after_the_run_still_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.meta.json").mkdir()  # the CSV is written, its sidecar cannot be
+    assert main(["sweep-threshold", "--lambda", "0.3", "--p", "20", "--runs", "2", "--requests", "50",
+                 "--tau", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("text,slot_duration,message", [
     ("1.0\nabc\n2.0\n", "1.0", "arrival.path: line 2: cannot parse timestamp from 'abc'"),
     ("\n \n\n", "1.0", "arrival.path: no usable timestamps in {path}"),
