@@ -105,10 +105,10 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
 
 
 def _writable(path: str, name: str) -> str:
-    """``path``; a ConfigError naming ``name`` if it is a directory, its
-    directory does not exist or it holds a NUL, found before a run that
+    """``path``; a ConfigError naming ``name`` if it is empty, a directory,
+    its directory does not exist or it holds a NUL, found before a run that
     would write it."""
-    if "\0" in path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or "\0" in path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"{name}: must name a file in an existing directory, got {path!r}")
     return path
 
@@ -122,7 +122,10 @@ def _run_experiment(args) -> int:
         kind, name = (f"{sweep}_sweep", f"compare-{sweep}") if sweep else ("threshold_sweep", "threshold-sweep")
         spec = _spec_from_args(args, kind, name)
         run = run_policy_comparison
-    out = _writable(spec.output_path or f"{spec.name}.csv", "output_path")
+    if spec.output_path is None:  # the default path comes from the name
+        out = _writable(f"{spec.name}.csv", "name")
+    else:
+        out = _writable(spec.output_path, "output_path")
     table = run(spec)
     emit(table, out)
     print(f"wrote {len(table.rows)} rows to {out} (+ {out}.meta.json)")
@@ -136,12 +139,12 @@ def _cli_model(args) -> CostModel:
 def _run_solve_mdp(args) -> int:
     with ConfigError.field():
         config = MdpConfig(rate=args.rate, model=_cli_model(args), state_cap=args.state_cap)
-    if args.out:
+    if args.out is not None:
         _writable(args.out, "--out")
     sol = solve_average(config)
     print(f"gain={sol.gain:.10g} threshold={sol.threshold} "
           f"iterations={sol.iterations_used} residual={sol.residual:.3e}")
-    if args.out:
+    if args.out is not None:
         write_policy_csv(sol, args.out)
         print(f"wrote policy dump to {args.out}")
     return 0

@@ -9,8 +9,9 @@ chain on ages 0..Delta* is exact, not truncated. ``state_cap`` only sets how
 many ages a solution reports.
 
 Both criteria are solved exactly by policy iteration (Howard 1960; Puterman
-1994, sections 6.4 and 8.6): evaluate the policy with one backward scan, then
-switch every action the other one strictly beats, until none switches. The
+1994, sections 6.4 and 8.6): evaluate the policy with one backward scan, read
+both actions' Q-values off the continuation that scan solves, then switch
+every action the other one strictly beats, until none switches. The
 search starts at the paper's threshold policy, which updates at every age
 >= the closed-form tau* of ``analysis``. Under the average criterion that
 policy is optimal, so one evaluation usually ends the search. The closed
@@ -70,8 +71,9 @@ class MdpSolution:
     Delta* up holds the lumped state's value. ``gain`` is the optimal
     average cost per request (None for the discounted solver).
     ``actions[s]`` is 1 where updating is the argmin (skipping preferred on
-    exact ties below the cap). ``iterations_used`` counts policy
-    evaluations; ``residual`` is the sup-norm Bellman residual of ``values``.
+    exact ties below the cap). ``iterations_used`` counts policy evaluations;
+    ``residual`` is the sup-norm Bellman residual of ``values`` under the
+    Q-values of the last evaluation.
     """
 
     values: np.ndarray
@@ -100,32 +102,16 @@ def _scan(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return K
 
 
-def _skip_continuation(values: np.ndarray, rate: float) -> np.ndarray:
-    """K[s] = E[values(next age) | skip at age s] = rate*values[s+1] +
-    (1-rate)*K[s+1], K[S] = values[S] in the lumped state S: _scan with a
-    constant multiplier, its right-hand side written into one array. K[0] is
-    also the post-update continuation, since an update restarts the age at 1."""
-    a = np.empty(values.size)
-    np.multiply(rate, values[1:], out=a[:-1])
-    a[-1] = values[-1]
-    return _scan(a, np.full(values.size, 1.0 - rate))
-
-
-def _backup(values: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray):
-    """One Bellman backup; returns (update value, per-state skip values)."""
-    K = _skip_continuation(values, config.rate)
-    return config.model.update_cost + disc * K[0], f + disc * K
-
-
 def _evaluate(updates: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray, average: bool):
-    """Exact (values, gain) of the policy that updates where ``updates`` is true.
+    """Exact (values, gain, K) of the policy that updates where ``updates`` is true.
 
     Its values are v = cost + disc*(c if update else K) - g with K the skip
-    continuation and c = K[0]. Put into K's recurrence, they make one scan,
+    continuation, K[s] = E[v(next age) | skip at s], and c = K[0], as an
+    update restarts the age at 1. Put into K's recurrence, they make one scan,
     affine in x = c for the discounted criterion (g = 0) or in x = g for the
     average one (c = 0 fixes the free constant of relative values, which are
-    then shifted to h(1) = 0); K[0] = c then gives x. The scan's two
-    right-hand sides are filled into one (2, S) array: rate times the next
+    then shifted to h(1) = 0, K with them); K[0] = c then gives x. The scan's
+    two right-hand sides are filled into one (2, S) array: rate times the next
     age's cost and rate times the coefficient of x, except in the lumped
     state S, which pays p and maps to itself.
     """
@@ -142,14 +128,17 @@ def _evaluate(updates: np.ndarray, config: MdpConfig, disc: float, f: np.ndarray
     K0, K1 = _scan(a, np.where(nxt, 1.0 - rate, 1.0 - rate + rate * disc))
     x = float(-K0[0] / K1[0] if average else K0[0] / (1.0 - K1[0]))
     c, g = (0.0, x) if average else (x, 0.0)
-    values = cost + disc * np.where(updates, c, K0 + K1 * x) - g
-    return (values - values[1] if average else values), g
+    K = K0 + K1 * x
+    values = cost + disc * np.where(updates, c, K) - g
+    shift = values[1] if average else 0.0
+    return values - shift, g, K - shift
 
 
 def _solve(config: MdpConfig, average: bool) -> MdpSolution:
     """Policy iteration from the threshold policy at the closed-form tau*.
 
-    An action switches only where the other one is strictly better, and the
+    Each step runs one scan, whose continuation K gives both Q-values. An
+    action switches only where the other one is strictly better, and the
     loop stops when none does. The optimal policy is a threshold and a few
     evaluations reach it; more than Delta* + 2 mean rounding made it cycle at
     a near-tie, an error, not a tuning matter.
@@ -161,8 +150,8 @@ def _solve(config: MdpConfig, average: bool) -> MdpSolution:
     # tau* <= Delta*, so the lumped state updates from the start.
     updates = np.arange(ds + 1) >= _first_minimizer(config.rate, config.model, ds)[0]
     for iterations in range(1, ds + 3):
-        values, gain = _evaluate(updates, config, disc, f, average)
-        update_val, skip_val = _backup(values, config, disc, f)
+        values, gain, K = _evaluate(updates, config, disc, f, average)
+        update_val, skip_val = config.model.update_cost + disc * K[0], f + disc * K
         switch = np.where(updates, skip_val < update_val, update_val < skip_val)
         if not switch.any():  # report ages 0..state_cap; the lumped state's from Delta* up
             actions = np.ones(config.state_cap + 1, dtype=np.int8)

@@ -119,12 +119,8 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
         raise ValueError("the paths of a batch must share one staleness function")
     if any(a.slots.size == 0 for a in paths):
         raise ValueError("arrival sequence has no requests")
-    reach = [_reach(m, a.slots.size, int(a.slots[-1])) for a, m in zip(paths, models)]
-    windows, tail_lo = [], []  # each path's W, and its tail's first point in reach
-    for a, r in zip(paths, reach):
-        lo = _first_in_reach(a, r)
-        windows.append(int((np.arange(lo.size) - lo).max()))
-        tail_lo.append(int(lo[-1]))
+    lo = [_first_in_reach(a, _reach(m, a.slots.size, int(a.slots[-1]))) for a, m in zip(paths, models)]
+    windows = [int((np.arange(x.size) - x).max()) for x in lo]
     order = sorted(range(k_paths), key=windows.__getitem__)
     groups, spare = [[order[0]]], 0
     for k in order[1:]:
@@ -138,19 +134,20 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
     solutions = [None] * k_paths
     for group in groups:
         sols = _solve([paths[k] for k in group], [models[k].update_cost for k in group], f,
-                      [reach[k] for k in group], [tail_lo[k] for k in group], max(1, windows[group[-1]]))
+                      [lo[k] for k in group], max(1, windows[group[-1]]))
         for k, sol in zip(group, sols):
             solutions[k] = sol
     return solutions
 
 
 def _solve(
-    paths: list[ArrivalSequence], costs: list[float], f, reach: list[int], tail_lo: list[int], d: int
+    paths: list[ArrivalSequence], costs: list[float], f, lo: list[np.ndarray], d: int
 ) -> list[OfflineSolution]:
     """The DP of K paths under penalty f, one Python step per target index.
 
-    Path k has reach ``reach[k]``, its tail's first point in reach is
-    ``tail_lo[k]``, and d is the window D, at least as wide as any path's.
+    ``lo[k]`` is path k's ``_first_in_reach`` array, its last entry the
+    tail's first point in reach, and d is the window D, at least as wide as
+    any path's.
     A point out of a path's reach stays in the window: ``_reach``'s margin
     makes its candidate strictly worse than one in reach, so it is never a
     minimum nor the first of one. Targets go in blocks of B, 8 to 64: a
@@ -266,7 +263,7 @@ def _solve(
         parent[j0:j1] = c0 + add(V_win[:nb], C_win[:nb], cand_win[:nb]).argmin(-1)
         while tails and sizes[tails[0]] + 1 < j1:
             k = tails.pop(0)
-            j, a = sizes[k] + 1, tail_lo[k]
+            j, a = sizes[k] + 1, int(lo[k][-1])
             tail = U_k[a - j0 + d : j - j0 + d, k] + C_k[j - j0, k, a - j0 + d : j - j0 + d]
             t = int(tail.argmin())
             best_total[k], best_end[k] = tail[t], a + t
@@ -281,8 +278,7 @@ def _solve(
         m = a.slots.size
         # A window of +inf candidates (a sum past the float range) ties at
         # its first point in reach, as the solve of one path has it.
-        lo = _first_in_reach(a, reach[k])
-        prev = np.maximum(parent_k[: m + 1, k] + np.arange(-d, m + 1 - d), lo[: m + 1]).tolist()
+        prev = np.maximum(parent_k[: m + 1, k] + np.arange(-d, m + 1 - d), lo[k][: m + 1]).tolist()
         ups = []
         j = int(best_end[k])
         while j > 0:

@@ -951,28 +951,47 @@ def test_a_rate_too_small_for_the_linear_period_exits_1(argv, grid, field, tmp_p
 ], ids=["sweep-threshold", "compare-lambda", "compare-cost", "trace-compare"])
 def test_an_output_path_that_cannot_be_written_exits_1_before_the_run(argv, tmp_path, monkeypatch, capsys):
     # The run used to go ahead and then fail to write: exit 2 with [Errno 2]
-    # or [Errno 21]. Neither a path nor the trace is read now.
+    # or [Errno 21]. Neither a path nor the trace is read now. An empty path
+    # names no file, so it is refused too, not replaced by <name>.csv.
     trace = tmp_path / "trace.csv"
     make_trace(trace, n_requests=50, horizon=100, seed=1)
     if argv[0] == "trace-compare":
         argv = argv + ["--trace", str(trace)]
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(experiments, "generate_bernoulli", None)
     monkeypatch.setattr(experiments, "load_trace", None)
-    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path, ""):
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == ("configuration error: output_path: must name a file in an existing "
                                            f"directory, got {str(out)!r}\n")
     # A spec's output_path is checked the same way; open() would refuse a NUL.
     cfg = tmp_path / "cfg.json"
-    for path in (str(tmp_path / "no-such-dir" / "y.csv"), "a\0b.csv"):
+    for path in (str(tmp_path / "no-such-dir" / "y.csv"), "a\0b.csv", ""):
         cfg.write_text(json.dumps({"output_path": path}))
         assert main(argv + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("configuration error: output_path: must name a file")
     assert list(tmp_path.rglob("*.csv*")) == [trace]
 
 
-def test_solve_mdp_out_that_cannot_be_written_exits_1_before_the_solve(tmp_path, capsys):
-    for out in (tmp_path / "no-such-dir" / "p.csv", tmp_path):
+def test_a_default_path_that_cannot_be_written_names_the_name_field(tmp_path, monkeypatch, capsys):
+    # With no output path the CSV goes to <name>.csv, so a name that points
+    # into a missing directory is refused under name, not under an
+    # output_path the spec does not hold.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "generate_bernoulli", lambda *a, **k: pytest.fail("the run started"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "no-such-dir/run"}))
+    assert main(["sweep-threshold", "--config", str(cfg), "--lambda", "0.3", "--runs", "2", "--requests", "50",
+                 "--tau", "3"]) == 1
+    assert capsys.readouterr().err == ("configuration error: name: must name a file in an existing directory, "
+                                       "got 'no-such-dir/run.csv'\n")
+    assert list(tmp_path.rglob("*.csv*")) == []
+
+
+def test_solve_mdp_out_that_cannot_be_written_exits_1_before_the_solve(tmp_path, monkeypatch, capsys):
+    # An empty --out is refused, not taken as no dump.
+    monkeypatch.chdir(tmp_path)
+    for out in (tmp_path / "no-such-dir" / "p.csv", tmp_path, ""):
         assert main(["solve-mdp", "--lambda", "0.1", "--p", "100", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""  # no solve printed

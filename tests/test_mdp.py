@@ -20,11 +20,11 @@ from agecost import (
 )
 
 from agecost import mdp
-from agecost.mdp import _backup, _scan, _skip_continuation
+from agecost.mdp import _evaluate, _scan
 
 from agecost.cli import main
 
-from oracles import alarm, dense_continuation, dense_value_iteration, extract_threshold
+from oracles import alarm, dense_continuation, dense_value_iteration, extract_threshold, folded_transitions
 
 LINEAR = StalenessFn.linear()
 
@@ -209,15 +209,20 @@ def test_gain_matches_closed_form_nonlinear_models():
 
 
 def test_skip_continuation_matches_dense_transition_matrix():
-    # The Bellman sweep computes E[v(next age)] through a doubling scan of a
-    # linear recurrence; check it against the folded dense transition matrix
-    # at every size, not only powers of two.
+    # The evaluation's doubling scan solves the skip continuation
+    # K = E[v(next age) | skip] that both Q-values are read from; check it
+    # against the folded dense transition matrix applied to the returned
+    # values, for random policies at every size, not only powers of two.
     rng = np.random.default_rng(8)
     for rate in (0.05, 0.5, 0.97):
         for size in range(2, 71):
-            values = rng.normal(size=size) * 50.0
-            fast = _skip_continuation(values, rate)
-            assert np.allclose(fast, dense_continuation(values, rate), rtol=1e-12, atol=1e-9)
+            cfg = MdpConfig(rate=rate, model=CostModel(LINEAR, size - 1.0), state_cap=size)
+            f = LINEAR.eval_array(np.arange(size))
+            updates = rng.random(size) < 0.5
+            updates[-1] = True
+            for disc, average in ((1.0, True), (0.9, False)):
+                values, _, K = _evaluate(updates, cfg, disc, f, average)
+                assert np.allclose(K, dense_continuation(values, rate), rtol=1e-12, atol=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,12 +299,11 @@ def test_any_threshold_start_reaches_the_same_solution(cfg):
     # Exact ties could settle either way, so near-ties are skipped.
     ds = cfg.delta_star
     tau = optimal_threshold(cfg.rate, cfg.model).tau_star
-    f = cfg.model.staleness.eval_array(np.arange(ds + 1))
-    f[-1] = np.inf
+    f = cfg.model.staleness.eval_array(np.arange(ds))
     for solve, disc in ((solve_average, 1.0), (solve_discounted, cfg.discount)):
         true = solve(cfg)
-        update_val, skip_val = _backup(true.values[: ds + 1], cfg, disc, f)
-        assume(np.all(np.abs(skip_val[:ds] - update_val) > 1e-7))
+        K = dense_continuation(true.values[: ds + 1], cfg.rate)
+        assume(np.all(np.abs(f + disc * K[:ds] - cfg.model.update_cost - disc * K[0]) > 1e-7))
         for start in {1, ds, max(tau - 3, 1), min(tau + 3, ds)}:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mdp, "_first_minimizer", lambda rate, model, delta_star: (start, np.nan))
@@ -307,6 +311,54 @@ def test_any_threshold_start_reaches_the_same_solution(cfg):
             assert (sol.gain, sol.threshold) == (true.gain, true.threshold)
             assert np.array_equal(sol.actions, true.actions)
             assert np.allclose(sol.values, true.values, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mdp_case())
+def test_every_threshold_policy_evaluates_like_a_dense_linear_solve(cfg):
+    # Policy iteration trusts the evaluation of whatever policy it holds, not
+    # only of the optimum: for each threshold tau = 1..Delta*, solve the
+    # policy's linear equations on the lumped chain with the dense transition
+    # matrix and compare values, gain and the skip continuation K.
+    ds = cfg.delta_star
+    p = cfg.model.update_cost
+    f = cfg.model.staleness.eval_array(np.arange(ds + 1))
+    f[-1] = np.inf
+    skip = folded_transitions(ds + 1, cfg.rate)
+    eye = np.eye(ds + 1)
+    for tau in range(1, ds + 1):
+        updates = np.arange(ds + 1) >= tau
+        P = np.where(updates[:, None], skip[0], skip)
+        cost = np.where(updates, p, f)
+        for average in (True, False):
+            disc = 1.0 if average else cfg.discount
+            if average:  # (I - P) h + g = cost; h(1) = 0 frees column 1 for g
+                A = eye - P
+                A[:, 1] = 1.0
+                want = np.linalg.solve(A, cost)
+                want_gain, want[1] = want[1], 0.0
+            else:
+                want, want_gain = np.linalg.solve(eye - disc * P, cost), 0.0
+            values, gain, K = _evaluate(updates, cfg, disc, f, average)
+            assert np.allclose(values, want, rtol=1e-12, atol=1e-9)
+            assert np.isclose(gain, want_gain, rtol=1e-12, atol=1e-9)
+            assert np.allclose(K, skip @ want, rtol=1e-12, atol=1e-9)
+
+
+def test_each_policy_iteration_step_runs_one_scan(monkeypatch):
+    # The evaluation's scan yields both Q-values, so no step scans twice.
+    calls = []
+    real = mdp._scan
+    monkeypatch.setattr(mdp, "_scan", lambda a, m: calls.append(1) or real(a, m))
+    steps = set()
+    for rate, p, discount in ((0.1, 100.0, 0.5), (0.7, 100.0, 0.9), (0.3, 20.0, 0.99)):
+        cfg = MdpConfig(rate=rate, model=CostModel(LINEAR, p), state_cap=256, discount=discount)
+        for solve in (solve_average, solve_discounted):
+            calls.clear()
+            sol = solve(cfg)
+            assert len(calls) == sol.iterations_used
+            steps.add(sol.iterations_used)
+    assert steps == {1, 2, 3}
 
 
 def test_import_needs_no_scipy():
