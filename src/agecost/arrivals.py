@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_float, check_rate
+from .core import as_float, as_int, check_rate
 
 log = logging.getLogger(__name__)
 
@@ -19,8 +19,6 @@ log = logging.getLogger(__name__)
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
 
 _SEED_MASK = (1 << 64) - 1
-# Slots drawn per array when generating by horizon, so memory stays bounded.
-_DRAW_CHUNK = 1 << 20
 
 
 class ParseError(ValueError):
@@ -37,11 +35,6 @@ class EmptyTrace(ValueError):
 
 class SlotOverflow(ValueError):
     """A Bernoulli path or a trace needs slots past the int64 range."""
-
-
-def make_rng(*entropy: int) -> np.random.Generator:
-    """Deterministic generator keyed by a tuple of integers."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([e & _SEED_MASK for e in entropy])))
 
 
 def derive_seed(*entropy: int) -> int:
@@ -108,46 +101,22 @@ class BernoulliSource:
         check_rate(self.rate)
 
 
-def generate_bernoulli(
-    source: BernoulliSource,
-    *,
-    horizon: int | None = None,
-    n_requests: int | None = None,
-) -> ArrivalSequence:
-    """Draw a Bernoulli arrival sequence, stopping by horizon or by count.
+def generate_bernoulli(source: BernoulliSource, *, n_requests: int) -> ArrivalSequence:
+    """Draw ``n_requests`` Bernoulli arrivals as i.i.d. geometric gaps.
 
-    Identical (source, stop) inputs yield bit-identical sequences. With
-    ``n_requests`` the horizon is the slot of the last request; a path whose
-    slots pass the int64 range (a rate near 0) raises ``SlotOverflow``.
+    Identical inputs yield bit-identical sequences. The horizon is the slot
+    of the last request; a path whose slots pass the int64 range (a rate
+    near 0) raises ``SlotOverflow``. ``n_requests`` is read through
+    ``as_int``: 2.5, True or "3" is a ValueError naming it.
     """
-    if (horizon is None) == (n_requests is None):
-        raise ValueError("pass exactly one of horizon= or n_requests=")
-    rng = make_rng(source.seed)
-    if horizon is not None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        # PCG64 draws each double from one 64-bit output, so chunked draws
-        # continue the stream exactly as one draw of the whole horizon would.
-        hits = np.concatenate([
-            np.nonzero(rng.random(min(_DRAW_CHUNK, horizon - start)) < source.rate)[0] + (start + 1)
-            for start in range(0, horizon, _DRAW_CHUNK)
-        ])
-        return ArrivalSequence(
-            horizon=horizon,
-            slots=hits.astype(np.int64),
-            counts=np.ones(hits.size, dtype=np.int64),
-        )
+    n_requests = as_int(n_requests, "n_requests")
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
-    gaps = rng.geometric(source.rate, size=n_requests)
+    gaps = np.random.default_rng(source.seed & _SEED_MASK).geometric(source.rate, size=n_requests)
     # A cumsum past 2^63 - 1 wraps, which the sequence's order check refuses.
     slots = np.cumsum(gaps, dtype=np.int64)
     try:
-        return ArrivalSequence(
-            horizon=int(slots[-1]),
-            slots=slots,
-            counts=np.ones(n_requests, dtype=np.int64),
-        )
+        return ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=np.ones(n_requests, dtype=np.int64))
     except ValueError:
         raise SlotOverflow(f"{n_requests} requests at rate {source.rate!r} pass the last int64 slot") from None
 
@@ -175,13 +144,15 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
     Both options are checked first (``check_trace_options``), and ``path``
-    must be a str or os.PathLike: ``open`` would read an int as a file
-    descriptor. A span too long for int64 slot ids at this ``slot_duration``
-    raises ``SlotOverflow``.
+    must be a str or os.PathLike (``open`` would read an int as a file
+    descriptor) that holds no NUL character. A span too long for int64 slot
+    ids at this ``slot_duration`` raises ``SlotOverflow``.
     """
     slot_duration = check_trace_options(slot_duration, on_malformed)
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"path: must be a string or os.PathLike, got {path!r}")
+    if "\0" in os.fsdecode(path):  # open() would refuse it with a bare ValueError
+        raise ValueError(f"path: must not hold a NUL character, got {path!r}")
     stamps = []
     skipped = 0
     with open(path) as fh:

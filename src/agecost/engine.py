@@ -89,11 +89,6 @@ class SweepResult:
     avg_update: np.ndarray
 
     @classmethod
-    def of(cls, results: Iterable[SimResult]) -> "SweepResult":
-        """Summarize replays one at a time, keeping only their three averages."""
-        return cls.of_averages([r.averages for r in results])
-
-    @classmethod
     def of_averages(cls, averages: list[tuple[float, float, float]]) -> "SweepResult":
         """The sweep of runs given by their ``SimResult.averages``, in run order."""
         avgs = np.array(averages, dtype=np.float64)

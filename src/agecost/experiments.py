@@ -414,10 +414,12 @@ def simulate_many(
 
     Run i draws its arrivals from a child seed derived from (source.seed, i),
     so the sweep is reproducible, its runs are independent and it does not
-    depend on the number of threads.
+    depend on the number of threads. ``n_runs`` and ``n_requests_per_run``
+    are read through ``as_int``: 2.5, True or "3" is a ValueError naming it.
     """
     [(_, sweeps)] = _monte_carlo([(source.rate, model, [("", policy, None)], (source.seed,))],
-                                 n_runs, n_requests_per_run, offline_on=False)
+                                 as_int(n_runs, "n_runs"), as_int(n_requests_per_run, "n_requests_per_run"),
+                                 offline_on=False)
     return sweeps[""]
 
 

@@ -22,7 +22,7 @@ discounted optimum can sit at another threshold) is switched away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class MdpConfig:
     model: CostModel
     state_cap: int = 1024
     discount: float = 0.9
-    delta_star: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         check_rate(self.rate, allow_one=False)
@@ -59,7 +58,6 @@ class MdpConfig:
             raise ValueError(f"state_cap must be >= cap threshold + 1 = {ds + 1}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
-        object.__setattr__(self, "delta_star", ds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +141,7 @@ def _solve(config: MdpConfig, average: bool) -> MdpSolution:
     evaluations reach it; more than Delta* + 2 mean rounding made it cycle at
     a near-tie, an error, not a tuning matter.
     """
-    ds = config.delta_star
+    ds = cap_threshold(config.model)
     f = config.model.staleness.eval_array(np.arange(ds + 1))
     f[-1] = np.inf  # the lumped state must update
     disc = 1.0 if average else config.discount

@@ -78,20 +78,13 @@ def _reach(model: CostModel, n: int, horizon: int) -> int:
 def offline_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineSolution:
     """Minimum-cost update schedule given full knowledge of the arrivals.
 
-    DP over request indices. U[j] is the cheapest way to serve requests
-    1..j with an update at request j: pick the previous update point i
-    (0 = never updated, so ages run from slot 0), charge the requests
-    strictly between at their induced age, and pay one update. The answer
-    appends an update-free tail. Requests sharing a slot are charged with
-    their multiplicity; an update in their slot serves them all fresh.
-
-    Only update points whose stale requests stay within ``_reach`` are
-    candidates, W of them at most, so a solve costs O(N·W) instead of
-    O(N^2) and holds O(N + B·W) floats, B <= 64. Every charge is summed in
-    request order from its update point, as (U[i] + p) + charges, and ties
-    go to the earliest update point, so the schedule and the total are
-    those of the full O(N^2) recursion bit for bit. This is a batch of one
-    for ``offline_optimal_many``, whose loop does the work.
+    U[j] is the cheapest way to serve requests 1..j with an update at
+    request j: U at the previous update point i (0 = never updated, ages run
+    from slot 0), the requests strictly between at their induced age, and
+    p. An update-free tail ends the schedule, and requests sharing a slot
+    are charged with their multiplicity. A batch of one for
+    ``offline_optimal_many``; its schedule and total are those of the full
+    O(N^2) recursion bit for bit.
     """
     return offline_optimal_many([arrivals], [model])[0]
 

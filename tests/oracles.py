@@ -18,7 +18,9 @@ subset of request slots; quadratic_offline_dp is the offline DP with every
 earlier request as a candidate last update. reference_csv is the CSV writer
 of the dict-per-row result table, one formatted cell at a time, and
 reference_load_trace the trace reader that strips every line before it
-parses the first field. cost_models
+parses the first field. bernoulli_path draws a Bernoulli path slot by slot
+up to a fixed horizon, for tests that need request-free slots after the
+last request. cost_models
 draws the cost models the property tests share, and alarm bounds the wall
 time of a call that must not hang or grow with its input.
 """
@@ -37,7 +39,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from agecost import (ArrivalSequence, CostModel, EmptyTrace, OfflineSolution, ParseError, Policy,
-                     SlotOverflow, StalenessFn, simulate)
+                     SlotOverflow, StalenessFn, cap_threshold, simulate)
 from agecost.experiments import COLUMNS
 
 # Slots and ages are plain ints in the oracles.
@@ -367,6 +369,13 @@ def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):
     return slots
 
 
+def bernoulli_path(rate, seed, horizon):
+    """Slots 1..horizon, each holding one request with probability ``rate``,
+    drawn one uniform per slot from ``np.random.default_rng(seed)``."""
+    hits = np.nonzero(np.random.default_rng(seed).random(horizon) < rate)[0] + 1
+    return ArrivalSequence(horizon=horizon, slots=hits.astype(np.int64), counts=np.ones(hits.size, dtype=np.int64))
+
+
 def random_instance(rng, max_requests=15, horizon=48):
     """Small random arrival sequence for oracle-agreement checks."""
     n = int(rng.integers(1, max_requests + 1))
@@ -412,7 +421,7 @@ def dense_value_iteration(config, average, tolerance, max_iterations):
     P = folded_transitions(config.state_cap + 1, config.rate)
     ages = range(config.state_cap + 1)
     f = np.array([config.model.staleness(a) for a in ages])
-    forced = np.array([a >= config.delta_star for a in ages])
+    forced = np.arange(config.state_cap + 1) >= cap_threshold(config.model)
     disc = 1.0 if average else config.discount
     values = np.zeros(config.state_cap + 1)
     for _ in range(max_iterations):
@@ -446,7 +455,8 @@ def extract_threshold(solution, config):
     f = config.model.staleness.eval_array(np.arange(h.size))
     K = dense_continuation(h, config.rate)
     rhs = config.model.update_cost + K[0]
-    for s in range(1, config.delta_star):
+    ds = cap_threshold(config.model)
+    for s in range(1, ds):
         if f[s] + K[s] >= rhs:
             return s
-    return config.delta_star
+    return ds

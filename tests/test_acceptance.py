@@ -39,7 +39,7 @@ from agecost import (
 )
 from agecost.arrivals import derive_seed
 
-from oracles import enumerate_renewal, make_trace, random_instance
+from oracles import bernoulli_path, enumerate_renewal, make_trace, random_instance
 
 LINEAR = StalenessFn.linear()
 BASE_SEED = 20260809
@@ -99,7 +99,7 @@ def _mc_sweeps():
                     ratios.append(st.mean_cost_per_interval / st.mean_requests_per_interval)
                     yield run
 
-            sweep = SweepResult.of(runs())
+            sweep = SweepResult.of_averages([r.averages for r in runs()])
             analytic = threshold_avg_cost(rate, model, tau)
             out.append((rate, model, tau, sweep, np.asarray(ratios), analytic))
     return out
@@ -248,7 +248,7 @@ def test_criterion_07_transform_dominance():
     for _ in range(1000):
         horizon = int(rng.integers(20, 200))
         rate = float(rng.uniform(0.05, 1.0))
-        arr = generate_bernoulli(BernoulliSource(rate, int(rng.integers(0, 2**63))), horizon=horizon)
+        arr = bernoulli_path(rate, int(rng.integers(0, 2**63)), horizon)
         if arr.n_requests == 0:
             continue
         n_sched = int(rng.integers(0, max(horizon // 3, 1)))

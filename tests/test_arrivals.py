@@ -9,44 +9,34 @@ from hypothesis import given, settings, strategies as st
 from agecost import (
     ArrivalSequence,
     BernoulliSource,
+    CostModel,
     EmptyTrace,
     InvalidRate,
     ParseError,
+    Policy,
     SlotOverflow,
+    StalenessFn,
     empirical_rate,
     generate_bernoulli,
     load_trace,
+    simulate_many,
 )
 
-from agecost.arrivals import _DRAW_CHUNK, make_rng
-from oracles import make_trace, reference_load_trace
+from oracles import bernoulli_path, make_trace, reference_load_trace
 
 
 def test_rate_one_fills_every_slot():
-    seq = generate_bernoulli(BernoulliSource(1.0, 123), horizon=5)
+    seq = generate_bernoulli(BernoulliSource(1.0, 123), n_requests=5)
     assert seq.slots.tolist() == [1, 2, 3, 4, 5]
     assert seq.n_requests == 5
-    byc = generate_bernoulli(BernoulliSource(1.0, 123), n_requests=5)
-    assert byc.slots.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_determinism():
     src = BernoulliSource(0.5, 7)
-    a = generate_bernoulli(src, horizon=100)
-    b = generate_bernoulli(src, horizon=100)
-    assert np.array_equal(a.slots, b.slots)
     c = generate_bernoulli(src, n_requests=50)
     d = generate_bernoulli(src, n_requests=50)
     assert np.array_equal(c.slots, d.slots)
-    assert not np.array_equal(
-        a.slots, generate_bernoulli(BernoulliSource(0.5, 8), horizon=100).slots
-    )
-
-
-def test_horizon_draw_in_chunks_matches_one_draw():
-    horizon = 2 * _DRAW_CHUNK + 12_345  # three chunks, the last one short
-    seq = generate_bernoulli(BernoulliSource(0.3, 8), horizon=horizon)
-    assert np.array_equal(seq.slots, np.nonzero(make_rng(8).random(horizon) < 0.3)[0] + 1)
+    assert not np.array_equal(c.slots, generate_bernoulli(BernoulliSource(0.5, 8), n_requests=50).slots)
 
 
 def test_stop_by_count():
@@ -58,7 +48,7 @@ def test_stop_by_count():
 def test_empirical_rate_concentration():
     seq = generate_bernoulli(BernoulliSource(0.5, 7), n_requests=10_000)
     assert 0.48 <= empirical_rate(seq) <= 0.52
-    big = generate_bernoulli(BernoulliSource(0.3, 5), horizon=10**6)
+    big = bernoulli_path(0.3, 5, 10**6)
     assert 0.29 <= empirical_rate(big) <= 0.31
 
 
@@ -75,10 +65,24 @@ def test_invalid_rates():
 
 def test_stop_argument_validation():
     src = BernoulliSource(0.5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         generate_bernoulli(src)
-    with pytest.raises(ValueError):
-        generate_bernoulli(src, horizon=10, n_requests=10)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_requests must be >= 1"):
+            generate_bernoulli(src, n_requests=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, 10**20])
+def test_integer_arguments_are_refused_by_name(bad):
+    # numpy raised its own TypeError for 2.5, and simulate_many ran one run
+    # for n_runs=True.
+    src, model = BernoulliSource(0.5, 1), CostModel(StalenessFn.linear(), 5.0)
+    with pytest.raises(ValueError, match=r"^n_requests must (be an integer|fit in int64)"):
+        generate_bernoulli(src, n_requests=bad)
+    with pytest.raises(ValueError, match=r"^n_runs must (be an integer|fit in int64)"):
+        simulate_many(Policy.threshold(2), src, bad, 10, model)
+    with pytest.raises(ValueError, match=r"^n_requests_per_run must (be an integer|fit in int64)"):
+        simulate_many(Policy.threshold(2), src, 2, bad, model)
 
 
 def test_load_trace_floor_arithmetic(tmp_path):
@@ -125,6 +129,12 @@ def test_load_trace_span_beyond_int64(tmp_path):
             load_trace(path, slot_duration)
         assert not isinstance(err.value, ParseError)
         assert repr(slot_duration) in str(err.value)
+
+
+def test_load_trace_refuses_a_nul_in_the_path():
+    # open() refused it with its own bare "embedded null byte".
+    with pytest.raises(ValueError, match=re.escape("path: must not hold a NUL character, got 'a\\x00b'")):
+        load_trace("a\0b", 1.0)
 
 
 def test_load_trace_empty(tmp_path):

@@ -28,7 +28,7 @@ from agecost import engine, experiments
 from agecost.arrivals import derive_seed
 from agecost.engine import _DOUBLE_BELOW, _doubling_levels, _follow, _update_schedule, ordered_map
 
-from oracles import alarm, bisect_threshold_schedule, cost_models, reference_replay
+from oracles import alarm, bernoulli_path, bisect_threshold_schedule, cost_models, reference_replay
 
 LINEAR = StalenessFn.linear()
 
@@ -172,7 +172,7 @@ def any_policy_case(draw):
     horizon = draw(st.integers(min_value=4, max_value=50))
     rate = draw(st.floats(min_value=0.1, max_value=1.0))
     seed = draw(st.integers(min_value=0, max_value=2**32))
-    arr = generate_bernoulli(BernoulliSource(rate, seed), horizon=horizon)
+    arr = bernoulli_path(rate, seed, horizon)
     kind = draw(st.sampled_from(["threshold", "naive", "periodic", "scheduled"]))
     if kind == "threshold":
         pol = Policy.threshold(draw(st.integers(min_value=1, max_value=horizon + 2)))
@@ -389,10 +389,8 @@ def test_simulate_many_seed_scheme():
     m = CostModel(LINEAR, 15.0)
     pol, rate, seed, n_runs, n_requests = Policy.threshold(4), 0.6, 2, 8, 400
     sweep = simulate_many(pol, BernoulliSource(rate, seed), n_runs, n_requests, m)
-    rebuilt = SweepResult.of(
-        simulate(pol, generate_bernoulli(BernoulliSource(rate, derive_seed(seed, i)), n_requests=n_requests), m)
-        for i in range(n_runs)
-    )
+    paths = [generate_bernoulli(BernoulliSource(rate, derive_seed(seed, i)), n_requests=n_requests) for i in range(n_runs)]
+    rebuilt = SweepResult.of_averages([simulate(pol, p, m).averages for p in paths])
     for field in ("avg_total", "avg_staleness", "avg_update"):
         assert getattr(sweep, field).tobytes() == getattr(rebuilt, field).tobytes()
     assert (sweep.mean_avg_total, sweep.stderr) == (rebuilt.mean_avg_total, rebuilt.stderr)
@@ -415,7 +413,7 @@ def test_simulate_many_keeps_only_averages():
 
 def test_sweep_needs_a_run():
     with pytest.raises(ValueError):
-        SweepResult.of([])
+        SweepResult.of_averages([])
     with pytest.raises(ValueError):
         simulate_many(Policy.threshold(2), BernoulliSource(0.5, 1), 0, 100, CostModel(LINEAR, 5.0))
 

@@ -345,7 +345,8 @@ def test_each_bernoulli_kind_draws_its_paths_by_its_own_seed_rule():
         assert row["seed"] == derive_seed(spec.base_seed, i)
         paths = [generate_bernoulli(BernoulliSource(0.1, derive_seed(row["seed"], r)), n_requests=200)
                  for r in range(3)]
-        sweep = SweepResult.of(simulate(Policy.threshold(row["x_value"]), p, spec._model) for p in paths)
+        sweep = SweepResult.of_averages([simulate(Policy.threshold(row["x_value"]), p, spec._model).averages
+                                         for p in paths])
         assert (row["mean_cost"], row["stderr"], row["mean_staleness"], row["mean_update"]) == (
             sweep.mean_avg_total, sweep.stderr, sweep.mean_avg_staleness, sweep.mean_avg_update)
     # A comparison's run r of point i draws at derive_seed(base_seed, i, r).
@@ -357,7 +358,8 @@ def test_each_bernoulli_kind_draws_its_paths_by_its_own_seed_rule():
                  for r in range(spec.n_runs)]
         schedules = [[Policy.from_config(c)] * len(paths) for c in configured]
         schedules.append([Policy.scheduled(offline_optimal(p, model).update_slots) for p in paths])
-        expected = [SweepResult.of(map(simulate, pols, paths, [model] * len(paths))) for pols in schedules]
+        expected = [SweepResult.of_averages([simulate(pol, p, model).averages for pol, p in zip(pols, paths)])
+                    for pols in schedules]
         got = [r for r in rows if r["x_value"] == x]
         assert [r["policy_label"] for r in got] == ["threshold(3)", "naive", "periodic(4)", "offline"]
         assert [(r["mean_cost"], r["stderr"], r["mean_staleness"], r["mean_update"]) for r in got] == [

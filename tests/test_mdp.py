@@ -271,7 +271,7 @@ def test_solvers_match_dense_value_iteration(cfg):
     # Dense value iteration on every age up to state_cap, with no lumping and
     # no scan. Exact ties between skip and update are settled by rounding,
     # so cases with a near-tie below the cap are skipped.
-    ds = cfg.delta_star
+    ds = cap_threshold(cfg.model)
     for solve, average in ((solve_average, True), (solve_discounted, False)):
         # Discounted value iteration stops up to tolerance * discount /
         # (1 - discount) from its fixed point, so it runs to 1e-12. Relative
@@ -297,7 +297,7 @@ def test_any_threshold_start_reaches_the_same_solution(cfg):
     # Policy iteration starts at the closed-form tau*, but that is only a
     # start: from 1, the cap or tau* +- 3 it must reach the same policy.
     # Exact ties could settle either way, so near-ties are skipped.
-    ds = cfg.delta_star
+    ds = cap_threshold(cfg.model)
     tau = optimal_threshold(cfg.rate, cfg.model).tau_star
     f = cfg.model.staleness.eval_array(np.arange(ds))
     for solve, disc in ((solve_average, 1.0), (solve_discounted, cfg.discount)):
@@ -320,7 +320,7 @@ def test_every_threshold_policy_evaluates_like_a_dense_linear_solve(cfg):
     # only of the optimum: for each threshold tau = 1..Delta*, solve the
     # policy's linear equations on the lumped chain with the dense transition
     # matrix and compare values, gain and the skip continuation K.
-    ds = cfg.delta_star
+    ds = cap_threshold(cfg.model)
     p = cfg.model.update_cost
     f = cfg.model.staleness.eval_array(np.arange(ds + 1))
     f[-1] = np.inf

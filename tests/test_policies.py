@@ -4,19 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from agecost import (
     ArrivalSequence,
-    BernoulliSource,
     CostModel,
     NotReactive,
     Policy,
     StalenessFn,
     cap,
     cap_threshold,
-    generate_bernoulli,
     reactify,
     simulate,
 )
 
-from oracles import DecisionContext, ReactiveWithoutRequest, decide
+from oracles import DecisionContext, ReactiveWithoutRequest, bernoulli_path, decide
 
 LINEAR = StalenessFn.linear()
 
@@ -131,7 +129,7 @@ def schedule_and_path(draw):
     horizon = draw(st.integers(min_value=5, max_value=60))
     rate = draw(st.floats(min_value=0.05, max_value=1.0))
     seed = draw(st.integers(min_value=0, max_value=2**32))
-    arr = generate_bernoulli(BernoulliSource(rate, seed), horizon=horizon)
+    arr = bernoulli_path(rate, seed, horizon)
     n_sched = draw(st.integers(min_value=0, max_value=horizon))
     sched = draw(st.sets(st.integers(min_value=1, max_value=horizon), max_size=n_sched))
     p = draw(st.floats(min_value=0.5, max_value=30.0))
@@ -163,7 +161,7 @@ def test_transform_idempotence_and_dominance(case):
 )
 def test_threshold_at_cap_equals_naive(rate, seed, p):
     model = CostModel(LINEAR, p)
-    arr = generate_bernoulli(BernoulliSource(rate, seed), horizon=80)
+    arr = bernoulli_path(rate, seed, 80)
     if arr.n_requests == 0:
         return
     thr = simulate(Policy.threshold(cap_threshold(model)), arr, model)
