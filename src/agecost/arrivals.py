@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,57 @@ def check_trace_options(slot_duration, on_malformed: str = "error") -> float:
     return slot
 
 
+def _parse_fast(fh) -> np.ndarray | None:
+    """The first column of every line of ``fh`` as float64, in one numpy
+    pass; None where only the line-by-line reader can say what the file
+    holds: a field numpy refuses (a whitespace-only line, a bad byte or
+    text), a stamp that is not finite, or no stamp at all. numpy parses
+    with the correctly rounded parser ``float()`` uses and skips empty lines
+    as that reader does."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            ts = np.loadtxt(fh, np.float64, comments=None, delimiter=",", usecols=0, ndmin=1)
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    return ts if ts.size and np.isfinite(ts).all() else None
+
+
+def _parse_lines(fh, path, on_malformed: str) -> list[float]:
+    """The stamps of ``fh`` read line by line: a line with no finite stamp
+    raises ``ParseError`` or, with ``on_malformed`` "skip", is dropped and
+    logged; no stamp at all raises ``EmptyTrace``."""
+    stamps = []
+    skipped = 0
+    for line_no, line in enumerate(fh, start=1):
+        # float() strips the whitespace str.strip() does, but for
+        # \x1c-\x1f; a line it refuses is read by the stripped rule.
+        try:
+            stamp = float(line.partition(",")[0])
+        except ValueError:
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                stamp = float(text.partition(",")[0].strip())
+            except ValueError:
+                stamp = math.nan
+        # nan and +-inf parse as floats but cannot be placed in a slot.
+        if math.isfinite(stamp):
+            stamps.append(stamp)
+            continue
+        text = line.strip()
+        if on_malformed == "error":
+            raise ParseError(line_no, text)
+        skipped += 1
+        log.warning("skipping malformed trace line %d: %r", line_no, text)
+    if not stamps:
+        raise EmptyTrace(f"no usable timestamps in {path}")
+    if skipped:
+        log.warning("skipped %d malformed lines in %s", skipped, path)
+    return stamps
+
+
 def load_trace(path, slot_duration: float, on_malformed: str = "error") -> ArrivalSequence:
     """Discretize timestamped request arrivals into slots.
 
@@ -147,48 +199,30 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     must be a str or os.PathLike (``open`` would read an int as a file
     descriptor) that holds no NUL character. A span too long for int64 slot
     ids at this ``slot_duration`` raises ``SlotOverflow``.
+
+    The file is parsed by numpy first, into one float64 array. Only where
+    that parse fails (see ``_parse_fast``) is it read again, line by line,
+    and only that reader raises ``ParseError`` or ``EmptyTrace`` or logs a
+    skipped line; the stamps are the same either way.
     """
     slot_duration = check_trace_options(slot_duration, on_malformed)
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"path: must be a string or os.PathLike, got {path!r}")
     if "\0" in os.fsdecode(path):  # open() would refuse it with a bare ValueError
         raise ValueError(f"path: must not hold a NUL character, got {path!r}")
-    stamps = []
-    skipped = 0
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            # float() strips the whitespace str.strip() does, but for
-            # \x1c-\x1f; a line it refuses is read by the stripped rule.
-            try:
-                stamp = float(line.partition(",")[0])
-            except ValueError:
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    stamp = float(text.partition(",")[0].strip())
-                except ValueError:
-                    stamp = math.nan
-            # nan and +-inf parse as floats but cannot be placed in a slot.
-            if math.isfinite(stamp):
-                stamps.append(stamp)
-                continue
-            text = line.strip()
-            if on_malformed == "error":
-                raise ParseError(line_no, text)
-            skipped += 1
-            log.warning("skipping malformed trace line %d: %r", line_no, text)
-    if not stamps:
-        raise EmptyTrace(f"no usable timestamps in {path}")
-    if skipped:
-        log.warning("skipped %d malformed lines in %s", skipped, path)
-    lo, hi = min(stamps), max(stamps)
+        ts = _parse_fast(fh)
+        if ts is None:
+            fh.seek(0)
+            ts = np.asarray(_parse_lines(fh, path, on_malformed), dtype=np.float64)
+    # The first of equal extremes, as min() and max() pick: -0.0 and 0.0
+    # print apart in the message below.
+    lo, hi = float(ts[ts.argmin()]), float(ts[ts.argmax()])
     # Python floats overflow to inf without a warning, so this check runs
     # before numpy could overflow the subtraction or wrap the int64 cast.
     if not (hi - lo) / slot_duration < 2**63:
         raise SlotOverflow(f"timestamps span {lo!r} to {hi!r}, which at slot_duration={slot_duration!r} "
                            "needs more slots than int64 holds")
-    ts = np.asarray(stamps, dtype=np.float64)
     rel = (ts - lo) / slot_duration
     slot_ids = np.floor(rel).astype(np.int64) + 1
     slots, counts = np.unique(slot_ids, return_counts=True)

@@ -8,6 +8,7 @@ success, 1 on configuration errors, 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # a parse changes nothing in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agecost", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

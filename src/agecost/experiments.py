@@ -600,10 +600,11 @@ def _tables():
     zeros, with X the decimal exponent in -4..9, ``prefix[key]`` is the
     first word and the word masks ``masks[key]`` keep the digits and the
     point that print; the last key, for a cell formatted in Python, keeps
-    nothing. ``pairs[k]`` holds the four digits of k < 10,000, each followed
-    by a point, and ``groups`` the four digits of k as one 4-byte word in
-    three forms: as they are, without leading zeros, and without leading
-    zeros but "0" for k = 0. ``pow10`` holds 10^0..10^14.
+    nothing, so that cell's text can take bytes 8-24. ``pairs[k]`` holds
+    the four digits of k < 10,000, each followed by a point, and ``groups``
+    the four digits of k as one 4-byte word in three forms: as they are,
+    without leading zeros, and without leading zeros but "0" for k = 0.
+    ``pow10`` holds 10^0..10^14.
     """
     k = np.arange(10_000)
     digits = (k[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
@@ -653,7 +654,8 @@ def _float_cells(v: np.ndarray, end: int) -> np.ndarray:
     power of ten, m lands on 10^9 or 10^10 and is still right; any other m
     outside [10^9, 10^10] is not trusted. Such a cell, one near a half, one
     not finite or one printed in exponent notation (X outside -4..9) is
-    formatted in Python, into a field of its own before this one.
+    formatted in Python, and its text written into its own row's digit
+    bytes, so the field stays at most 28 bytes wide.
     """
     pow10, pairs, zeros, _, prefix, *masks = _tables()
     a = np.abs(v)
@@ -684,15 +686,13 @@ def _float_cells(v: np.ndarray, end: int) -> np.ndarray:
         words[:, w + 1] = pairs.take(part) & masks[w].take(key)
     field = words.view(np.uint8)[:, :28]
     field[:, 27] = end
+    if not ok.all():  # at most 17 bytes, in the digit bytes the last key zeroes
+        rows = np.flatnonzero(~ok)
+        texts = [format(c, ".10g").encode() for c in v[rows].tolist()]
+        field[rows, 8:25] = np.array(texts, dtype="S17").view(np.uint8).reshape(len(rows), 17)
     if not words[:, 0].any():
         field = field[:, 8:]
-    if ok.all():
-        return field
-    rows = np.flatnonzero(~ok)
-    which = np.full(len(v), len(rows))
-    which[rows] = np.arange(len(rows))
-    texts = [format(c, ".10g").encode() for c in v[rows].tolist()]
-    return np.hstack([_packed(texts + [b""], which, 0), field])
+    return field
 
 
 def _int_cells(v: np.ndarray, end: int) -> np.ndarray:
@@ -742,7 +742,8 @@ def emit(table: ResultTable, path) -> None:
     ``_EMIT_CHUNK`` rows at a time. A float64 or integer column's chunk is
     turned into bytes by numpy, with no Python object per cell: a float cell
     the kernel cannot place exactly (near a rounding tie, not finite, or in
-    exponent notation) is formatted in Python. A ``Runs`` chunk formats
+    exponent notation) is formatted in Python and written into its own row
+    of the column's field, which keeps its width. A ``Runs`` chunk formats
     each of its values once and repeats the bytes over the value's rows;
     any other column formats each of its cells. A column object
     that appears under two names is formatted once per chunk. Each column

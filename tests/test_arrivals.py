@@ -1,6 +1,8 @@
 import locale
 import logging
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from agecost import (
     Policy,
     SlotOverflow,
     StalenessFn,
+    arrivals,
     empirical_rate,
     generate_bernoulli,
     load_trace,
@@ -179,12 +182,19 @@ def test_a_path_past_the_int64_slots_is_refused(rate):
 _SPACE = [c for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
           if c.encode(locale.getpreferredencoding(False), "ignore")]
 _SPACES = st.text(st.sampled_from(_SPACE), max_size=3)
-_FIELDS = st.one_of(
+_FINITE = st.one_of(
     st.floats(-1e6, 1e6).map(repr),
     st.integers(0, 10**6).map(str),
-    st.sampled_from(["1_0", "1__0", "_1", "nan", "inf", "-inf", "+2.5", ".5", "5.", "1e3", "0x10", "1.2.3",
-                     "abc", "key7", "", "١٢", "1e400"]),
+    st.sampled_from(["+2.5", ".5", "5.", "1e3"]),
 )
+_FIELDS = _FINITE | st.sampled_from(["1_0", "1__0", "_1", "nan", "inf", "-inf", "0x10", "1.2.3", "abc", "key7", "",
+                                     "١٢", "1e400"])
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_EXTRA = st.sampled_from(["", ",key1", ",key2,get", ", 3", ","])
+# Lines numpy's parse might read apart from the line-by-line reader; each
+# sends load_trace to that reader.
+_ODD_LINES = [line for line in ("1_0", "١٢", '"1"', "#1", "1\x00", "\ufeff1", "1e400", "Infinity", " \t", ",a")
+              if line.encode(locale.getpreferredencoding(False), "ignore").decode() == line]
 
 
 @st.composite
@@ -197,9 +207,8 @@ def _trace_lines(draw):
         if draw(st.integers(0, 4)) == 0:
             text = draw(_SPACES)
         else:
-            extra = draw(st.sampled_from(["", ",key1", ",key2,get", ", 3", ","]))
-            text = draw(_SPACES) + draw(_FIELDS) + draw(_SPACES) + extra + draw(_SPACES)
-        lines.append(text + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+            text = draw(_SPACES) + draw(_FIELDS) + draw(_SPACES) + draw(_EXTRA) + draw(_SPACES)
+        lines.append(text + draw(_ENDS))
     if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
     return "".join(lines)
@@ -222,21 +231,76 @@ class _Warnings(logging.Handler):
         self.records.append(record)
 
 
+@st.composite
+def _well_formed_lines(draw):
+    """Traces numpy's parse reads whole: finite stamps with whitespace
+    around them and extra columns after, empty lines, LF, CRLF and lone CR
+    ends, maybe no end on the last line; one in four also holds an odd line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            text = ""
+        else:
+            text = draw(_SPACES) + draw(_FINITE) + draw(_SPACES) + draw(_EXTRA)
+        lines.append(text + draw(_ENDS))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)) + draw(_ENDS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def _matches_reference(path, slot_duration):
+    """Check ``load_trace`` against ``reference_load_trace`` in both
+    ``on_malformed`` modes: the sequence or the error, its line number, and
+    the skip log. Returns whether ``load_trace`` read the file line by line."""
+    logger = logging.getLogger("agecost.arrivals")
+    with mock.patch.object(arrivals, "_parse_lines", wraps=arrivals._parse_lines) as by_line:
+        for mode in ("error", "skip"):
+            skipped = []
+            want = _outcome(reference_load_trace, path, slot_duration, mode, skipped)
+            handler = _Warnings()
+            logger.addHandler(handler)
+            try:
+                assert _outcome(load_trace, path, slot_duration, mode) == want, mode
+            finally:
+                logger.removeHandler(handler)
+            assert [r.args for r in handler.records if r.msg.startswith("skipping")] == skipped
+            totals = [r.args[0] for r in handler.records if r.msg.startswith("skipped")]
+            assert totals == ([len(skipped)] if skipped and want[0] is not EmptyTrace else [])
+    return by_line.called
+
+
+_SLOT_DURATIONS = st.sampled_from([1.0, 0.25, 1e-300])
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=_trace_lines(), slot_duration=st.sampled_from([1.0, 0.25, 1e-300]))
+@given(text=_trace_lines(), slot_duration=_SLOT_DURATIONS)
 def test_load_trace_matches_the_line_by_line_reader(tmp_path_factory, text, slot_duration):
     path = tmp_path_factory.getbasetemp() / "trace.csv"
     path.write_text(text, encoding=locale.getpreferredencoding(False), newline="")
-    logger = logging.getLogger("agecost.arrivals")
-    for mode in ("error", "skip"):
-        skipped = []
-        want = _outcome(reference_load_trace, path, slot_duration, mode, skipped)
-        handler = _Warnings()
-        logger.addHandler(handler)
-        try:
-            assert _outcome(load_trace, path, slot_duration, mode) == want, mode
-        finally:
-            logger.removeHandler(handler)
-        assert [r.args for r in handler.records if r.msg.startswith("skipping")] == skipped
-        totals = [r.args[0] for r in handler.records if r.msg.startswith("skipped")]
-        assert totals == ([len(skipped)] if skipped and want[0] is not EmptyTrace else [])
+    _matches_reference(path, slot_duration)
+
+
+def test_load_trace_reads_like_the_line_by_line_reader_on_both_paths(tmp_path):
+    # Warnings are errors: an empty or blank-only file raises EmptyTrace,
+    # and numpy's "input contained no data" warning does not get out.
+    path = tmp_path / "trace.csv"
+    by_line = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_well_formed_lines(), slot_duration=_SLOT_DURATIONS)
+    def check(text, slot_duration):
+        path.write_text(text, encoding=locale.getpreferredencoding(False), newline="")
+        by_line.append(_matches_reference(path, slot_duration))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for odd in _ODD_LINES:
+            path.write_text(f"0.5\n{odd}\n2\n", encoding=locale.getpreferredencoding(False))
+            assert _matches_reference(path, 1.0), odd
+        # numpy's min() of 0.0 and -0.0 need not be the first, which the span's message names
+        path.write_text("0.0\n-0.0\n1\n")
+        assert not _matches_reference(path, 1e-300)
+        check()
+    assert any(by_line) and not all(by_line), f"{sum(by_line)} of {len(by_line)} read line by line"

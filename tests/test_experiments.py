@@ -30,7 +30,7 @@ from agecost import (
     offline_optimal,
     simulate,
 )
-from agecost import engine
+from agecost import cli, engine
 from agecost.arrivals import derive_seed
 from agecost.cli import main
 from agecost.experiments import COLUMNS, Runs, truncate_requests
@@ -758,6 +758,28 @@ def test_emit_places_every_edge_float_and_extreme_integer(tmp_path):
     assert [r[1] for r in rows] == columns["policy_label"].tolist()
 
 
+def test_float_cells_formatted_in_python_stay_in_their_own_rows(tmp_path):
+    # Near ties (multiples of 1/1024 with 11 digits, a 10-digit half), the
+    # specials and the exponent forms go to Python; -0.0 needs the sign
+    # word. A side field for the Python cells made such a chunk wider than
+    # the kernel's 28 bytes.
+    python_cells = [9499 / 1024, 0.12345678905, math.nan, -math.inf, 1e-7, 1e10, -0.0]
+    n = 3 * experiments._EMIT_CHUNK + 5
+    floats = np.cumsum(np.random.default_rng(8).uniform(0, 50, n)) / np.arange(1, n + 1)
+    for k, value in enumerate(python_cells):
+        floats[k * 1_000 + np.arange(0, n - k * 1_000, 2_731)] = value
+    columns = {name: ["x"] * n for name in COLUMNS}
+    columns.update(mean_cost=floats, stderr=-floats)
+    table = ResultTable(columns, meta={})
+    emit(table, tmp_path / "python-cells.csv")
+    assert (tmp_path / "python-cells.csv").read_bytes() == reference_csv(table.rows).encode()
+    assert not np.isfinite(floats[:-5].reshape(3, -1)).all(axis=1).any()  # each full chunk holds a special
+    for lo in range(0, n, experiments._EMIT_CHUNK):
+        chunk = floats[lo:lo + experiments._EMIT_CHUNK]
+        for column in (chunk, -chunk):
+            assert experiments._float_cells(column, ord(",")).shape[1] <= 28
+
+
 def test_emit_refuses_a_nul_in_a_text_cell(tmp_path):
     columns = {name: [1, 2] for name in COLUMNS}
     with pytest.raises(ValueError, match="may not hold a NUL character"):
@@ -815,6 +837,28 @@ def test_trace_compare_memory_is_columnar(tmp_path):
     assert peak < 16 * 2**20
     for name, column in table.columns.items():  # no Python object per row
         assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
+
+
+def test_cli_parser_built_once_serves_each_run_as_a_fresh_one(capsys):
+    runs = (["optimal-threshold", "--lambda", "0.1", "--p", "100"],
+            ["solve-mdp", "--lambda", "0.1", "--p", "100", "--no-such-flag"],
+            ["solve-mdp", "--lambda", "0.1", "--p", "100", "--staleness", "quadratic"],
+            ["optimal-threshold", "--lambda", "0.3", "--p", "7"])
+
+    def run(argv):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in runs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in fresh] == [0, 1, 0, 0]
+    assert "--no-such-flag" in fresh[1][2]
 
 
 def test_cli_optimal_threshold(capsys):
