@@ -58,6 +58,20 @@ def _penalty_prefix(model: CostModel, n: int) -> np.ndarray:
     return np.cumsum(f, out=f)
 
 
+def _penalty_total(model: CostModel, n: int) -> float:
+    """F(n - 1), the last entry of ``_penalty_prefix(model, n)``. For a linear
+    or quadratic f it is the integer n(n - 1)/2 or (n - 1)n(2n - 1)/6; below
+    2^53 every partial sum of the prefix is an exact integer too, so that
+    closed form has the prefix's bits, in O(1) memory. Any other f, or a sum
+    from 2^53 on, is read off the prefix."""
+    kind = model.staleness.kind
+    if kind in ("linear", "quadratic"):
+        total = n * (n - 1) // 2 if kind == "linear" else (n - 1) * n * (2 * n - 1) // 6
+        if total < 2**53:
+            return float(total)
+    return float(_penalty_prefix(model, n)[-1])
+
+
 def _periodic_costs(rate: float, p: float, prefix: np.ndarray) -> np.ndarray:
     """periodic_avg_cost for d = 1..prefix.size, from F(0..d-1)."""
     d = np.arange(1, prefix.size + 1, dtype=np.float64)
@@ -173,12 +187,13 @@ def optimal_threshold(rate: float, model: CostModel) -> ThresholdSolution:
 
 def periodic_avg_cost(rate: float, model: CostModel, d: int) -> float:
     """Average cost per request of updating every d slots under Bernoulli(rate);
-    ``d`` is read through ``as_int``."""
+    ``d`` is read through ``as_int``. Priced as ``_periodic_costs`` prices
+    it, from ``_penalty_total``."""
     check_rate(rate)
     d = as_int(d, "d")
     if d < 1:
         raise ValueError("period must be >= 1")
-    return float(_periodic_costs(rate, model.update_cost, _penalty_prefix(model, d))[-1])
+    return (model.update_cost + rate * _penalty_total(model, d)) / (rate * float(d))
 
 
 def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
@@ -226,6 +241,9 @@ def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpe
     """Expected requests and cost per update interval of the threshold-tau policy.
 
     Their ratio is ``threshold_avg_cost``; ``tau`` is read through ``as_int``.
+    The cost sums f over ages 1..tau - 1 (``_penalty_total``): in closed
+    form for a linear or quadratic f while that sum is below 2^53 (linear
+    tau up to ~1.3e8, quadratic up to ~3e5), else as an array of tau floats.
     """
     check_rate(rate)
     tau = as_int(tau, "tau")
@@ -233,5 +251,5 @@ def renewal_expectations(rate: float, model: CostModel, tau: int) -> RenewalExpe
         raise ValueError("tau must be >= 1")
     return RenewalExpectations(
         e_requests=rate * (tau - 1) + 1.0,
-        e_cost=model.update_cost + rate * float(_penalty_prefix(model, tau)[-1]),
+        e_cost=model.update_cost + rate * _penalty_total(model, tau),
     )

@@ -184,15 +184,17 @@ class StalenessFn:
         return self.breakpoints[idx][1] if idx >= 0 else 0.0
 
     def eval_array(self, ages: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an integer age array."""
+        """Vectorized evaluation over an array of non-negative ages: integers,
+        or float64 integral values below 2^53, which the linear kind returns
+        as they are."""
         ages = np.asarray(ages)
         if self.kind == "linear":
-            return ages.astype(np.float64)
+            return ages.astype(np.float64, copy=False)
         if self.kind == "quadratic":
-            return ages.astype(np.float64) ** 2
+            return ages.astype(np.float64, copy=False) ** 2
         if self.kind == "table":
             vals = np.asarray(self.table, dtype=np.float64)
-            return vals[np.minimum(ages, len(vals) - 1)]
+            return vals[np.minimum(ages, len(vals) - 1).astype(np.intp, copy=False)]
         starts = np.asarray([s for s, _ in self.breakpoints])
         vals = np.concatenate(([0.0], [v for _, v in self.breakpoints]))
         return vals[np.searchsorted(starts, ages, side="right")]

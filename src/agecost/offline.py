@@ -7,11 +7,12 @@ cost). The DP also never serves a request at an age whose penalty exceeds
 the update cost, so each update looks back over at most W requests and a
 solve costs O(N·W). ``offline_optimal_many`` steps K such solves
 together, one Python step per target for a group of paths of like W, and
-holds O(K·(N + B·W)) floats for blocks of B targets; ``offline_optimal``
-is a batch of one. The brute-force search prices each subset from its
-prefix's sums, O(2^n) array work in a few MiB at its bound of 22 requests,
-independently of the DP and of the replay engine, and is the ground truth
-the DP is validated against.
+holds O(K·(N + B·W)) floats for blocks of B targets. A block prices each
+candidate once before its steps and, after them, only those of its own
+points again; ``offline_optimal`` is a batch of one. The brute-force
+search prices each subset from its prefix's sums, O(2^n) array work in a
+few MiB at its bound of 22 requests, independently of the DP and of the
+replay engine, and is the ground truth the DP is validated against.
 """
 
 from __future__ import annotations
@@ -146,11 +147,15 @@ def _solve(
     minimum nor the first of one. Targets go in blocks of B, 8 to 64: a
     block sums its charges down the columns of one (B + 1) x K x (D + B)
     array, one row add per target, carried from block to block, so a group
-    holds O(K·(N + B·D)) floats. A target's minimum over the points before
-    its block is one array reduction; each step then turns the next
+    holds O(K·(N + B·D)) floats. A block's ages are float64 read from one
+    path-major copy of the slots while every slot is below 2^53 (exact
+    there), int64 past that, and its charges are weighed by the counts only
+    if some slot holds several requests. A target's minimum over the points
+    before its block is one array reduction; each step then turns the next
     target's minimum into its V and pushes V + charge to every later target
-    of the block, and the first candidate that reaches each minimum is
-    found once the block is done. Candidate values, charge sums and
+    of the block. Once the block is done, only the candidates of its own
+    points are priced again, and the first candidate that reaches each
+    minimum is one argmin over the window. Candidate values, charge sums and
     first-index ties are those of each path's own solve.
     """
     k_paths = len(paths)
@@ -162,28 +167,38 @@ def _solve(
     width = d + b
 
     # Every array carries the paths on its last axis, but for the charges,
-    # which carry them before the window's axis so that a window's minimum
-    # runs along contiguous memory. A batch of one drops that axis, so its
-    # steps add numpy scalars, not 1-vectors. The views named *_k always
-    # have it, for per-path access.
+    # which carry them before the window's axis, and the slots, which carry
+    # them first: so a window's minimum and a block's ages run along
+    # contiguous memory. A batch of one drops that axis, so its steps add
+    # numpy scalars, not 1-vectors. The views named *_k always have it, for
+    # per-path access.
     paths_axis = (k_paths,) if k_paths > 1 else ()
-    # Row D + i holds base[i], the slot ages run from after update point i,
-    # and so row D + j the slot of request j. Past a path's end its last slot
-    # repeats, at zero weight; before point 0 a slot no earlier than any makes
-    # every age clamp to 0. Slots and counts take the narrowest type that
-    # holds them: the batch's largest arrays are these two.
+    # Column D + i holds base[i], the slot ages run from after update point
+    # i, and so column D + j the slot of request j. Past a path's end its
+    # last slot repeats; before point 0 slot 0 does, as at point 0, so that
+    # no age but those of a block's own points, read before their request,
+    # is below 0. Ages are floats while every slot is below 2^53, which
+    # float64 holds exactly, so each age and each f(age) keeps its bits.
     top = max(int(a.slots[-1]) for a in paths)
-    slot_type = next(t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= top)
-    slot = np.empty((n + 1 + b + d, *paths_axis), slot_type)
-    slot[:d] = np.iinfo(slot.dtype).max
-    slot[d] = 0
-    weights = np.zeros((n + b, *paths_axis), np.min_scalar_type(max(int(a.counts.max()) for a in paths)))
-    slot_k, weights_k = slot.reshape(-1, k_paths), weights.reshape(-1, k_paths)
+    slot = np.zeros((*paths_axis, n + 1 + b + d), np.float64 if top < 2**53 else np.int64)
+    slot_k = slot.reshape(k_paths, -1)
     for k, a in enumerate(paths):
         m = a.slots.size
-        slot_k[d + 1 : d + 1 + m, k] = a.slots
-        slot_k[d + 1 + m :, k] = a.slots[-1]
-        weights_k[:m, k] = a.counts
+        slot_k[k, d + 1 : d + 1 + m] = a.slots
+        slot_k[k, d + 1 + m :] = a.slots[-1]
+    # targets[j]: the slot of request j, against the window's axis.
+    targets = np.moveaxis(slot[..., d:], -1, 0)[..., None]
+    # Counts weigh the charges only if some slot of the batch holds several
+    # requests, in the narrowest type that holds them, and are 0 past a
+    # path's end. Without them the padding's charges are not 0, but only
+    # targets past a path's end, which nothing reads, sum them.
+    most = max(int(a.counts.max()) for a in paths)
+    weights = None
+    if most > 1:
+        weights = np.zeros((n + b, *paths_axis), np.min_scalar_type(most))
+        weights_k = weights.reshape(-1, k_paths)
+        for k, a in enumerate(paths):
+            weights_k[: a.slots.size, k] = a.counts
 
     p = np.array(costs).reshape(paths_axis)[()]
     # In the block from j0, row c holds U[i] and V[i] = U[i] + p, the price
@@ -209,7 +224,9 @@ def _solve(
     cand = np.empty((b, *paths_axis, d))
     best = np.empty((b, *paths_axis))
     push = np.empty((b, *paths_axis))
-    ages = np.empty((b, *paths_axis, width), np.int64)
+    ages = np.empty((b, *paths_axis, width), slot.dtype)
+    # The ages from the block's own points, the only ones that may be < 0.
+    own_ages = ages[..., d:]
     best_total = np.empty(k_paths)
     best_end = np.empty(k_paths, np.int64)
     tails = sorted(range(k_paths), key=sizes.__getitem__)
@@ -224,21 +241,26 @@ def _solve(
         c0 = max(0, d - j0 - b + 1)
         if c0 != views_from:
             views_from = c0
-            sums = [(C[q - 1, ..., c0:], C[q, ..., c0:]) for q in range(1, b + 1)]
+            sums = [(C[q, ..., c0:], C[q + 1, ..., c0:]) for q in range(b)]
             block_ages, V_win, C_win, cand_win = ages[..., c0:], V_window[..., c0:], window[..., c0:], cand[..., c0:]
-            carry, carried, block_charges = C[0, ..., c0:d], C[b, ..., b + c0 :], C[1:, ..., c0:]
+            carry, carried = C[0, ..., c0:d], C[b, ..., b + c0 :]
+            # The window columns whose points may lie in the block.
+            r = max(c0, d - b + 1)
+            V_own, C_own, cand_own = V_window[..., r:], window[..., r:], cand[..., r:]
         # C[0]: the carry, the charge of requests i+1..j0-1 from base[i]; a
-        # point from j0 - 1 on has none yet. C[1 + q] charges request j0 + q.
+        # point from j0 - 1 on has none yet.
         carry[...] = carried
         # Ages before an update point clamp to 0, where f is 0, so each
         # column's sum starts at its own update point.
-        np.subtract(slot[d + j0 : d + j0 + b, ..., None], slot[j0 + c0 : j0 + width].T, out=block_ages, dtype=np.int64)
-        np.maximum(block_ages, 0, out=block_ages)
-        np.multiply(weights[j0 - 1 : j0 - 1 + b, ..., None], f.eval_array(block_ages), out=block_charges)
+        np.subtract(targets[j0 : j0 + b], slot[..., j0 + c0 : j0 + width], out=block_ages)
+        np.maximum(own_ages, 0, out=own_ages)
+        charges = f.eval_array(block_ages)
+        if weights is not None:
+            np.multiply(charges, weights[j0 - 1 : j0 - 1 + b, ..., None], out=charges)
         # C[q, ..., c]: the charge of requests i+1..j0+q-1 from base[i], with
         # i = j0 - D + c, summed in request order down each column.
-        for prev, row in sums:
-            add(prev, row, row)
+        for (prev, row), charge in zip(sums, charges):
+            add(prev, charge, row)
         np.copyto(pushes, from_block, where=later)
         # best[q]: the cheapest candidate of target j0 + q so far, first
         # from the points before the block, whose V is known (a target D or
@@ -252,8 +274,10 @@ def _solve(
             v = V[c] = u + p
             minimum(best, add(v, charges, push), out=best)
         U[d : d + nb] = best[:nb]
-        # The first candidate that reaches each minimum, in window order.
-        parent[j0:j1] = c0 + add(V_win[:nb], C_win[:nb], cand_win[:nb]).argmin(-1)
+        # The first candidate that reaches each minimum, in window order:
+        # only the candidates of the block's own points have changed.
+        add(V_own[:nb], C_own[:nb], cand_own[:nb])
+        parent[j0:j1] = c0 + cand_win[:nb].argmin(-1)
         while tails and sizes[tails[0]] + 1 < j1:
             k = tails.pop(0)
             j, a = sizes[k] + 1, int(lo[k][-1])

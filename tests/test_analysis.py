@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+import agecost.analysis
 
 from agecost import (
     CostModel,
@@ -343,3 +346,42 @@ def test_vanishing_rate_limit():
         m = CostModel(LINEAR, p)
         for tau in range(1, cap_threshold(m) + 1):
             assert abs(threshold_avg_cost(1e-6, m, tau) - p) < 1e-3
+
+
+@pytest.mark.parametrize("fn", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 1000, 65_537, 300_080, 300_081, 10**6])
+def test_the_closed_form_penalty_sum_is_the_prefix_bit_for_bit(fn, n):
+    # Quadratic sums pass 2^53 from n = 300,081 on, where the prefix is read.
+    model = CostModel(fn, 1.0)
+    assert agecost.analysis._penalty_total(model, n) == agecost.analysis._penalty_prefix(model, n)[-1]
+
+
+@pytest.mark.parametrize("fn, last", [(LINEAR, 134_217_728), (QUADRATIC, 300_080)], ids=["linear", "quadratic"])
+def test_the_closed_form_penalty_sum_stops_below_2_to_the_53(fn, last, monkeypatch):
+    # ``last`` is the largest n whose sum F(n - 1) is below 2^53; from n =
+    # last + 1 on the sum is read off the prefix, here a stub of 1 float.
+    model = CostModel(fn, 1.0)
+    exact = last * (last - 1) // 2 if fn is LINEAR else (last - 1) * last * (2 * last - 1) // 6
+    assert exact < 2**53 <= exact + fn(last)
+    read = []
+    monkeypatch.setattr(agecost.analysis, "_penalty_prefix", lambda model, n: read.append(n) or np.array([-1.0]))
+    assert agecost.analysis._penalty_total(model, last) == float(exact)
+    assert agecost.analysis._penalty_total(model, last + 1) == -1.0
+    assert read == [last + 1]
+    table = CostModel(StalenessFn.from_table([0.0, 1.0, 2.0]), 1.0)
+    assert agecost.analysis._penalty_total(table, 3) == -1.0
+    assert read == [last + 1, 3]
+
+
+def test_the_naive_price_at_a_large_cap_holds_no_array_of_its_ages():
+    # Linear Δ* = 10^7: the prefix of every age would take 80 MB.
+    m = CostModel(LINEAR, 1e7)
+    tracemalloc.start()
+    try:
+        cost = threshold_avg_cost(0.1, m, cap_threshold(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert cost == (1e7 + 0.1 * (10**7 * (10**7 - 1) // 2)) / (0.1 * (10**7 - 1) + 1.0)
+    assert periodic_avg_cost(0.1, m, 10**7) == (1e7 + 0.1 * (10**7 * (10**7 - 1) // 2)) / (0.1 * 1e7)

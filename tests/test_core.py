@@ -103,6 +103,20 @@ def test_monotone_staleness_scan():
         assert [m.staleness(a) for a in probe] == [float(vals[a]) for a in probe]
 
 
+@pytest.mark.parametrize("fn", [
+    LINEAR,
+    QUADRATIC,
+    StalenessFn.from_table([0, 0, 1, 1, 4, 9]),
+    # Breakpoints past 2^53 round when compared as floats, but stay above
+    # every float age.
+    StalenessFn.piecewise([(2, 1.0), (5, 6.0), (2**53 - 1, 7.0), (2**53 + 1, 8.0), (2**62 + 1, 9.0)]),
+], ids=["linear", "quadratic", "table", "piecewise"])
+def test_float_ages_below_2_to_the_53_evaluate_as_their_integers(fn):
+    ages = np.array([0, 1, 2, 4, 5, 6, 99, 2**26, 2**53 - 2, 2**53 - 1])
+    as_floats = ages.astype(np.float64)
+    assert fn.eval_array(as_floats).tolist() == fn.eval_array(ages).tolist() == [fn(int(a)) for a in ages]
+
+
 def test_table_holds_last_value():
     fn = StalenessFn.from_table([0, 1, 3])
     assert fn(2) == 3.0

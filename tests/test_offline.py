@@ -398,6 +398,56 @@ def test_dp_totals_equal_the_exhaustive_oracle_up_to_18_requests(kind, data):
         assert offline_optimal(arr, model).total_cost == pytest.approx(exact, rel=1e-9)
 
 
+@st.composite
+def dp_batch_of_any_slots(draw, seen):
+    """A ``dp_batch`` whose counts are all 1, or 1 on some paths and 1-3 on
+    the others; whose slots may be moved to end at a drawn slot below 2^53
+    or from 2^53 on (where ages are int64, not float64); and whose longest
+    path may hold 64 or 128 requests: the last block of its group, B being
+    a power of two from 8 to 64, then holds only the tail's target.
+    ``seen`` collects which of these each draw took."""
+    kind = draw(st.sampled_from(_KINDS))
+    longest = draw(st.sampled_from([None, 64, 128]))
+    paths, models = draw(dp_batch(kind, requests=(1, longest or 120)))
+    if longest:
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+        slots = np.cumsum(rng.integers(1, 13, size=longest))
+        paths[0] = ArrivalSequence(horizon=int(slots[-1]), slots=slots, counts=rng.integers(1, 4, size=longest))
+    # Every path's counts are 1, or each path's are 1 or 1-3 as drawn.
+    unit = [True] * len(paths) if draw(st.booleans()) else draw(st.lists(st.booleans(), min_size=len(paths),
+                                                                          max_size=len(paths)))
+    top = draw(st.none() | st.sampled_from([2**53 - 1, 2**53, 2**63 - 1])
+               | st.integers(min_value=2000, max_value=2**63 - 1))
+    shift = 0 if top is None else top - max(int(a.slots[-1]) for a in paths)
+    paths = [ArrivalSequence(horizon=int(a.slots[-1]) + shift, slots=a.slots + shift,
+                             counts=np.ones_like(a.counts) if one else a.counts) for a, one in zip(paths, unit)]
+    seen.update({kind, "int64" if top is not None and top >= 2**53 else "float64"})
+    seen.add("unit" if all(a.n_requests == a.slots.size for a in paths) else "counts")
+    if max(a.slots.size for a in paths) % 64 == 0:
+        seen.add("tail alone")
+    return paths, models
+
+
+def test_a_batch_of_any_counts_and_slot_widths_solves_as_the_quadratic_dp_does(monkeypatch):
+    # Each group's window D comes from the spied solve; B is at least 8.
+    seen = set()
+    solve = agecost.offline._solve
+    monkeypatch.setattr(agecost.offline, "_solve",
+                        lambda *args: seen.add("window below a block" if args[-1] < 8 else "wide") or solve(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dp_batch_of_any_slots(seen))
+    # A block's last target whose first cheapest point is the block's first.
+    @example(([generate_bernoulli(BernoulliSource(0.3, seed), n_requests=41) for seed in (4, 104)],
+              [CostModel(LINEAR, p) for p in (25.0, 100.0)]))
+    def check(batch):
+        paths, models = batch
+        assert offline_optimal_many(paths, models) == [quadratic_offline_dp(a, m) for a, m in zip(paths, models)]
+
+    check()
+    assert seen >= {*_KINDS, "unit", "counts", "float64", "int64", "tail alone", "window below a block", "wide"}
+
+
 def test_a_batch_refuses_mixed_penalties_and_mismatched_lengths():
     arr = ArrivalSequence.from_slots([1, 4])
     with pytest.raises(ValueError, match="share one staleness function"):
