@@ -49,7 +49,9 @@ class ArrivalSequence:
     """Per-slot request counts over a finite horizon, stored sparsely.
 
     ``slots`` is the sorted array of occupied slots (1-based) and ``counts``
-    the number of requests in each; slots without requests are absent.
+    the number of requests in each; slots without requests are absent. A
+    sequence holds at least one request: a replay or an offline solve
+    charges requests, and means nothing without one.
     """
 
     horizon: int
@@ -57,14 +59,15 @@ class ArrivalSequence:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.slots.size:
-            if self.slots[0] < 1 or self.slots[-1] > self.horizon:
-                raise ValueError("occupied slots must lie in [1, horizon]")
-            # Compared, not subtracted: a difference could wrap in int64.
-            if np.any(self.slots[1:] <= self.slots[:-1]):
-                raise ValueError("slots must be strictly increasing")
-            if np.any(self.counts < 1):
-                raise ValueError("occupied slots need at least one request")
+        if not self.slots.size:
+            raise ValueError("arrival sequence has no requests")
+        if self.slots[0] < 1 or self.slots[-1] > self.horizon:
+            raise ValueError("occupied slots must lie in [1, horizon]")
+        # Compared, not subtracted: a difference could wrap in int64.
+        if np.any(self.slots[1:] <= self.slots[:-1]):
+            raise ValueError("slots must be strictly increasing")
+        if np.any(self.counts < 1):
+            raise ValueError("occupied slots need at least one request")
 
     @property
     def n_requests(self) -> int:
@@ -122,10 +125,16 @@ def generate_bernoulli(source: BernoulliSource, *, n_requests: int) -> ArrivalSe
         raise SlotOverflow(f"{n_requests} requests at rate {source.rate!r} pass the last int64 slot") from None
 
 
-def check_trace_options(slot_duration, on_malformed: str = "error") -> float:
-    """``slot_duration`` as a float, once it is a positive number (``as_float``)
-    and ``on_malformed`` is "error" or "skip": the rule ``load_trace`` and a
+def check_trace_options(path, slot_duration, on_malformed: str = "error") -> float:
+    """``slot_duration`` as a float, once ``path`` is a str or os.PathLike
+    (``open`` would read an int as a file descriptor) that holds no NUL
+    character, ``slot_duration`` is a positive number (``as_float``) and
+    ``on_malformed`` is "error" or "skip": the rule ``load_trace`` and a
     trace spec share. A ValueError's message starts with the option's name."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path: must be a string or os.PathLike, got {path!r}")
+    if "\0" in os.fsdecode(path):  # open() would refuse it with a bare ValueError
+        raise ValueError(f"path: must not hold a NUL character, got {path!r}")
     slot = as_float(slot_duration, "slot_duration: slot duration")
     if not slot > 0:
         raise ValueError(f"slot_duration: slot duration must be positive, got {slot_duration!r}")
@@ -195,21 +204,16 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
     the line ends (LF, CRLF or CR). A line whose timestamp is not a
     finite number is malformed; ``on_malformed`` is "error" (raise
     ParseError with the line number) or "skip" (drop and log the line).
-    Both options are checked first (``check_trace_options``), and ``path``
-    must be a str or os.PathLike (``open`` would read an int as a file
-    descriptor) that holds no NUL character. A span too long for int64 slot
-    ids at this ``slot_duration`` raises ``SlotOverflow``.
+    The path and both options are checked first (``check_trace_options``).
+    A span too long for int64 slot ids at this ``slot_duration`` raises
+    ``SlotOverflow``.
 
     The file is parsed by numpy first, into one float64 array. Only where
     that parse fails (see ``_parse_fast``) is it read again, line by line,
     and only that reader raises ``ParseError`` or ``EmptyTrace`` or logs a
     skipped line; the stamps are the same either way.
     """
-    slot_duration = check_trace_options(slot_duration, on_malformed)
-    if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"path: must be a string or os.PathLike, got {path!r}")
-    if "\0" in os.fsdecode(path):  # open() would refuse it with a bare ValueError
-        raise ValueError(f"path: must not hold a NUL character, got {path!r}")
+    slot_duration = check_trace_options(path, slot_duration, on_malformed)
     with open(path) as fh:
         ts = _parse_fast(fh)
         if ts is None:
@@ -231,6 +235,4 @@ def load_trace(path, slot_duration: float, on_malformed: str = "error") -> Arriv
 
 def empirical_rate(seq: ArrivalSequence) -> float:
     """Fraction of slots with at least one request."""
-    if seq.horizon < 1:
-        raise ValueError("sequence has an empty horizon")
     return seq.slots.size / seq.horizon

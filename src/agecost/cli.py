@@ -84,24 +84,19 @@ def _spec_from_args(args, kind: str, name: str) -> ExperimentSpec:
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: must be a JSON object, got {data!r}")
     data.setdefault("name", name)
-    for key in ("model", "arrival"):  # flags below write into these records
-        if not isinstance(data.get(key, {}), dict):
-            raise ConfigError(f"{key}: must be an object, got {data[key]!r}")
     if data.setdefault("kind", kind) != kind:
         raise ConfigError(f"kind: {args.command} runs a {kind}, got {data['kind']!r}")
     model = data.setdefault("model", {"staleness": {"kind": "linear"}, "update_cost": 50.0})
-    if args.update_cost is not None:
-        model["update_cost"] = args.update_cost
     arrival = data.setdefault(
         "arrival", {"kind": "trace"} if kind == "trace_compare" else {"kind": "bernoulli"}
     )
     if getattr(args, "tau", None) is not None:
         data["grid"] = [args.tau]
-    for flag, record, key in (("rate", arrival, "rate"), ("trace", arrival, "path"),
-                              ("slot_duration", arrival, "slot_duration"), ("seed", data, "base_seed"),
-                              ("runs", data, "n_runs"), ("requests", data, "n_requests"),
-                              ("out", data, "output_path")):
-        if getattr(args, flag, None) is not None:
+    for flag, record, key in (("update_cost", model, "update_cost"), ("rate", arrival, "rate"),
+                              ("trace", arrival, "path"), ("slot_duration", arrival, "slot_duration"),
+                              ("seed", data, "base_seed"), ("runs", data, "n_runs"),
+                              ("requests", data, "n_requests"), ("out", data, "output_path")):
+        if getattr(args, flag, None) is not None and isinstance(record, dict):  # else the spec refuses it
             record[key] = getattr(args, flag)
     return ExperimentSpec.from_dict(data)
 

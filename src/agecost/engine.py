@@ -124,8 +124,6 @@ def simulate(policy: Policy, arrivals: ArrivalSequence, model: CostModel) -> Sim
     which ``updates_through`` from ``_update_schedule`` points to.
     """
     n_req = arrivals.n_requests
-    if n_req < 1:
-        raise ValueError("arrival sequence has no requests")
     ups, through = _update_schedule(policy, arrivals, model)
     slots = arrivals.slots
     # f(0) = 0 serves requests in an update slot fresh.

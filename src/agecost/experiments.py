@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import operator
+import os
 import time
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -194,13 +195,9 @@ class ExperimentSpec:
         with ConfigError.field("arrival.rate: "):
             rate = float(check_rate(self.arrival.get("rate"))) if "rate" in arrival_fields else None
         if self.kind == "trace_compare":
-            # An int would open that file descriptor (0 reads stdin).
-            if not isinstance(self.arrival["path"], str):
-                raise ConfigError(f"arrival.path: must be a string, got {self.arrival['path']!r}")
-            if "\0" in self.arrival["path"]:  # open() would refuse it with a bare ValueError
-                raise ConfigError(f"arrival.path: must not hold a NUL character, got {self.arrival['path']!r}")
             with ConfigError.field("arrival."):  # the options are named as load_trace's parameters
-                check_trace_options(**{k: v for k, v in self.arrival.items() if k not in ("kind", "path")})
+                check_trace_options(**{k: v for k, v in self.arrival.items() if k != "kind"})
+            self.arrival = {**self.arrival, "path": os.fsdecode(self.arrival["path"])}  # JSON holds no PathLike
         self._points = []
         for i, x in enumerate(self.grid):
             with ConfigError.field(f"grid[{i}]: "):

@@ -111,8 +111,6 @@ def offline_optimal_many(paths: Sequence[ArrivalSequence], models: Sequence[Cost
     f = models[0].staleness
     if any(m.staleness != f for m in models):
         raise ValueError("the paths of a batch must share one staleness function")
-    if any(a.slots.size == 0 for a in paths):
-        raise ValueError("arrival sequence has no requests")
     lo = [_first_in_reach(a, _reach(m, a.slots.size, int(a.slots[-1]))) for a, m in zip(paths, models)]
     windows = [int((np.arange(x.size) - x).max()) for x in lo]
     order = sorted(range(k_paths), key=windows.__getitem__)
@@ -337,8 +335,6 @@ def brute_force_optimal(arrivals: ArrivalSequence, model: CostModel) -> OfflineS
     lexicographically earliest schedule (tie means bit-identical cost).
     """
     n = arrivals.slots.size
-    if n == 0:
-        raise ValueError("arrival sequence has no requests")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{n} occupied slots exceeds the enumeration bound {BRUTE_FORCE_LIMIT}")
     slots, counts = arrivals.slots, arrivals.counts

@@ -217,8 +217,6 @@ def quadratic_offline_dp(arrivals, model):
     kept by the earliest point.
     """
     n = arrivals.slots.size
-    if n == 0:
-        raise ValueError("arrival sequence has no requests")
     r = arrivals.slots.astype(np.int64)
     w = arrivals.counts.astype(np.float64)
     f = model.staleness
@@ -371,8 +369,11 @@ def make_trace(path, n_requests=1000, horizon=2500, slot_duration=1.0, seed=11):
 
 def bernoulli_path(rate, seed, horizon):
     """Slots 1..horizon, each holding one request with probability ``rate``,
-    drawn one uniform per slot from ``np.random.default_rng(seed)``."""
+    drawn one uniform per slot from ``np.random.default_rng(seed)``; None
+    for a draw with no request, which no ``ArrivalSequence`` holds."""
     hits = np.nonzero(np.random.default_rng(seed).random(horizon) < rate)[0] + 1
+    if not hits.size:
+        return None
     return ArrivalSequence(horizon=horizon, slots=hits.astype(np.int64), counts=np.ones(hits.size, dtype=np.int64))
 
 

@@ -169,6 +169,17 @@ def test_sequence_validation():
         ArrivalSequence(horizon=10, slots=np.array([2**63 - 1, -2, 3]), counts=np.ones(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ArrivalSequence(horizon=5, slots=np.empty(0, np.int64), counts=np.empty(0, np.int64)),
+    lambda: ArrivalSequence.from_slots([]),
+    lambda: ArrivalSequence.from_slots([], horizon=5),
+    lambda: ArrivalSequence.from_counts({}),
+], ids=["direct", "from_slots", "from_slots with horizon", "from_counts"])
+def test_a_sequence_with_no_request_is_refused_however_it_is_built(build):
+    with pytest.raises(ValueError, match="^arrival sequence has no requests$"):
+        build()
+
+
 @pytest.mark.parametrize("rate", [1e-300, 1e-16])
 def test_a_path_past_the_int64_slots_is_refused(rate):
     # The cumsum of the gaps wraps in int64: at 1e-16 the slots ran from

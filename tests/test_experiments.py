@@ -194,7 +194,7 @@ def test_spec_validation_messages():
         # An int path opened that file descriptor: 7 failed with "Bad file
         # descriptor" and 0 read the trace from stdin.
         *(({"kind": "trace", "path": path, "slot_duration": 1.0},
-           rf"^arrival\.path: must be a string, got {re.escape(repr(path))}$")
+           rf"^arrival\.path: must be a string or os\.PathLike, got {re.escape(repr(path))}$")
           for path in (7, 0, True, None, ["t.csv"])),
     ):
         with pytest.raises(ConfigError, match=message):
@@ -258,6 +258,30 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_a_record_that_is_not_an_object_is_refused_by_the_spec_with_or_without_flags(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "never.csv"
+    for key, flags in (("model", ["--p", "5"]), ("arrival", ["--lambda", "0.1"])):
+        cfg.write_text(json.dumps({key: [1]}))
+        for extra in ([], flags):
+            assert main(["sweep-threshold", "--config", str(cfg), "--out", str(out)] + extra) == 1, (key, extra)
+            assert capsys.readouterr().err == f"configuration error: {key}: must be an object, got [1]\n", (key, extra)
+    assert not out.exists()
+
+
+def test_a_trace_spec_takes_a_pathlike_path_and_records_it_as_a_string(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("1.0\n3.0\n")
+    spec = ExperimentSpec.from_dict({
+        "name": "t", "kind": "trace_compare", "include_offline": False,
+        "model": {"staleness": {"kind": "linear"}, "update_cost": 5.0},
+        "arrival": {"kind": "trace", "path": trace, "slot_duration": 1.0}})
+    assert spec.arrival["path"] == str(trace)
+    out = str(tmp_path / "out.csv")
+    emit(run_trace_compare(spec), out)
+    with open(out + ".meta.json") as fh:
+        assert json.load(fh)["spec"]["arrival"]["path"] == str(trace)
+
+
 def test_trace_on_malformed_is_checked(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("1.0\nnot-a-time\n3.0\n")
@@ -285,7 +309,7 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
     for path in (7, 0):
         cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": path}}))
         assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1, path
-        assert capsys.readouterr().err.startswith(f"configuration error: arrival.path: must be a string, got {path}")
+        assert capsys.readouterr().err.startswith(f"configuration error: arrival.path: must be a string or os.PathLike, got {path}")
     # open() refuses a NUL with a ValueError of its own, which used to exit 2.
     cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": "a\u0000b"}}))
     assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1

@@ -22,6 +22,13 @@ def cost_spec(**kw):
     return ExperimentSpec.from_dict({**data, **kw})
 
 
+def trace_spec(**arrival):
+    """A trace_compare spec of ``os.devnull``; ``arrival`` replaces its arrival's fields."""
+    data = {"name": "t", "kind": "trace_compare", "model": {"staleness": {"kind": "linear"}, "update_cost": 50.0},
+            "arrival": {"kind": "trace", "path": os.devnull, "slot_duration": 1.0, **arrival}}
+    return ExperimentSpec.from_dict(data)
+
+
 def piecewise_model(age, value=9.0):
     return {"staleness": {"kind": "piecewise", "breakpoints": [[age, value]]}, "update_cost": 5.0}
 
@@ -111,16 +118,19 @@ _FIELDS = {
         "spec": lambda v: cost_spec(arrival={"kind": "bernoulli", "rate": v}),
         "spec grid": lambda v: cost_spec(kind="lambda_sweep", arrival={"kind": "bernoulli"}, grid=[v]),
     }),
-    # The options are checked before the file is read.
+    # The path and the options are checked before the file is read.
     "load_trace.slot_duration": ("slot_duration: slot duration", "a positive number", {
         "direct": lambda v: load_trace(os.devnull, v),
+        "spec": lambda v: trace_spec(slot_duration=v),
     }),
     "load_trace.on_malformed": ("on_malformed:", "'error' or 'skip'", {
         "direct": lambda v: load_trace(os.devnull, 1.0, on_malformed=v),
+        "spec": lambda v: trace_spec(on_malformed=v),
     }),
     # open() reads an int as a file descriptor: 0 is stdin.
     "load_trace.path": ("path:", "a string or os.PathLike", {
         "direct": lambda v: load_trace(v, 1.0),
+        "spec": lambda v: trace_spec(path=v),
     }),
 }
 # 2.5 is a number, so only the integer fields refuse it. An integer past
