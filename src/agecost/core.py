@@ -87,6 +87,12 @@ def check_fields(record: dict, known, prefix: str = "") -> None:
         raise ValueError(f"{prefix}unknown fields {sorted(extra)}")
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class StalenessFn:
     """Non-decreasing penalty of the AoI with f(0) = 0.
@@ -109,6 +115,12 @@ class StalenessFn:
     kind: str
     table: tuple[float, ...] = ()
     breakpoints: tuple[tuple[int, float], ...] = ()
+    # Built once from the tuples, outside eq, hash and repr: the breakpoint
+    # ages ``__call__`` bisects, and the read-only arrays ``eval_array``
+    # indexes (the table, or 0 and then each breakpoint's value) and searches.
+    _ages: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _values: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _starts: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "quadratic", "table", "piecewise"):
@@ -146,6 +158,10 @@ class StalenessFn:
                 raise ValueError(f"{name} values must be non-negative")
             if any(a > b for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} values must be non-decreasing")
+            if not table:
+                object.__setattr__(self, "_ages", ages)
+                object.__setattr__(self, "_starts", _read_only(ages, np.int64))
+            object.__setattr__(self, "_values", _read_only(vals if table else (0.0, *vals), np.float64))
 
     @classmethod
     def linear(cls) -> "StalenessFn":
@@ -180,7 +196,7 @@ class StalenessFn:
         if self.kind == "table":
             t = self.table
             return t[aoi] if aoi < len(t) else t[-1]
-        idx = bisect.bisect_right([s for s, _ in self.breakpoints], aoi) - 1
+        idx = bisect.bisect_right(self._ages, aoi) - 1
         return self.breakpoints[idx][1] if idx >= 0 else 0.0
 
     def eval_array(self, ages: np.ndarray) -> np.ndarray:
@@ -193,11 +209,8 @@ class StalenessFn:
         if self.kind == "quadratic":
             return ages.astype(np.float64, copy=False) ** 2
         if self.kind == "table":
-            vals = np.asarray(self.table, dtype=np.float64)
-            return vals[np.minimum(ages, len(vals) - 1).astype(np.intp, copy=False)]
-        starts = np.asarray([s for s, _ in self.breakpoints])
-        vals = np.concatenate(([0.0], [v for _, v in self.breakpoints]))
-        return vals[np.searchsorted(starts, ages, side="right")]
+            return self._values[np.minimum(ages, self._values.size - 1).astype(np.intp, copy=False)]
+        return self._values[np.searchsorted(self._starts, ages, side="right")]
 
     def first_age(self, level: float, limit: int) -> int | None:
         """Smallest age a in [1, limit] with f(a) >= level, by doubling, then

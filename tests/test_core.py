@@ -1,8 +1,9 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agecost import (
     CostModel,
@@ -115,6 +116,63 @@ def test_float_ages_below_2_to_the_53_evaluate_as_their_integers(fn):
     ages = np.array([0, 1, 2, 4, 5, 6, 99, 2**26, 2**53 - 2, 2**53 - 1])
     as_floats = ages.astype(np.float64)
     assert fn.eval_array(as_floats).tolist() == fn.eval_array(ages).tolist() == [fn(int(a)) for a in ages]
+
+
+def tuple_eval_array(fn, ages):
+    """``fn.eval_array(ages)`` computed from the ``table`` and ``breakpoints``
+    tuples themselves, the reference for the arrays the function builds once."""
+    if fn.kind == "table":
+        vals = np.asarray(fn.table, dtype=np.float64)
+        return vals[np.minimum(ages, len(vals) - 1).astype(np.intp, copy=False)]
+    starts = np.asarray([s for s, _ in fn.breakpoints])
+    vals = np.concatenate(([0.0], [v for _, v in fn.breakpoints]))
+    return vals[np.searchsorted(starts, ages, side="right")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_and_piecewise_evaluate_bit_for_bit_as_their_tuples(data):
+    fn = data.draw(cost_models(data.draw(st.floats(min_value=0.5, max_value=50.0)), held_at_p=True)).staleness
+    ages = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=50)))
+    for spelled in (ages, ages.astype(np.float64)):
+        got = fn.eval_array(spelled)
+        assert got.dtype == np.float64 and got.tobytes() == tuple_eval_array(fn, spelled).tobytes()
+        assert got.tolist() == [fn(int(a)) for a in ages]
+        got[:] = -1.0  # a caller may write into the result
+
+
+def test_built_arrays_are_read_only_and_outside_eq_hash_repr_and_config():
+    for build in (lambda: StalenessFn.from_table([0, 1, 3]), lambda: StalenessFn.piecewise([(2, 1.0), (5, 6.0)])):
+        fn, twin = build(), build()
+        assert fn._values is not twin._values
+        assert fn == twin and hash(fn) == hash(twin)
+        assert not any(name in repr(fn) for name in ("_ages", "_values", "_starts"))
+        assert set(CostModel(fn, 2.0).to_config()["staleness"]) <= {"kind", "values", "breakpoints"}
+        for arr in (fn._values, fn._starts):
+            if arr is not None:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["table", "piecewise"])
+def test_eval_array_cost_does_not_grow_with_the_table(kind):
+    """Each call indexes arrays built once: 1e5 entries cost within 5x of 10."""
+    ages = np.random.default_rng(3).integers(0, 2 * 10**5, 100)
+
+    def best_time(n):
+        values = np.arange(n, dtype=np.float64).tolist()
+        fn = StalenessFn.from_table(values) if kind == "table" else StalenessFn.piecewise(zip(range(1, n + 1), values))
+        return min(timeit.repeat(lambda: fn.eval_array(ages), number=20, repeat=15)) / 20
+
+    assert best_time(10**5) < 5 * best_time(10)
+
+
+@pytest.mark.parametrize("fn", [LINEAR, QUADRATIC, StalenessFn.from_table([0, 1]), StalenessFn.piecewise([(1, 1.0)])],
+                         ids=["linear", "quadratic", "table", "piecewise"])
+def test_a_negative_age_is_refused(fn):
+    with pytest.raises(ValueError, match=r"^AoI must be non-negative, got -1$"):
+        fn(-1)
 
 
 def test_table_holds_last_value():
