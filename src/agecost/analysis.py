@@ -200,9 +200,10 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
     """Cost-minimizing integer update period.
 
     Linear penalty: the continuous minimizer sqrt(2p/rate) is refined by
-    comparing the closed form at its floor and ceil (ties go to the longer
-    period, i.e. fewer updates); a rate so small that sqrt(2p/rate) passes
-    ``MAX_CAP`` is an InvalidRate, raised before any array is sized by it.
+    comparing ``periodic_avg_cost`` at its floor and ceil (ties go to the
+    longer period, i.e. fewer updates), in O(1) memory while F(d - 1) is
+    below 2^53; a rate so small that sqrt(2p/rate) passes ``MAX_CAP`` is an
+    InvalidRate, raised before any array is sized by it.
     Other penalties: cost(d+1) < cost(d) iff h(d) = d*f(d) - F(d-1) <
     p/rate, and h(d+1) - h(d) = (d+1)(f(d+1) - f(d)) >= 0, so the cost falls
     strictly up to the first d with h(d) >= p/rate (found by doubling) and
@@ -221,9 +222,9 @@ def optimal_period(rate: float, model: CostModel) -> PeriodSolution:
             raise InvalidRate(f"arrival rate {rate} is too small at update cost {p}: the optimal "
                               f"period sqrt(2p/rate) = {d_c} passes 2^50")
         lo, hi = max(math.floor(d_c), 1), max(math.ceil(d_c), 1)
-        costs = _periodic_costs(rate, p, _penalty_prefix(model, hi))
-        best = hi if costs[hi - 1] <= costs[lo - 1] else lo
-        return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=float(costs[best - 1]))
+        cost_lo, cost_hi = periodic_avg_cost(rate, model, lo), periodic_avg_cost(rate, model, hi)
+        best, cost = (hi, cost_hi) if cost_hi <= cost_lo else (lo, cost_lo)
+        return PeriodSolution(d_star=best, d_continuous=d_c, cost_at_d_star=cost)
     held = model.staleness.held_from
     level = p / rate
     for n, f, prefix in _windows(model, held):

@@ -385,3 +385,43 @@ def test_the_naive_price_at_a_large_cap_holds_no_array_of_its_ages():
     assert peak < 8 * 2**20
     assert cost == (1e7 + 0.1 * (10**7 * (10**7 - 1) // 2)) / (0.1 * (10**7 - 1) + 1.0)
     assert periodic_avg_cost(0.1, m, 10**7) == (1e7 + 0.1 * (10**7 * (10**7 - 1) // 2)) / (0.1 * 1e7)
+
+
+def periodic_costs_choice(rate, model):
+    """The linear period and its cost as read off ``_periodic_costs`` over
+    every period up to the ceiling of sqrt(2p/rate)."""
+    d_c = math.sqrt(2.0 * model.update_cost / rate)
+    lo, hi = max(math.floor(d_c), 1), max(math.ceil(d_c), 1)
+    costs = agecost.analysis._periodic_costs(rate, model.update_cost, agecost.analysis._penalty_prefix(model, hi))
+    best = hi if costs[hi - 1] <= costs[lo - 1] else lo
+    return best, float(costs[best - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-4, max_value=1.0), st.floats(min_value=1e-3, max_value=1e4))
+def test_the_linear_period_is_priced_as_the_cost_array_prices_it(rate, p):
+    m = CostModel(LINEAR, p)
+    sol = optimal_period(rate, m)
+    assert (sol.d_star, sol.cost_at_d_star) == periodic_costs_choice(rate, m)
+
+
+def test_the_linear_period_holds_no_array_of_its_periods():
+    # d* = 1,414,214: the cost of every period up to it took 43 MiB.
+    m = CostModel(LINEAR, 1e6)
+    tracemalloc.start()
+    try:
+        sol = optimal_period(1e-6, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (sol.d_star, sol.cost_at_d_star) == periodic_costs_choice(1e-6, m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: periodic_avg_cost(0.5, m, 0), r"^period must be >= 1$"),
+    (lambda m: renewal_expectations(0.5, m, 0), r"^tau must be >= 1$"),
+], ids=["periodic_avg_cost d", "renewal_expectations tau"])
+def test_a_period_or_threshold_below_1_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(CostModel(LINEAR, 10.0))
