@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,20 @@ def test_policy_validation_and_config():
             Policy.from_config({**cfg, "extra": 1})
     with pytest.raises(ValueError, match=r"^unknown fields \['d'\]"):
         Policy.from_config({"kind": "threshold", "tau": 3, "d": 4})
+
+
+@pytest.mark.parametrize("kind", ["bogus", 7, None])
+def test_an_unknown_policy_kind_is_refused(kind):
+    with pytest.raises(ValueError, match=rf"^unknown policy kind {re.escape(repr(kind))}$"):
+        Policy(kind)
+
+
+def test_reactify_refuses_a_slot_outside_the_horizon():
+    arr = ArrivalSequence.from_slots([3, 8], horizon=10)
+    for bad in ([0, 3], [3, 11], [-2]):
+        with pytest.raises(ValueError, match=r"^schedule slots must lie in \[1, horizon\]$"):
+            reactify(bad, arr)
+    assert reactify([1, 10], arr) == (3,)
 
 
 def test_reactify_examples():
