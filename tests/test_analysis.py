@@ -406,7 +406,7 @@ def test_the_linear_period_is_priced_as_the_cost_array_prices_it(rate, p):
 
 
 def test_the_linear_period_holds_no_array_of_its_periods():
-    # d* = 1,414,214: the cost of every period up to it took 43 MiB.
+    # d* = 1,414,214, so the cost of every period up to it is an array of 11 MB.
     m = CostModel(LINEAR, 1e6)
     tracemalloc.start()
     try:

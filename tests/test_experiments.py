@@ -309,7 +309,8 @@ def test_trace_on_malformed_is_checked(tmp_path, capsys):
     for path in (7, 0):
         cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": path}}))
         assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1, path
-        assert capsys.readouterr().err.startswith(f"configuration error: arrival.path: must be a string or os.PathLike, got {path}")
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: arrival.path: must be a string or os.PathLike, got {path}")
     # open() refuses a NUL with a ValueError of its own, which used to exit 2.
     cfg.write_text(json.dumps({**data, "arrival": {**arrival, "path": "a\u0000b"}}))
     assert main(["trace-compare", "--config", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
