@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_float, as_int, check_rate
+from .core import as_float, as_int, as_slots, check_rate
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +59,13 @@ class ArrivalSequence:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "horizon", as_int(self.horizon, "horizon"))
+        for name in ("slots", "counts"):
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64 and arr.ndim == 1):
+                raise ValueError(f"{name} must be a 1-d int64 array, got {arr!r}")
+        if self.counts.size != self.slots.size:
+            raise ValueError(f"counts must hold one count per slot, got {self.counts.size} for {self.slots.size} slots")
         if not self.slots.size:
             raise ValueError("arrival sequence has no requests")
         if self.slots[0] < 1 or self.slots[-1] > self.horizon:
@@ -75,16 +82,16 @@ class ArrivalSequence:
 
     @classmethod
     def from_counts(cls, counts_by_slot: dict[int, int], horizon: int | None = None) -> "ArrivalSequence":
-        slots = np.array(sorted(counts_by_slot), dtype=np.int64)
-        counts = np.array([counts_by_slot[s] for s in slots], dtype=np.int64)
+        slots = np.array(sorted(as_slots(counts_by_slot.keys())), dtype=np.int64)
+        counts = np.array([as_int(counts_by_slot[s], "each count") for s in slots], dtype=np.int64)
         if horizon is None:
             horizon = int(slots[-1]) if slots.size else 0
         return cls(horizon=horizon, slots=slots, counts=counts)
 
     @classmethod
     def from_slots(cls, slots, horizon: int | None = None) -> "ArrivalSequence":
-        """One request per listed slot."""
-        arr = np.asarray(sorted(slots), dtype=np.int64)
+        """One request per listed slot, given in any order."""
+        arr = np.array(sorted(as_slots(slots)), dtype=np.int64)
         if horizon is None:
             horizon = int(arr[-1]) if arr.size else 0
         return cls(horizon=horizon, slots=arr, counts=np.ones(arr.size, dtype=np.int64))

@@ -78,6 +78,11 @@ def as_list(value, what: str) -> tuple:
     return tuple(value)
 
 
+def as_slots(slots) -> tuple[int, ...]:
+    """``slots`` as ints: a list (``as_list``) of integers (``as_int``, naming "each slot")."""
+    return tuple(as_int(s, "each slot") for s in as_list(slots, "slots"))
+
+
 def check_fields(record: dict, known, prefix: str = "") -> None:
     """Raise a ValueError, its message led by ``prefix``, if ``record`` holds
     a key outside ``known``. A spec's records go through

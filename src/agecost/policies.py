@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalSequence
-from .core import CostModel, as_int, as_list, cap_threshold, check_fields
+from .core import CostModel, as_int, as_slots, cap_threshold, check_fields
 
 
 class NotReactive(ValueError):
@@ -59,7 +59,7 @@ class Policy:
             if name != attr and getattr(self, name) is not None:
                 raise ValueError(f"a {self.kind} policy takes no {name}")
         if self.kind == "scheduled":
-            slots = _as_slots(self.update_slots)
+            slots = as_slots(self.update_slots)
             if any(a >= b for a, b in zip(slots, slots[1:])):
                 raise ValueError("scheduled slots must be strictly increasing")
             if slots and slots[0] < 1:
@@ -86,7 +86,7 @@ class Policy:
     @classmethod
     def scheduled(cls, slots) -> "Policy":
         """A scheduled policy firing at ``slots``, given in any order."""
-        return cls("scheduled", update_slots=sorted(_as_slots(slots)))
+        return cls("scheduled", update_slots=sorted(as_slots(slots)))
 
     @classmethod
     def from_config(cls, config: dict) -> "Policy":
@@ -118,10 +118,6 @@ class Policy:
         return "naive"
 
 
-def _as_slots(slots) -> tuple[int, ...]:
-    return tuple(as_int(s, "each slot") for s in as_list(slots, "slots"))
-
-
 def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:
     """Move every off-request update forward to the next request slot.
 
@@ -129,7 +125,7 @@ def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:
     request collapse to one; updates with no request left to serve are
     dropped (they could only add cost).
     """
-    sched = np.asarray(sorted(as_int(s, "each slot") for s in schedule), dtype=np.int64)
+    sched = np.asarray(sorted(as_slots(schedule)), dtype=np.int64)
     if sched.size and (sched[0] < 1 or sched[-1] > arrivals.horizon):
         raise ValueError("schedule slots must lie in [1, horizon]")
     req = arrivals.slots
@@ -150,7 +146,7 @@ def cap(schedule, arrivals: ArrivalSequence, model: CostModel) -> tuple[int, ...
     delta_star = cap_threshold(model)
     req = arrivals.slots.tolist()
     req_set = set(req)
-    keep = set(as_int(s, "each slot") for s in schedule)
+    keep = set(as_slots(schedule))
     if not keep <= req_set:
         bad = sorted(keep - req_set)
         raise NotReactive(f"schedule contains request-free slots {bad[:5]}")

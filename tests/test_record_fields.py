@@ -1,7 +1,8 @@
 """Each record converts and checks its own fields in ``__post_init__``, so a
 bad value is refused naming its field however the record is built: by a
-direct call, a classmethod, ``from_config`` or an experiment spec. Trace
-options follow one rule whether ``load_trace`` or a spec reads them."""
+direct call, a classmethod or builder, ``from_config`` or an experiment
+spec. Trace options follow one rule whether ``load_trace`` or a spec reads
+them."""
 
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from agecost import BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn, load_trace
+from agecost import ArrivalSequence, BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn, load_trace
 from agecost.cli import main
 
 
@@ -118,6 +119,27 @@ _FIELDS = {
         "spec": lambda v: cost_spec(arrival={"kind": "bernoulli", "rate": v}),
         "spec grid": lambda v: cost_spec(kind="lambda_sweep", arrival={"kind": "bernoulli"}, grid=[v]),
     }),
+    "ArrivalSequence.horizon": ("horizon", "an integer", {
+        "direct": lambda v: ArrivalSequence(horizon=v, slots=np.array([1]), counts=np.array([1])),
+    }),
+    "ArrivalSequence.horizon of a builder": ("horizon", "an integer", {
+        "from_slots": lambda v: ArrivalSequence.from_slots([1], horizon=v),
+        "from_counts": lambda v: ArrivalSequence.from_counts({1: 1}, horizon=v),
+    }),
+    "ArrivalSequence.slots": ("slots", "a 1-d int64 array", {
+        "direct": lambda v: ArrivalSequence(horizon=5, slots=v, counts=np.array([1])),
+    }),
+    "ArrivalSequence.counts": ("counts", "a 1-d int64 array", {
+        "direct": lambda v: ArrivalSequence(horizon=5, slots=np.array([1]), counts=v),
+    }),
+    "ArrivalSequence.slots list": ("slots", "a list", {"from_slots": ArrivalSequence.from_slots}),
+    "ArrivalSequence.slots each": ("each slot", "an integer", {
+        "from_slots": lambda v: ArrivalSequence.from_slots([v]),
+        "from_counts": lambda v: ArrivalSequence.from_counts({v: 1}),
+    }),
+    "ArrivalSequence.counts each": ("each count", "an integer", {
+        "from_counts": lambda v: ArrivalSequence.from_counts({1: v}),
+    }),
     # The path and the options are checked before the file is read.
     "load_trace.slot_duration": ("slot_duration: slot duration", "a positive number", {
         "direct": lambda v: load_trace(os.devnull, v),
@@ -139,7 +161,12 @@ _BAD = {"an integer": (True, "3", 2.5, None, 2**63, 10**400), "a number": (True,
         "a finite number": (True, "3", 10**400),
         "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}),
         "an object": (None, "linear", ["linear"], 5), "'error' or 'skip'": ("bogus",),
-        "a string or os.PathLike": (7, 0, True, None, b"t.csv")}
+        "a string or os.PathLike": (7, 0, True, None, b"t.csv"),
+        "a 1-d int64 array": ([1], None, np.array([1.5]), np.array([1.0]), np.array([True]), np.array([1], np.int32),
+                              np.array(1), np.array([[1]]))}
+# Fields whose valid values differ from their rule's: a builder reads a
+# horizon of None as its last slot.
+_FIELD_BAD = {"ArrivalSequence.horizon of a builder": (True, "3", 2.5, 2**63, 10**400)}
 # Numbers that a finite or positive number refuses, and how: an int past the
 # float range reads as inf. A non-number is refused as not "a number".
 _OUT_OF_RANGE = {10**400: "must be finite, got inf", 0: "must be positive, got 0"}
@@ -155,8 +182,9 @@ def refusal(rule, value):
 
 
 @pytest.mark.parametrize("field,entry,value", [(field, entry, value) for field, (_, rule, entries) in _FIELDS.items()
-                                               for entry in entries for value in _BAD[rule]],
-                         ids=lambda v: {10**400: "10**400", 2**63: "2**63"}.get(v) if type(v) is int else None)
+                                               for entry in entries for value in _FIELD_BAD.get(field, _BAD[rule])],
+                         ids=lambda v: ({10**400: "10**400", 2**63: "2**63"}.get(v) if type(v) is int
+                                        else repr(v) if isinstance(v, np.ndarray) else None))
 def test_a_bad_value_is_refused_naming_its_field_at_every_entry_point(field, entry, value):
     name, rule, entries = _FIELDS[field]
     with pytest.raises(ValueError, match=rf"\b{name} {re.escape(refusal(rule, value))}$") as exc:
