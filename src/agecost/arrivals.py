@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -52,6 +53,15 @@ class ArrivalSequence:
     the number of requests in each; slots without requests are absent. A
     sequence holds at least one request: a replay or an offline solve
     charges requests, and means nothing without one.
+
+    The constructor is the one check of a sequence, however it is built. It
+    reads ``horizon`` through ``as_int`` and requires ``slots`` and
+    ``counts`` to be 1-d int64 arrays of one length, each a ValueError
+    naming its field. Then the sequence must hold a request, its slots must
+    lie in [1, horizon] and strictly increase, and each count must be at
+    least 1. The builders read a caller's slots through ``as_slots`` and
+    the counts of ``from_counts`` through ``as_int``, so 1.7, True or 2^63
+    is refused naming the slot or count, not cast.
     """
 
     horizon: int
@@ -102,7 +112,10 @@ class BernoulliSource:
     """Bernoulli(lambda) arrival process with one request per occupied slot.
 
     rate = 1 is admitted so the dense-arrival limit can be simulated even
-    though the analytical results are stated for rates below 1.
+    though the analytical results are stated for rates below 1. ``seed`` is
+    any integer, stored as an int: a negative one or one past 2^63, as
+    ``derive_seed`` returns, is masked to 64 bits when the stream is drawn.
+    A bool, a float, a string or None is a ValueError naming it.
     """
 
     rate: float
@@ -110,6 +123,9 @@ class BernoulliSource:
 
     def __post_init__(self) -> None:
         check_rate(self.rate)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def generate_bernoulli(source: BernoulliSource, *, n_requests: int) -> ArrivalSequence:

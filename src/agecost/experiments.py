@@ -22,6 +22,7 @@ import itertools
 import json
 import operator
 import os
+import platform
 import time
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -732,7 +733,10 @@ def _cells(chunk, end: int) -> np.ndarray:
 
 def emit(table: ResultTable, path) -> None:
     """Write the table as CSV plus a JSON sidecar holding the artifact version,
-    the RNG algorithm, ``created_unix`` and the table's meta (spec and seeds).
+    the RNG algorithm, ``created_unix``, a ``run`` block and the table's meta
+    (spec and seeds). ``run`` names the ``numpy`` and ``python`` versions of
+    the run: numpy keeps a ``Generator``'s streams only within one version
+    (NEP 19), so a spec's CSV bytes hold for the numpy version that wrote it.
 
     Cells print as ``ResultTable`` says; text is written as UTF-8, and a
     cell holding a NUL character is refused. The CSV is built
@@ -746,8 +750,9 @@ def emit(table: ResultTable, path) -> None:
     that appears under two names is formatted once per chunk. Each column
     gives a byte matrix, one row per cell, padded with NUL bytes; a chunk's
     matrices are joined, the padding dropped, and the chunk written with
-    one call. Rerunning the same spec reproduces the CSV byte for byte;
-    ``created_unix`` is the only non-deterministic field of the sidecar.
+    one call. Rerunning the same spec under the same numpy reproduces the CSV
+    byte for byte; ``created_unix`` is the only non-deterministic field of
+    the sidecar.
     """
     n = len(table.rows)
     if not n:
@@ -768,6 +773,7 @@ def emit(table: ResultTable, path) -> None:
         "artifact_version": __version__,
         "rng": RNG_ALGORITHM,
         "created_unix": time.time(),
+        "run": {"numpy": np.__version__, "python": platform.python_version()},
         **table.meta,
     }
     with open(path + ".meta.json", "w") as fh:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _first_minimizer
-from .core import CostModel, as_int, cap_threshold, check_rate
+from .core import CostModel, as_float, as_int, cap_threshold, check_rate
 
 
 # Largest ``state_cap``: a solution reports one value and one action per age
@@ -41,7 +41,7 @@ class MdpConfig:
     read through ``as_int``; it must reach the lumped state Delta*, must not
     exceed ``MAX_STATE_CAP`` = 2^24 (checked before any array is built, so a
     model with Delta* >= 2^24 has no config), and it changes no solved
-    number."""
+    number. ``discount`` is read through ``as_float`` and lies in [0, 1)."""
 
     rate: float
     model: CostModel
@@ -56,8 +56,9 @@ class MdpConfig:
         ds = cap_threshold(self.model)
         if self.state_cap < ds + 1:
             raise ValueError(f"state_cap must be >= cap threshold + 1 = {ds + 1}")
+        object.__setattr__(self, "discount", as_float(self.discount, "discount"))
         if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
+            raise ValueError(f"discount must be in [0, 1), got {self.discount}")
 
 
 @dataclass(frozen=True, eq=False)

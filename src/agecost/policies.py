@@ -41,7 +41,7 @@ class Policy:
 
     However it is built, ``tau``, ``period`` and each slot are stored as ints
     (``as_int``: 2.5, True or "3" is a ValueError naming the parameter, as
-    are ``slots`` that are not a list, see ``as_list``), and a kind given
+    are ``slots`` that are not a list, see ``as_slots``), and a kind given
     another kind's parameter is a ValueError, e.g. "a naive policy takes no
     tau".
     """
@@ -123,7 +123,8 @@ def reactify(schedule, arrivals: ArrivalSequence) -> tuple[int, ...]:
 
     Updates already on request slots stay; updates that merge onto the same
     request collapse to one; updates with no request left to serve are
-    dropped (they could only add cost).
+    dropped (they could only add cost). The schedule is read through
+    ``as_slots``.
     """
     sched = np.asarray(sorted(as_slots(schedule)), dtype=np.int64)
     if sched.size and (sched[0] < 1 or sched[-1] > arrivals.horizon):
@@ -141,7 +142,8 @@ def cap(schedule, arrivals: ArrivalSequence, model: CostModel) -> tuple[int, ...
 
     Forward replay over request slots with the already-inserted updates in
     effect: whenever the induced age reaches the cap threshold, that request
-    becomes an update. Input updates are all kept.
+    becomes an update. Input updates, read through ``as_slots``, are all
+    kept.
     """
     delta_star = cap_threshold(model)
     req = arrivals.slots.tolist()

@@ -1,3 +1,4 @@
+import hashlib
 import locale
 import logging
 import re
@@ -58,6 +59,45 @@ def test_empirical_rate_concentration():
 def test_empirical_rate_exact_cases():
     assert empirical_rate(ArrivalSequence.from_slots(range(1, 11))) == 1.0
     assert empirical_rate(ArrivalSequence.from_slots([2, 4], horizon=10)) == 0.2
+
+
+# sha256 of the little-endian int64 slots of 1000 requests, per (rate,
+# seed), as numpy 2.4.6 draws them. numpy draws a geometric gap by inverting
+# an exponential below rate 1/3 and by a search from 1/3 up, and NEP 19 lets
+# a Generator's streams change between numpy versions: such a change fails
+# here, not only through the CSV md5s. Every gap is 1 at rate 1, so its
+# seeds share a digest.
+_BERNOULLI_SHA256 = {
+    (0.1, 0): "5d67ecae9d130fbc1e5fc4fb6f3947a4cb459d1e133d317baccafbda60af0369",
+    (0.1, 1): "c8b2f5587518f236d9bf003b8b4546dcc3a5606ae52f8e212ae3bd2950712e06",
+    (0.1, 2**64 - 1): "6980b035083ba47b0b52b077b687a0ac5890d9103b1f16c3a0406b671563b4a8",
+    (0.3, 0): "de17b4ca5bf82fd0a04e654763b51ac707c06b3b3c11226fd402cdfb5a01728d",
+    (0.3, 1): "94638219b8786fd285b82cfcbd954f9eccd355da83c2c48e62bb2a0d75297dd5",
+    (0.3, 2**64 - 1): "bcde53c3de6bb6aeae0969e9b2de65b53eef78f4bed4bb7408d65de9c226abab",
+    (0.5, 0): "690eac19eb843f262f5f368a81823d732ea2b3498c6ea7de5309395af346ad0a",
+    (0.5, 1): "c3ff8ec277d085fae217f6c49b81bb4ca94070925cdcb9b1780dcfc84705f612",
+    (0.5, 2**64 - 1): "9f771c07f5c1dbd47092c436c3ca3c0207ee51f8aba593e660e64c61eae03361",
+    (1.0, 0): "1f4c8a964567752b9f2357c00ffd86613076563e4e8e075cb37fa97119bf2d61",
+    (1.0, 1): "1f4c8a964567752b9f2357c00ffd86613076563e4e8e075cb37fa97119bf2d61",
+    (1.0, 2**64 - 1): "1f4c8a964567752b9f2357c00ffd86613076563e4e8e075cb37fa97119bf2d61",
+}
+
+
+@pytest.mark.parametrize("rate,seed", sorted(_BERNOULLI_SHA256))
+def test_bernoulli_slots_are_pinned_on_both_branches(rate, seed):
+    slots = generate_bernoulli(BernoulliSource(rate, seed), n_requests=1000).slots
+    assert hashlib.sha256(slots.astype("<i8").tobytes()).hexdigest() == _BERNOULLI_SHA256[rate, seed], \
+        f"numpy {np.__version__} draws other slots at rate {rate}, seed {seed}"
+
+
+# derive_seed returns seeds past 2^63; the stream reads the seed mod 2^64.
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 2**63, 2**64 - 1, 2**64 + 5, np.uint64(2**64 - 1)],
+                         ids=["-1", "int64 -1", "2**63", "2**64-1", "2**64+5", "uint64 2**64-1"])
+def test_any_integer_seeds_a_stream(seed):
+    source = BernoulliSource(0.5, seed)
+    assert type(source.seed) is int
+    expected = generate_bernoulli(BernoulliSource(0.5, int(seed) % 2**64), n_requests=50).slots
+    assert np.array_equal(generate_bernoulli(source, n_requests=50).slots, expected)
 
 
 def test_invalid_rates():

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import re
 import sys
 import threading
@@ -584,7 +585,8 @@ def test_sidecar_keys_per_kind(argv, kind_keys, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--p", "20", "--runs", "2", "--requests", "100", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
-    assert set(sidecar) == {"artifact_version", "rng", "created_unix", "spec"} | kind_keys
+    assert set(sidecar) == {"artifact_version", "rng", "created_unix", "run", "spec"} | kind_keys
+    assert sidecar["run"] == {"numpy": np.__version__, "python": platform.python_version()}
 
 
 def test_emit_refuses_empty(tmp_path):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from agecost import ArrivalSequence, BernoulliSource, ConfigError, CostModel, ExperimentSpec, Policy, StalenessFn, load_trace
+from agecost import (ArrivalSequence, BernoulliSource, ConfigError, CostModel, ExperimentSpec, MdpConfig, Policy,
+                     StalenessFn, load_trace)
 from agecost.cli import main
 
 
@@ -140,6 +141,10 @@ _FIELDS = {
     "ArrivalSequence.counts each": ("each count", "an integer", {
         "from_counts": lambda v: ArrivalSequence.from_counts({1: v}),
     }),
+    "BernoulliSource.seed": ("seed", "an integer", {"direct": lambda v: BernoulliSource(0.5, v)}),
+    "MdpConfig.discount": ("discount", "a number", {
+        "direct": lambda v: MdpConfig(0.5, CostModel(StalenessFn.linear(), 5.0), discount=v),
+    }),
     # The path and the options are checked before the file is read.
     "load_trace.slot_duration": ("slot_duration: slot duration", "a positive number", {
         "direct": lambda v: load_trace(os.devnull, v),
@@ -165,8 +170,10 @@ _BAD = {"an integer": (True, "3", 2.5, None, 2**63, 10**400), "a number": (True,
         "a 1-d int64 array": ([1], None, np.array([1.5]), np.array([1.0]), np.array([True]), np.array([1], np.int32),
                               np.array(1), np.array([[1]]))}
 # Fields whose valid values differ from their rule's: a builder reads a
-# horizon of None as its last slot.
-_FIELD_BAD = {"ArrivalSequence.horizon of a builder": (True, "3", 2.5, 2**63, 10**400)}
+# horizon of None as its last slot, and any integer is a seed, 2^63 too,
+# but 3.0 is not.
+_FIELD_BAD = {"ArrivalSequence.horizon of a builder": (True, "3", 2.5, 2**63, 10**400),
+              "BernoulliSource.seed": (True, np.True_, "3", 2.5, 3.0, None)}
 # Numbers that a finite or positive number refuses, and how: an int past the
 # float range reads as inf. A non-number is refused as not "a number".
 _OUT_OF_RANGE = {10**400: "must be finite, got inf", 0: "must be positive, got 0"}
@@ -184,7 +191,7 @@ def refusal(rule, value):
 @pytest.mark.parametrize("field,entry,value", [(field, entry, value) for field, (_, rule, entries) in _FIELDS.items()
                                                for entry in entries for value in _FIELD_BAD.get(field, _BAD[rule])],
                          ids=lambda v: ({10**400: "10**400", 2**63: "2**63"}.get(v) if type(v) is int
-                                        else repr(v) if isinstance(v, np.ndarray) else None))
+                                        else repr(v) if isinstance(v, (np.ndarray, np.generic)) else None))
 def test_a_bad_value_is_refused_naming_its_field_at_every_entry_point(field, entry, value):
     name, rule, entries = _FIELDS[field]
     with pytest.raises(ValueError, match=rf"\b{name} {re.escape(refusal(rule, value))}$") as exc:
