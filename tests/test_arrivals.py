@@ -203,7 +203,7 @@ def test_sequence_validation():
         ArrivalSequence(horizon=5, slots=np.array([3, 3]), counts=np.array([1, 1]))
     with pytest.raises(ValueError):
         ArrivalSequence(horizon=5, slots=np.array([3]), counts=np.array([0]))
-    # numpy broadcast the one count over both slots: a replay charged two.
+    # numpy would broadcast one count over both slots.
     with pytest.raises(ValueError, match="^counts must hold one count per slot, got 1 for 2 slots$"):
         ArrivalSequence(horizon=5, slots=np.array([1, 2]), counts=np.array([1]))
     # -2 - (2^63 - 1) wraps to a positive int64, so an order check by
