@@ -20,7 +20,6 @@ import contextlib
 import functools
 import itertools
 import json
-import operator
 import os
 import platform
 import time
@@ -225,94 +224,74 @@ class ExperimentSpec:
         return {name: value for name, value in asdict(self).items() if name in read}
 
 
-class Runs(Sequence):
-    """A run-length column: ``values[i]`` repeated ``counts[i]`` times, in
-    order. Indexing gives the value at a row; a slice of step 1 gives the
-    ``Runs`` of those rows."""
+def _per_row(column) -> bool:
+    """Whether a block's column holds one value per row; any other value is
+    shared by all the block's rows."""
+    return isinstance(column, (np.ndarray, list))
 
-    def __init__(self, values, counts):
-        self.values = list(values)
-        self.counts = [operator.index(c) for c in counts]
-        if len(self.values) != len(self.counts) or any(c < 0 for c in self.counts):
-            raise ValueError(f"runs need one count >= 0 per value, got {len(self.values)} values "
-                             f"and counts {self.counts}")
-        self._ends = list(itertools.accumulate(self.counts))
+
+class _Rows(Sequence):
+    """Read-only row view of a ``ResultTable``: one dict per row, built on demand."""
+
+    def __init__(self, blocks: list, ends: list):
+        self._blocks = blocks
+        self._ends = ends
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if step != 1:
-                raise ValueError(f"a slice of runs takes step 1, got {step}")
-            if stop <= start:
-                return Runs([], [])
-            first = bisect.bisect_right(self._ends, start)
-            last = bisect.bisect_left(self._ends, stop, first)  # the run of row stop - 1
-            ends, counts = self._ends[first:last + 1], self.counts[first:last + 1]
-            return Runs(self.values[first:last + 1],
-                        [min(e, stop) - max(e - c, start) for e, c in zip(ends, counts)])
+            return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # negative indices, IndexError past the end
-        return self.values[bisect.bisect_right(self._ends, i)]
-
-    def __repr__(self) -> str:
-        return f"Runs({self.values!r}, {self.counts!r})"
-
-
-class _Rows(Sequence):
-    """Read-only row view of a ``ResultTable``: one dict per row, built on demand."""
-
-    def __init__(self, columns: dict, n: int):
-        self._columns = columns
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(self._n))]
-        i = range(self._n)[i]  # negative indices, IndexError past the end
+        b = bisect.bisect_right(self._ends, i)
+        j = i - (self._ends[b - 1] if b else 0)
         row = {}
-        for name, column in self._columns.items():
-            value = column[i]
+        for name, column in self._blocks[b].items():
+            value = column[j] if _per_row(column) else column
             row[name] = value.item() if isinstance(value, np.generic) else value
         return row
 
 
 @dataclass(eq=False)
 class ResultTable:
-    """One experiment's results, one column per CSV column, plus the metadata
+    """One experiment's results as a list of row blocks, plus the metadata
     that reproduces them.
 
-    ``columns`` maps every name in ``COLUMNS`` to a numpy array, a list or
-    a ``Runs``, all of one length. In the CSV that ``emit`` writes, a cell
-    of a float64 array reads ``format(v, ".10g")`` and one of an integer
-    array ``str(v)``, both made by numpy from the array. Any other column,
-    a ``Runs`` included, keeps each value's own type: its cells read empty
-    for ``None`` or ``""``, ``format(v, ".10g")`` for a Python float and
-    ``str(v)`` otherwise, in UTF-8, and a cell whose text holds a NUL
-    character is refused. A ``Runs`` stores a column that holds one value
-    per block of rows as one value and one count per block, so it keeps no
-    Python object per row. ``rows`` is a read-only view with one dict per
-    row, made on demand, in which numpy scalars come back as Python numbers.
+    A block maps every name in ``COLUMNS`` to a numpy array or a list with
+    one value per row, or to any other value, which all the block's rows
+    share; its per-row columns, at least one, are of one length, the
+    block's number of rows. The table's rows are its blocks' rows in order.
+    In the CSV that ``emit`` writes, a cell of a float64 array reads
+    ``format(v, ".10g")`` and one of an integer array ``str(v)``, both made
+    by numpy from the array. Any other cell, a shared one included, keeps
+    its value's own type: it reads empty for ``None`` or ``""``,
+    ``format(v, ".10g")`` for a Python float and ``str(v)`` otherwise, in
+    UTF-8, and a cell whose text holds a NUL character is refused. A block
+    of no rows writes no cell. ``rows`` is a read-only view with one dict
+    per row, made on demand, in which numpy scalars come back as Python
+    numbers.
     """
 
-    columns: dict
+    blocks: list
     meta: dict
 
     def __post_init__(self) -> None:
-        if set(self.columns) != set(COLUMNS):
-            raise ValueError(f"columns must be exactly {COLUMNS}, got {tuple(self.columns)}")
-        lengths = {len(self.columns[name]) for name in COLUMNS}
-        if len(lengths) != 1:
-            raise ValueError(f"columns differ in length: {sorted(lengths)}")
-        self.columns = {name: self.columns[name] for name in COLUMNS}
+        counts = []
+        for i, block in enumerate(self.blocks):
+            if set(block) != set(COLUMNS):
+                raise ValueError(f"block {i}: columns must be exactly {COLUMNS}, got {tuple(block)}")
+            lengths = {len(column) for column in block.values() if _per_row(column)}
+            if len(lengths) != 1:
+                raise ValueError(f"block {i}: per-row columns must be present and of one length, "
+                                 f"got lengths {sorted(lengths)}")
+            counts.extend(lengths)
+        self.blocks = [{name: block[name] for name in COLUMNS} for block in self.blocks]
+        self._ends = list(itertools.accumulate(counts))
 
     @property
     def rows(self) -> _Rows:
-        return _Rows(self.columns, len(self.columns[COLUMNS[0]]))
+        return _Rows(self.blocks, self._ends)
 
 
 def _resolve_policies(policies: list[Policy] | None, rate: float, model: CostModel):
@@ -475,7 +454,7 @@ def run_policy_comparison(spec: ExperimentSpec) -> ResultTable:
         meta = {"rate": spec._points[-1][1], "mc_within_3_stderr": not outside, "mc_outside_taus": outside}
     else:
         meta = {"auto_policies": resolutions, "offline_included": offline_on}
-    return ResultTable(columns, {"spec": spec.to_dict(), **meta})
+    return ResultTable([columns], {"spec": spec.to_dict(), **meta})
 
 
 def _replay(policies: list[tuple[str, Policy, float | None]], arrivals: ArrivalSequence, model: CostModel,
@@ -499,34 +478,23 @@ def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
     return ArrivalSequence(horizon=int(seq.slots[idx]), slots=seq.slots[: idx + 1].copy(), counts=counts)
 
 
-def _cumulative_columns(replays: list[tuple[str, SimResult]], arrivals: ArrivalSequence,
-                        model: CostModel) -> dict:
+def _cumulative_blocks(replays: list[tuple[str, SimResult]], arrivals: ArrivalSequence,
+                       model: CostModel) -> list[dict]:
     """One block of rows per replay, in order: row j of a block holds the
     average cost over the first j requests, i.e. the staleness charged so far
     plus every update at slots up to and including request j's slot."""
-    n, k = arrivals.n_requests, len(replays)
-    index = np.arange(1, n + 1, dtype=np.int64)
-    denom = index.astype(np.float64)
-    total, staleness, update = (np.empty((k, n)) for _ in range(3))
-    for (_, res), total_k, staleness_k, update_k in zip(replays, total, staleness, update):
+    requests = np.arange(1, arrivals.n_requests + 1, dtype=np.int64)
+    denom = requests.astype(np.float64)
+    blocks = []
+    for label, res in replays:
         cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
         cum_update = model.update_cost * np.repeat(res.updates_through, arrivals.counts)
-        np.divide(cum_stale + cum_update, denom, out=total_k)
-        np.divide(cum_stale, denom, out=staleness_k)
-        np.divide(cum_update, denom, out=update_k)
-    requests = np.tile(index, k)
-    return {
-        "x_value": requests,
-        "policy_label": Runs([label for label, _ in replays], [n] * k),
-        "mean_cost": total.ravel(),
-        "stderr": Runs([0.0], [k * n]),
-        "mean_staleness": staleness.ravel(),
-        "mean_update": update.ravel(),
-        "analytic_cost": Runs([None], [k * n]),
-        "n_runs": Runs([1], [k * n]),
-        "n_requests": requests,
-        "seed": Runs([""], [k * n]),
-    }
+        blocks.append({
+            "x_value": requests, "policy_label": label, "mean_cost": (cum_stale + cum_update) / denom,
+            "stderr": 0.0, "mean_staleness": cum_stale / denom, "mean_update": cum_update / denom,
+            "analytic_cost": None, "n_runs": 1, "n_requests": requests, "seed": "",
+        })
+    return blocks
 
 
 @_QUIET_OVERFLOW
@@ -576,7 +544,7 @@ def run_trace_compare(spec: ExperimentSpec) -> ResultTable:
         "cumulative_convention": "rows hold cumulative average cost after each request",
         **offline_meta,
     }
-    return ResultTable(_cumulative_columns(replays, seq, model), meta)
+    return ResultTable(_cumulative_blocks(replays, seq, model), meta)
 
 
 def _format_cell(value) -> str:
@@ -630,16 +598,6 @@ def _tables():
     for t in tables:  # shared by every call
         t.flags.writeable = False
     return tables
-
-
-def _packed(texts: list[bytes], which, end: int) -> np.ndarray:
-    """Field of cells whose bytes are ``texts[which[i]]``, each followed by
-    the byte ``end``; a NUL byte is padding, so a text may not hold one."""
-    if any(b"\0" in t for t in texts):
-        raise ValueError("a CSV cell may not hold a NUL character")
-    ended = [t + bytes([end]) for t in texts]
-    table = np.array(ended, dtype=f"S{max(map(len, ended))}")
-    return table.view(np.uint8).reshape(len(ended), -1).take(which, axis=0)
 
 
 def _float_cells(v: np.ndarray, end: int) -> np.ndarray:
@@ -716,19 +674,23 @@ def _int_cells(v: np.ndarray, end: int) -> np.ndarray:
     return words.view(np.uint8)[:, 4 * col:25]
 
 
-def _cells(chunk, end: int) -> np.ndarray:
-    """Field of one column's cells in a chunk: one row of bytes per cell,
-    ending in the byte ``end``, in which NUL bytes are padding. A chunk of
-    any other column is formatted as the ``Runs`` of one row per cell."""
+def _cells(column, lo: int, hi: int, end: int) -> np.ndarray:
+    """Field of rows [lo, hi) of one column of a block: one row of bytes per
+    cell, ending in the byte ``end``, in which NUL bytes are padding, so a
+    cell's text may not hold one. A shared value is formatted once and its
+    bytes repeated over the rows."""
+    if not _per_row(column):
+        field = _cells([column], 0, 1, end)
+        return np.broadcast_to(field, (hi - lo, field.shape[1]))
+    chunk = column[lo:hi]
     if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
         return _float_cells(chunk, end)
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         return _int_cells(chunk, end)
-    if not isinstance(chunk, Runs):
-        chunk = Runs(chunk, [1] * len(chunk))
-    # A value of no row is not a cell: it is neither formatted nor checked.
-    texts = [_format_cell(value).encode() if count else b"" for value, count in zip(chunk.values, chunk.counts)]
-    return _packed(texts, np.repeat(np.arange(len(texts)), chunk.counts), end)
+    texts = [_format_cell(value).encode() + bytes([end]) for value in chunk]
+    if any(b"\0" in t for t in texts):
+        raise ValueError("a CSV cell may not hold a NUL character")
+    return np.array(texts, dtype=f"S{max(map(len, texts))}").view(np.uint8).reshape(len(texts), -1)
 
 
 def emit(table: ResultTable, path) -> None:
@@ -739,36 +701,37 @@ def emit(table: ResultTable, path) -> None:
     (NEP 19), so a spec's CSV bytes hold for the numpy version that wrote it.
 
     Cells print as ``ResultTable`` says; text is written as UTF-8, and a
-    cell holding a NUL character is refused. The CSV is built
+    cell holding a NUL character is refused. Each block is written
     ``_EMIT_CHUNK`` rows at a time. A float64 or integer column's chunk is
     turned into bytes by numpy, with no Python object per cell: a float cell
     the kernel cannot place exactly (near a rounding tie, not finite, or in
     exponent notation) is formatted in Python and written into its own row
-    of the column's field, which keeps its width. A ``Runs`` chunk formats
-    each of its values once and repeats the bytes over the value's rows;
-    any other column formats each of its cells. A column object
-    that appears under two names is formatted once per chunk. Each column
-    gives a byte matrix, one row per cell, padded with NUL bytes; a chunk's
-    matrices are joined, the padding dropped, and the chunk written with
-    one call. Rerunning the same spec under the same numpy reproduces the CSV
-    byte for byte; ``created_unix`` is the only non-deterministic field of
-    the sidecar.
+    of the column's field, which keeps its width. A shared value is
+    formatted once per chunk and its bytes repeated over the chunk's rows;
+    any other column formats each of its cells. A column object that
+    appears under two names of a block is formatted once per chunk. Each
+    column gives a byte matrix, one row per cell, padded with NUL bytes; a
+    chunk's matrices are joined, the padding dropped, and the chunk written
+    with one call. Rerunning the same spec under the same numpy reproduces
+    the CSV byte for byte; ``created_unix`` is the only non-deterministic
+    field of the sidecar.
     """
-    n = len(table.rows)
-    if not n:
+    if not len(table.rows):
         raise ValueError("refusing to emit an empty table")
     path = str(path)
     ends = b"," * (len(COLUMNS) - 1) + b"\n"
-    columns = [(column, id(column), end) for column, end in zip(table.columns.values(), ends)]
     with open(path, "wb") as fh:
         fh.write((",".join(COLUMNS) + "\n").encode())
-        for lo in range(0, n, _EMIT_CHUNK):
-            fields = {}  # a column object that appears twice is formatted once
-            for column, key, end in columns:
-                if (key, end) not in fields:
-                    fields[key, end] = _cells(column[lo:lo + _EMIT_CHUNK], end)
-            rows = np.hstack([fields[key, end] for _, key, end in columns])
-            fh.write(rows.tobytes().translate(None, b"\0"))
+        for block, start, stop in zip(table.blocks, [0, *table._ends], table._ends):
+            columns = [(column, id(column), end) for column, end in zip(block.values(), ends)]
+            for lo in range(0, stop - start, _EMIT_CHUNK):
+                hi = min(lo + _EMIT_CHUNK, stop - start)
+                fields = {}  # a column object that appears twice is formatted once
+                for column, key, end in columns:
+                    if (key, end) not in fields:
+                        fields[key, end] = _cells(column, lo, hi, end)
+                rows = np.hstack([fields[key, end] for _, key, end in columns])
+                fh.write(rows.tobytes().translate(None, b"\0"))
     sidecar = {
         "artifact_version": __version__,
         "rng": RNG_ALGORITHM,

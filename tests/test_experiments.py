@@ -34,7 +34,7 @@ from agecost import (
 from agecost import cli, engine
 from agecost.arrivals import derive_seed
 from agecost.cli import main
-from agecost.experiments import COLUMNS, Runs, truncate_requests
+from agecost.experiments import COLUMNS, truncate_requests
 
 from oracles import alarm, make_trace, reference_csv
 
@@ -590,46 +590,33 @@ def test_sidecar_keys_per_kind(argv, kind_keys, tmp_path, capsys):
 
 
 def test_emit_refuses_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit(ResultTable({name: [] for name in COLUMNS}, meta={}), tmp_path / "never.csv")
+    for blocks in ([], [{name: [] for name in COLUMNS}, {**dict.fromkeys(COLUMNS, 1), "seed": np.array([])}]):
+        with pytest.raises(ValueError, match="refusing to emit an empty table"):
+            emit(ResultTable(blocks, meta={}), tmp_path / "never.csv")
+    assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("column", [list, np.array, lambda values: Runs([values[0], "none", *values[1:]],
-                                                                   [1, 0, *[1] * (len(values) - 1)])],
-                         ids=["list", "array", "runs"])
+@pytest.mark.parametrize("column", [list, np.array], ids=["list", "array"])
 def test_result_table_checks_its_columns(column):
-    columns = {name: column([1, 2]) for name in COLUMNS}
-    with pytest.raises(ValueError, match="columns must be exactly"):
-        ResultTable({k: v for k, v in columns.items() if k != "seed"}, meta={})
-    with pytest.raises(ValueError, match=r"columns differ in length: \[2, 3\]"):
-        ResultTable({**columns, "seed": column([0, 1, 2])}, meta={})
-    rows = ResultTable({**columns, "mean_cost": np.array([0.5, -0.0])}, meta={}).rows
-    assert len(rows) == 2
-    assert rows[-1] == {**dict.fromkeys(COLUMNS, 2), "mean_cost": -0.0}
-    assert type(rows[1]["mean_cost"]) is float and type(rows[-1]["seed"]) is int
+    block = {name: column([1, 2]) for name in COLUMNS}
+    with pytest.raises(ValueError, match="block 1: columns must be exactly"):
+        ResultTable([block, {k: v for k, v in block.items() if k != "seed"}], meta={})
+    with pytest.raises(ValueError, match=r"block 0: .* of one length, got lengths \[2, 3\]"):
+        ResultTable([{**block, "seed": column([0, 1, 2])}], meta={})
+    with pytest.raises(ValueError, match=r"block 0: per-row columns must be present .* got lengths \[\]"):
+        ResultTable([dict.fromkeys(COLUMNS, 1)], meta={})
+    empty = {name: column([]) for name in COLUMNS}
+    shared = {"stderr": np.float64(0.25), "n_runs": np.int64(7), "seed": "s", "analytic_cost": None}
+    rows = ResultTable([{**block, "mean_cost": np.array([0.5, -0.0])}, empty, {**block, **shared}, empty], meta={}).rows
+    assert len(rows) == 4
+    assert rows[1] == {**dict.fromkeys(COLUMNS, 2), "mean_cost": -0.0}
+    assert rows[2] == {**dict.fromkeys(COLUMNS, 1), **shared}
+    assert rows[-1] == {**dict.fromkeys(COLUMNS, 2), **shared}
+    assert type(rows[1]["mean_cost"]) is float and type(rows[-1]["x_value"]) is int
+    assert type(rows[2]["stderr"]) is float and type(rows[2]["n_runs"]) is int
     assert rows[:1] == [{**dict.fromkeys(COLUMNS, 1), "mean_cost": 0.5}]
     with pytest.raises(IndexError):
-        rows[2]
-
-
-@settings(max_examples=200, deadline=None)
-@given(runs=st.lists(st.tuples(st.integers(), st.integers(0, 4)), max_size=6),
-       start=st.integers(-25, 25), stop=st.integers(-25, 25) | st.none())
-def test_runs_index_and_slice_as_the_list_they_stand_for(runs, start, stop):
-    column = Runs([v for v, _ in runs], [c for _, c in runs])
-    cells = [v for v, c in runs for _ in range(c)]
-    assert len(column) == len(cells)
-    assert [column[i] for i in range(-len(cells), len(cells))] == cells + cells
-    for i in (len(cells), -len(cells) - 1):
-        with pytest.raises(IndexError):
-            column[i]
-    part = column[start:stop]
-    assert isinstance(part, Runs) and list(part) == cells[start:stop]
-    with pytest.raises(ValueError, match="step 1"):
-        column[::2]
-    for values, counts in (([1], [1, 2]), ([1, 2], [3, -1])):
-        with pytest.raises(ValueError, match="one count >= 0 per value"):
-            Runs(values, counts)
+        rows[4]
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-7, 1e16, 3.0, 1e10, 123456789012.0]))
@@ -643,52 +630,59 @@ _CELLS = st.one_of(
 _ALIKE = [(0, 0.0, -0.0, False), (1, 1.0, True), (10**16, 1e16)]  # equal values that print differently
 
 
-def _runs(draw, n, cuts, values):
-    """A ``Runs`` of n rows cut at ``cuts`` (any points in [0, n], so runs
-    straddle chunk boundaries and some are empty), one drawn value a run."""
-    counts = np.diff([0, *sorted(cuts), n])
-    return Runs(draw(st.lists(values, min_size=len(counts), max_size=len(counts))), counts)
+def _table_and_rows(blocks):
+    """The table of ``blocks``, each a (block, n, cells) with ``cells[name]``
+    the n values the column stands for, and the row dicts they spell."""
+    rows = [{name: cells[name][j] for name in COLUMNS} for _, n, cells in blocks for j in range(n)]
+    return ResultTable([block for block, _, _ in blocks], meta={}), rows
 
 
-def _expanded(column):
-    """A ``Runs`` as the list of cells it stands for; any other column as it is."""
-    if isinstance(column, Runs):
-        return [value for value, count in zip(column.values, column.counts) for _ in range(count)]
-    return column
+def _block(draw, n, per_row, values):
+    """A block of n rows whose columns are ``per_row(kind, n)`` for a drawn
+    kind, or one drawn value of ``values`` that all rows share. Some
+    columns are the object of the column before them, as a trace block's
+    request index is both its x_value and its n_requests."""
+    block, cells = {}, {}
+    for name in COLUMNS:
+        kind = draw(st.sampled_from(("shared", "same", *per_row)))
+        if kind == "same" and block:
+            column = block[name] = block[prev]
+            cells[name] = cells[prev]
+        elif kind in ("shared", "same"):
+            column = block[name] = draw(values | st.sampled_from(draw(st.sampled_from(_ALIKE))))
+            cells[name] = [column] * n
+        else:
+            column = block[name] = per_row[kind](n)
+            cells[name] = column.tolist() if isinstance(column, np.ndarray) else column
+        prev = name
+    if not any(isinstance(column, (list, np.ndarray)) for column in block.values()):
+        block["seed"] = cells["seed"] = [block["seed"]] * n
+    return block, n, cells
 
 
 @st.composite
-def _columns(draw):
-    n = draw(st.integers(1, 12))
-    columns = {}
-    for name in COLUMNS:
-        kind = draw(st.sampled_from(("float64", "int64", "cells", "alike", "runs")))
-        if kind == "cells":
-            columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
-        elif kind == "alike":
-            group = draw(st.sampled_from(_ALIKE))
-            columns[name] = draw(st.lists(st.sampled_from(group), min_size=n, max_size=n))
-        elif kind == "runs":
-            cuts = draw(st.lists(st.integers(0, n), max_size=6))
-            columns[name] = _runs(draw, n, cuts, _CELLS | st.sampled_from(draw(st.sampled_from(_ALIKE))))
-        else:
-            columns[name] = np.array(draw(st.lists(_FLOATS if kind == "float64" else _INTS,
-                                                   min_size=n, max_size=n)), dtype=kind)
-    return columns
+def _blocks(draw):
+    """1 to 3 blocks of 0 to 8 rows, at least one row in all."""
+    per_row = {
+        "float64": lambda n: np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=np.float64),
+        "int64": lambda n: np.array(draw(st.lists(_INTS, min_size=n, max_size=n)), dtype=np.int64),
+        "cells": lambda n: draw(st.lists(_CELLS, min_size=n, max_size=n)),
+        "alike": lambda n: draw(st.lists(st.sampled_from(draw(st.sampled_from(_ALIKE))), min_size=n, max_size=n)),
+    }
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3).filter(any))
+    return _table_and_rows([_block(draw, n, per_row, _CELLS) for n in sizes])
 
 
 @settings(max_examples=200, deadline=None)
-@given(columns=_columns(), chunk=st.sampled_from([1, 2, 3, 5, 64]))
-def test_emit_matches_the_reference_writer(tmp_path_factory, columns, chunk):
-    table = ResultTable(columns, meta={})
-    cells = ResultTable({name: _expanded(column) for name, column in columns.items()}, meta={})
+@given(blocks=_blocks(), chunk=st.sampled_from([1, 2, 3, 5, 64]))
+def test_emit_matches_the_reference_writer(tmp_path_factory, blocks, chunk):
+    table, rows = blocks
     out = tmp_path_factory.getbasetemp() / "emit.csv"
     with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
         emit(table, out)
-    assert out.read_bytes() == reference_csv(cells.rows).encode()
+    assert out.read_bytes() == reference_csv(rows).encode()
     # repr tells 0, 0.0, -0.0 and False apart
-    assert [list(map(repr, row.values())) for row in table.rows] == \
-        [list(map(repr, row.values())) for row in cells.rows]
+    assert [list(map(repr, row.values())) for row in table.rows] == [list(map(repr, row.values())) for row in rows]
 
 
 def _edge_floats():
@@ -712,52 +706,52 @@ _TEXT_CELLS = st.one_of(_CELLS, st.text(max_size=6), st.sampled_from(["%", "%%d"
 
 
 @st.composite
-def _long_columns(draw):
-    """2,000 to 2,500 rows. A float64 column mixes running means, every
-    magnitude with both signs, values of fewer than ten digits, integers,
-    the edge floats and hypothesis floats; an integer column spans int64 or
-    uint64 with their extremes; a cell column holds runs of the same object,
-    text with "%", NUL or non-ASCII among them, and a ``Runs`` column such
-    values or an alike group, cut anywhere and at the chunk edges."""
-    n = draw(st.integers(2_000, 2_500))
+def _long_blocks(draw):
+    """1 to 3 blocks of 0 to 2,500 rows, at least one row in all, many of
+    them at or next to a chunk size. A float64 column mixes running means,
+    every magnitude with both signs, values of fewer than ten digits,
+    integers, the edge floats and hypothesis floats; an integer column
+    spans int64 or uint64 with their extremes; a list or object column
+    holds runs of the same object, text with "%", NUL or non-ASCII among
+    them; a shared column holds such a value or one of an alike group."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = {}
-    for name in COLUMNS:
-        kind = draw(st.sampled_from(("float64", "int64", "uint64", "cells", "object", "runs")))
-        if kind == "float64":
-            pool = np.concatenate([
-                np.cumsum(rng.uniform(0, 50, n)) / np.arange(1, n + 1),
-                10.0 ** rng.uniform(-6, 11, n) * rng.choice([-1, 1], n),
-                np.round(rng.uniform(-1e4, 1e4, n), rng.integers(0, 10)),
-                rng.integers(-10**6, 10**6, n).astype(np.float64),
-                _EDGE_FLOATS,
-                draw(st.lists(st.floats(), max_size=20)),
-            ])
-            columns[name] = rng.permutation(pool)[:n]
-        elif kind in ("int64", "uint64"):
-            info = np.iinfo(kind)
-            column = rng.integers(info.min, info.max, n, dtype=kind, endpoint=True)
-            column[rng.random(n) < 0.5] %= 1000
+
+    def floats(n):
+        pool = np.concatenate([
+            np.cumsum(rng.uniform(0, 50, n)) / np.arange(1, n + 1),
+            10.0 ** rng.uniform(-6, 11, n) * rng.choice([-1, 1], n),
+            np.round(rng.uniform(-1e4, 1e4, n), rng.integers(0, 10)),
+            rng.integers(-10**6, 10**6, n).astype(np.float64),
+            _EDGE_FLOATS,
+            draw(st.lists(st.floats(), max_size=20)),
+        ])
+        return rng.permutation(pool)[:n]
+
+    def integers(dtype, n):
+        info = np.iinfo(dtype)
+        column = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+        column[rng.random(n) < 0.5] %= 1000
+        if n:
             column[rng.integers(0, n, 3)] = [info.min, info.max, 0]
-            columns[name] = column
-        elif kind == "runs":
-            edges = [e + d for e in (999, 1998, 2048) for d in (-1, 0, 1) if e + d <= n]
-            cuts = [*rng.integers(0, n + 1, rng.integers(0, 8)), *draw(st.lists(st.sampled_from(edges), max_size=3))]
-            columns[name] = _runs(draw, n, cuts, _TEXT_CELLS | st.sampled_from(draw(st.sampled_from(_ALIKE))))
-        else:
-            values = draw(st.lists(_TEXT_CELLS, min_size=1, max_size=5))
-            cells = [values[i] for i in np.sort(rng.integers(0, len(values), n))]
-            columns[name] = np.array(cells, dtype=object) if kind == "object" else cells
-    return columns
+        return column
+
+    def cells(n):
+        values = draw(st.lists(_TEXT_CELLS, min_size=1, max_size=5))
+        return [values[i] for i in np.sort(rng.integers(0, len(values), n))]
+
+    per_row = {"float64": floats, "int64": lambda n: integers(np.int64, n), "uint64": lambda n: integers(np.uint64, n),
+               "cells": cells, "object": lambda n: np.array(cells(n), dtype=object)}
+    edges = st.sampled_from([e + d for e in (999, 2048) for d in (-1, 0, 1)])
+    sizes = draw(st.lists(edges | st.integers(0, 2_500), min_size=1, max_size=3).filter(any))
+    return _table_and_rows([_block(draw, n, per_row, _TEXT_CELLS) for n in sizes])
 
 
 @settings(max_examples=30, deadline=None)
-@given(columns=_long_columns(), chunk=st.sampled_from([999, 2048, experiments._EMIT_CHUNK]))
-def test_emit_matches_the_reference_writer_on_long_columns(tmp_path_factory, columns, chunk):
-    table = ResultTable(columns, meta={})
+@given(blocks=_long_blocks(), chunk=st.sampled_from([999, 2048, experiments._EMIT_CHUNK]))
+def test_emit_matches_the_reference_writer_on_long_columns(tmp_path_factory, blocks, chunk):
+    table, rows = blocks
     out = tmp_path_factory.getbasetemp() / "emit-long.csv"
-    expected = reference_csv(ResultTable({name: _expanded(column) for name, column in columns.items()},
-                                         meta={}).rows)
+    expected = reference_csv(rows)
     with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
         if "\0" in expected:  # NUL pads the kernel's byte rows, so a cell holding one is refused
             with pytest.raises(ValueError, match="NUL"):
@@ -775,7 +769,7 @@ def test_emit_places_every_edge_float_and_extreme_integer(tmp_path):
     columns.update(mean_cost=floats, stderr=floats[::-1].copy(), x_value=ints,
                    n_runs=np.resize(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64), n),
                    policy_label=np.resize(np.array(["100%", "naïve", "é🙂"], dtype=object), n))
-    emit(ResultTable(columns, meta={}), tmp_path / "edges.csv")
+    emit(ResultTable([columns], meta={}), tmp_path / "edges.csv")
     rows = [line.split(",") for line in (tmp_path / "edges.csv").read_text(encoding="utf-8").splitlines()[1:]]
     assert n >= 2_000
     assert [r[2] for r in rows] == [format(v, ".10g") for v in floats.tolist()]
@@ -797,7 +791,7 @@ def test_float_cells_formatted_in_python_stay_in_their_own_rows(tmp_path):
         floats[k * 1_000 + np.arange(0, n - k * 1_000, 2_731)] = value
     columns = {name: ["x"] * n for name in COLUMNS}
     columns.update(mean_cost=floats, stderr=-floats)
-    table = ResultTable(columns, meta={})
+    table = ResultTable([columns], meta={})
     emit(table, tmp_path / "python-cells.csv")
     assert (tmp_path / "python-cells.csv").read_bytes() == reference_csv(table.rows).encode()
     assert not np.isfinite(floats[:-5].reshape(3, -1)).all(axis=1).any()  # each full chunk holds a special
@@ -808,14 +802,16 @@ def test_float_cells_formatted_in_python_stay_in_their_own_rows(tmp_path):
 
 
 def test_emit_refuses_a_nul_in_a_text_cell(tmp_path):
-    columns = {name: [1, 2] for name in COLUMNS}
-    with pytest.raises(ValueError, match="may not hold a NUL character"):
-        emit(ResultTable({**columns, "policy_label": ["naive", "a\0b"]}, meta={}), tmp_path / "nul.csv")
-    # A run of no rows holds no cell, so its value is neither written nor refused.
-    emit(ResultTable({**columns, "policy_label": Runs(["naive", "a\0b", "x"], [1, 0, 1])}, meta={}),
-         tmp_path / "empty-run.csv")
-    assert (tmp_path / "empty-run.csv").read_text().splitlines()[1:] == ["1,naive,1,1,1,1,1,1,1,1",
-                                                                        "2,x,2,2,2,2,2,2,2,2"]
+    block = {name: [1, 2] for name in COLUMNS}
+    for label in (["naive", "a\0b"], "a\0b"):
+        with pytest.raises(ValueError, match="may not hold a NUL character"):
+            emit(ResultTable([{**block, "policy_label": label}], meta={}), tmp_path / "nul.csv")
+    # A block of no rows holds no cell, so its shared value is neither written nor refused.
+    empty = {**{name: [] for name in COLUMNS}, "policy_label": "a\0b"}
+    emit(ResultTable([{**block, "policy_label": "naive"}, empty, {**block, "policy_label": ["x", "y"]}], meta={}),
+         tmp_path / "empty-block.csv")
+    assert (tmp_path / "empty-block.csv").read_text().splitlines()[1:] == [
+        "1,naive,1,1,1,1,1,1,1,1", "2,naive,2,2,2,2,2,2,2,2", "1,x,1,1,1,1,1,1,1,1", "2,y,2,2,2,2,2,2,2,2"]
 
 
 def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
@@ -862,8 +858,10 @@ def test_trace_compare_memory_is_columnar(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    for name, column in table.columns.items():  # no Python object per row
-        assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
+    for block in table.blocks:  # no Python object per row, and one request index
+        for name, column in block.items():
+            assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
+        assert block["x_value"] is block["n_requests"] is table.blocks[0]["x_value"]
 
 
 def test_cli_parser_built_once_serves_each_run_as_a_fresh_one(capsys):
