@@ -7,6 +7,7 @@ import math
 import numbers
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class ArrivalSequence:
     ``counts`` to be 1-d int64 arrays of one length, each a ValueError
     naming its field. Then the sequence must hold a request, its slots must
     lie in [1, horizon] and strictly increase, and each count must be at
-    least 1. The builders read a caller's slots through ``as_slots`` and
+    least 1. It keeps read-only copies of both arrays, so no later write
+    undoes these checks. The builders read a caller's slots through ``as_slots`` and
     the counts of ``from_counts`` through ``as_int``, so 1.7, True or 2^63
     is refused naming the slot or count, not cast.
     """
@@ -74,6 +76,9 @@ class ArrivalSequence:
             arr = getattr(self, name)
             if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64 and arr.ndim == 1):
                 raise ValueError(f"{name} must be a 1-d int64 array, got {arr!r}")
+            arr = arr.copy()  # the caller's array could be changed after these checks
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.counts.size != self.slots.size:
             raise ValueError(f"counts must hold one count per slot, got {self.counts.size} for {self.slots.size} slots")
         if not self.slots.size:
@@ -92,6 +97,8 @@ class ArrivalSequence:
 
     @classmethod
     def from_counts(cls, counts_by_slot: dict[int, int], horizon: int | None = None) -> "ArrivalSequence":
+        if not isinstance(counts_by_slot, Mapping):
+            raise ValueError(f"counts_by_slot must be a mapping, got {counts_by_slot!r}")
         slots = np.array(sorted(as_slots(counts_by_slot.keys())), dtype=np.int64)
         counts = np.array([as_int(counts_by_slot[s], "each count") for s in slots], dtype=np.int64)
         if horizon is None:

@@ -475,7 +475,7 @@ def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
     idx = int(np.searchsorted(cum, n_requests, side="left"))
     counts = seq.counts[: idx + 1].copy()
     counts[idx] -= int(cum[idx]) - n_requests
-    return ArrivalSequence(horizon=int(seq.slots[idx]), slots=seq.slots[: idx + 1].copy(), counts=counts)
+    return ArrivalSequence(horizon=int(seq.slots[idx]), slots=seq.slots[: idx + 1], counts=counts)
 
 
 def _cumulative_blocks(replays: list[tuple[str, SimResult]], arrivals: ArrivalSequence,

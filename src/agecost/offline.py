@@ -314,7 +314,7 @@ def _first_in_reach(arrivals: ArrivalSequence, reach: int) -> np.ndarray:
     the slot ages run from after point i: 0 for i = 0 (never updated), else
     the slot of request i.
     """
-    r = arrivals.slots.astype(np.int64)
+    r = arrivals.slots
     return np.concatenate(([0, 0], np.searchsorted(np.concatenate(([0], r)), r - reach)))
 
 

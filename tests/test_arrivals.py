@@ -23,6 +23,7 @@ from agecost import (
     empirical_rate,
     generate_bernoulli,
     load_trace,
+    simulate,
     simulate_many,
 )
 
@@ -210,6 +211,22 @@ def test_sequence_validation():
     # differences passed these slots.
     with pytest.raises(ValueError, match="strictly increasing"):
         ArrivalSequence(horizon=10, slots=np.array([2**63 - 1, -2, 3]), counts=np.ones(3, dtype=np.int64))
+
+
+def test_a_sequence_keeps_read_only_copies_of_its_arrays():
+    # A write to the caller's slots once made this sequence price at 6.0,
+    # and a write to a count left n_requests stale.
+    slots, counts = np.array([1, 2]), np.array([1, 1])
+    seq = ArrivalSequence(horizon=5, slots=slots, counts=counts)
+    slots[0], counts[0] = 4, 7
+    assert seq.slots.tolist() == [1, 2] and seq.counts.tolist() == [1, 1]
+    assert simulate(Policy.naive(), seq, CostModel(StalenessFn.linear(), 100.0)).total == 3.0
+    for built in (seq, ArrivalSequence.from_slots([1, 2]), ArrivalSequence.from_counts({1: 2}),
+                  generate_bernoulli(BernoulliSource(0.5, 3), n_requests=4)):
+        for arr in (built.slots, built.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert built.n_requests == built.counts.sum()
 
 
 @pytest.mark.parametrize("build", [

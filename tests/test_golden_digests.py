@@ -9,6 +9,7 @@ in the tenth significant digit, changes a digest here.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from agecost import CostModel, MdpConfig, solve_average, solve_discounted
@@ -106,6 +107,33 @@ def test_multi_chunk_trace_csv_digest_is_pinned(tmp_path, capsys):
     data = out.read_bytes()
     assert data.count(b"\n") == 1 + 120_000
     assert hashlib.sha256(data).hexdigest() == "bbc81587194c664a5bcc3a850a28bc66353c1d88c55484685cd52c1e91c3b1e8"
+
+
+@pytest.mark.parametrize("penalty, update_cost, digest", [
+    ("linear", 25.0, "907ac9af868a71469460791e1cf92fe6fb5cd1b24b1c13f5bff2a3e61fea3414"),
+    ("table", 40.0, "3178c1a8264d1e2c75cd6e25c2ff4ecb7f60a85b2508531435294056d6127732"),
+])
+def test_batch_trace_csv_digest_is_pinned(penalty, update_cost, digest, tmp_path, capsys):
+    # 1,000 slots holding 1 to 5 requests each, as duplicate stamps: the
+    # rows repeat each slot's charges over its requests, the offline DP
+    # weighs each slot by its count, and the 2,906th request cuts a slot of 4.
+    # Pinned before a result table was a list of row blocks.
+    rng = np.random.default_rng(29)
+    slots = np.sort(rng.choice(np.arange(2_500), 1_000, replace=False))
+    stamps = np.repeat(slots, rng.integers(1, 6, slots.size))
+    trace, cfg, out = tmp_path / "trace.csv", tmp_path / "spec.json", tmp_path / "out.csv"
+    trace.write_text("".join(f"{s}.25,key\n" for s in stamps.tolist()))
+    staleness = {"kind": "linear"} if penalty == "linear" else PENALTIES[penalty]
+    cfg.write_text(json.dumps({
+        "model": {"staleness": staleness, "update_cost": update_cost},
+        "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+        "n_requests": 2_906}))
+    assert main(["trace-compare", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    assert stamps.size == 3_023 and "offline_total_cost" in sidecar
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 4 * 2_906
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_mixed_window_cost_sweep_csv_digest_is_pinned(tmp_path, capsys):

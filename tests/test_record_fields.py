@@ -141,6 +141,7 @@ _FIELDS = {
     "ArrivalSequence.counts each": ("each count", "an integer", {
         "from_counts": lambda v: ArrivalSequence.from_counts({1: v}),
     }),
+    "ArrivalSequence.counts_by_slot": ("counts_by_slot", "a mapping", {"from_counts": ArrivalSequence.from_counts}),
     "BernoulliSource.seed": ("seed", "an integer", {"direct": lambda v: BernoulliSource(0.5, v)}),
     "MdpConfig.discount": ("discount", "a number", {
         "direct": lambda v: MdpConfig(0.5, CostModel(StalenessFn.linear(), 5.0), discount=v),
@@ -164,7 +165,7 @@ _FIELDS = {
 # int64 is refused too: numpy holds slots, ages and counts as int64.
 _BAD = {"an integer": (True, "3", 2.5, None, 2**63, 10**400), "a number": (True, "3", None),
         "a finite number": (True, "3", 10**400),
-        "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}),
+        "a positive number": (True, "1", 0, None), "a list": (None, 5, "", {}), "a mapping": ([(1, 2)], None, 5, ""),
         "an object": (None, "linear", ["linear"], 5), "'error' or 'skip'": ("bogus",),
         "a string or os.PathLike": (7, 0, True, None, b"t.csv"),
         "a 1-d int64 array": ([1], None, np.array([1.5]), np.array([1.0]), np.array([True]), np.array([1], np.int32),
