@@ -276,9 +276,11 @@ def test_solvers_match_dense_value_iteration(cfg):
         # Discounted value iteration stops up to tolerance * discount /
         # (1 - discount) from its fixed point, so it runs to 1e-12. Relative
         # values of order p carry rounding above 1e-12, so the average-cost
-        # sweeps stop at a span of 1e-10, which pins the gain to 5e-11.
+        # sweeps stop at a span of 1e-11, which pins the gain to 5e-12. A
+        # slowly mixing chain leaves the relative values about ten spans off:
+        # at rate 0.875 with 76 ages, a span of 1e-10 left them 1.05e-9 off.
         values, gain, actions, margins = dense_value_iteration(
-            cfg, average, tolerance=1e-10 if average else 1e-12, max_iterations=10**6)
+            cfg, average, tolerance=1e-11 if average else 1e-12, max_iterations=10**6)
         assume(np.all(np.abs(margins) > 1e-7))
         sol = solve(cfg)
         assert np.array_equal(sol.actions, actions)
