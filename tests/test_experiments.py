@@ -36,7 +36,7 @@ from agecost.arrivals import derive_seed
 from agecost.cli import main
 from agecost.experiments import COLUMNS, truncate_requests
 
-from oracles import alarm, make_trace, reference_csv
+from oracles import alarm, cost_models, make_trace, reference_csv
 
 
 def sweep_spec(**kw):
@@ -837,31 +837,131 @@ def test_emit_matches_the_reference_writer_on_every_kind(tmp_path):
             assert out.read_bytes() == reference_csv(table.rows).encode()
 
 
-def test_trace_compare_memory_is_columnar(tmp_path):
-    # 150,000 rows: with a dict per row the build and write peaked at ~64 MiB
-    # of Python allocations; with one array per column, at ~18.5 MiB; with
-    # the block-constant columns as runs and the means written in place,
-    # at ~9.4 MiB.
+_MEANS = ("mean_cost", "mean_staleness", "mean_update")
+
+
+def _whole_array_means(res, arrivals, update_cost):
+    """A trace block's three running means as whole arrays, by the formula
+    the blocks held before their rows were computed per window."""
+    denom = np.arange(1, arrivals.n_requests + 1, dtype=np.int64).astype(np.float64)
+    cum_stale = np.cumsum(np.repeat(res.request_charges, arrivals.counts))
+    cum_update = update_cost * np.repeat(res.updates_through, arrivals.counts)
+    return (cum_stale + cum_update) / denom, cum_stale / denom, cum_update / denom
+
+
+@st.composite
+def _trace_replays(draw):
+    """One replay of a short sequence holding one request per slot or 1 to
+    5, under any penalty kind at a non-integer update cost."""
+    model = draw(cost_models(draw(st.floats(0.5, 60.0).filter(lambda p: p != int(p)))))
+    slots = draw(st.lists(st.integers(1, 300), min_size=1, max_size=60, unique=True))
+    batch = draw(st.booleans())
+    arrivals = ArrivalSequence.from_counts({s: draw(st.integers(1, 5)) if batch else 1 for s in slots})
+    policy = draw(st.sampled_from([Policy.threshold(draw(st.integers(1, 30))), Policy.naive(),
+                                   Policy.periodic(draw(st.integers(1, 30)))]))
+    return simulate(policy, arrivals, model), arrivals, model
+
+
+@settings(max_examples=120, deadline=None)
+@given(replay=_trace_replays(), stride=st.integers(1, 9), data=st.data())
+def test_computed_means_equal_the_whole_array_formula_bit_for_bit(tmp_path_factory, replay, stride, data):
+    res, arrivals, model = replay
+    n = arrivals.n_requests
+    with mock.patch.object(experiments, "_EMIT_CHUNK", stride):  # the windows' stride is fixed here
+        table = ResultTable(experiments._cumulative_blocks([("p", res)], arrivals, model), meta={})
+    expected = _whole_array_means(res, arrivals, model.update_cost)
+    columns = [table.blocks[0][name] for name in _MEANS]
+    for _ in range(4):  # slices in any order, across window edges, and rows of the row view
+        lo = data.draw(st.integers(0, n), label="lo")
+        hi = data.draw(st.integers(lo, n), label="hi")
+        for column, want in zip(columns, expected):
+            assert len(column) == n and column[lo:hi].tobytes() == want[lo:hi].tobytes()
+        j = data.draw(st.integers(-n, n - 1), label="j")
+        row = table.rows[j]
+        assert [row[name].hex() for name in _MEANS] == [want[j].hex() for want in expected]
+    cost, stale, update = (want.tolist() for want in expected)
+    rows = [{"x_value": j + 1, "policy_label": "p", "mean_cost": cost[j], "stderr": 0.0, "mean_staleness": stale[j],
+             "mean_update": update[j], "analytic_cost": None, "n_runs": 1, "n_requests": j + 1, "seed": ""}
+            for j in range(n)]
+    out = tmp_path_factory.getbasetemp() / "means.csv"
+    for chunk in (1, 7, 8_192):  # after the table is built
+        with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
+            emit(table, out)
+        assert out.read_bytes() == reference_csv(rows).encode()
+
+
+def test_the_row_view_and_emit_build_each_window_once(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    make_trace(trace, n_requests=50_000, horizon=125_000, seed=5)
+    make_trace(trace, n_requests=2_000, horizon=5_000, seed=7)
     spec = ExperimentSpec.from_dict({
         "name": "trace", "kind": "trace_compare",
         "model": {"staleness": {"kind": "linear"}, "update_cost": 25.0},
         "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
-        "n_requests": 50_000,
+        "n_requests": 2_000, "include_offline": False,
     })
-    tracemalloc.start()
-    try:
+    with mock.patch.object(experiments, "_EMIT_CHUNK", 300):
         table = run_trace_compare(spec)
-        emit(table, tmp_path / "out.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    for block in table.blocks:  # no Python object per row, and one request index
-        for name, column in block.items():
-            assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
-        assert block["x_value"] is block["n_requests"] is table.blocks[0]["x_value"]
+    builds = []
+    build = experiments._RunningMeans._build
+
+    def counted(means, w):
+        builds.append((id(means), w))
+        build(means, w)
+
+    windows = 3 * -(-2_000 // 300)  # three replays of 2,000 rows, 300 rows a window
+    with mock.patch.object(experiments._RunningMeans, "_build", counted):
+        assert len(list(table.rows)) == len(table.rows) == 6_000
+        assert len(builds) == len(set(builds)) == windows
+        builds.clear()
+        with mock.patch.object(experiments, "_EMIT_CHUNK", 300):
+            emit(table, tmp_path / "out.csv")
+        assert len(builds) == len(set(builds)) == windows
+        # A slice across a window edge is copied window by window, column by
+        # column, which here builds each window at most five times.
+        for chunk in (7, 8_192):
+            builds.clear()
+            with mock.patch.object(experiments, "_EMIT_CHUNK", chunk):
+                emit(table, tmp_path / f"out-{chunk}.csv")
+            assert len(builds) <= 5 * windows, chunk
+            assert (tmp_path / f"out-{chunk}.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
+    assert (tmp_path / "out.csv").read_bytes() == reference_csv(table.rows).encode()
+    assert main(["trace-compare", "--trace", str(trace), "--slot-duration", "1.0", "--p", "25",
+                 "--requests", "2000", "--out", str(tmp_path / "cli.csv")]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {4 * 2_000} rows to ")
+
+
+def test_trace_compare_memory_is_columnar(tmp_path):
+    # At 50,000 requests, 150,000 rows: with a dict per row the build and
+    # write peaked at ~64 MiB of Python allocations; with one array per
+    # column, at ~18.5 MiB; with the block-constant columns as runs and the
+    # means written in place, at ~9.4 MiB; with each block's means as whole
+    # arrays, at ~8.2 MiB. Those arrays grew the peak by ~172 bytes per
+    # request from 50,000 to 200,000 requests; the means computed per window
+    # leave ~67 bytes per request, most of it the trace parse's transient.
+    peaks = {}
+    for n in (50_000, 200_000):
+        trace = tmp_path / f"trace-{n}.csv"
+        make_trace(trace, n_requests=n, horizon=5 * n // 2, seed=5)
+        spec = ExperimentSpec.from_dict({
+            "name": "trace", "kind": "trace_compare",
+            "model": {"staleness": {"kind": "linear"}, "update_cost": 25.0},
+            "arrival": {"kind": "trace", "path": str(trace), "slot_duration": 1.0},
+            "n_requests": n,
+        })
+        tracemalloc.start()
+        try:
+            table = run_trace_compare(spec)
+            emit(table, tmp_path / "out.csv")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for block in table.blocks:  # no Python object per row, and one request index
+            for name, column in block.items():
+                assert not isinstance(column, list) and getattr(column, "dtype", None) != object, name
+            assert block["x_value"] is block["n_requests"] is table.blocks[0]["x_value"]
+        del table
+    assert peaks[50_000] < 8 * 2**20
+    assert (peaks[200_000] - peaks[50_000]) / 150_000 < 100, peaks
 
 
 def test_cli_parser_built_once_serves_each_run_as_a_fresh_one(capsys):
